@@ -71,6 +71,8 @@ from .operators import (
     defect_rank,
     model_tuple,
     projection,
+    shift,
+    shift_adjoint,
     shift_matrix,
     spectral_norm,
 )

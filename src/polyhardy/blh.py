@@ -20,8 +20,8 @@ from .errors import (
     NotIsometricError,
 )
 from .grading import Grade
-from .operators import shift_matrix, spectral_norm
-from .subspace import SubspaceBasis
+from .operators import shift, shift_adjoint, spectral_norm
+from .subspace import SubspaceBasis, outer_degrees
 
 VERIFY_TOL = 1e-10
 
@@ -190,22 +190,20 @@ def extract_phi(
         raise GradeError("inner axis out of range")
     _require_unflagged(w, force)
     grade = s.grade
-    kappa = shift_matrix(grade, 1 + axis).entries
     cert = w.columns[:, : w.n_certified]
     if cert.shape[1]:
-        image = kappa @ cert
+        image = shift(grade, 1 + axis, cert)
         residual = spectral_norm(image - s.columns @ (s.columns.conj().T @ image))
         if residual > VERIFY_TOL:
             raise NotInvariantError(
                 f"inner shift does not map certified wandering vectors into the "
                 f"subspace (residual {residual:.2e})"
             )
-    mz_adj = shift_matrix(grade, 0).entries.conj().T
-    cur = kappa @ w.columns
+    cur = shift(grade, 1 + axis, w.columns)
     coeffs = []
     for _ in range(grade.outer_cap + 1):
         coeffs.append(w.columns.conj().T @ cur)
-        cur = s.columns @ (s.columns.conj().T @ (mz_adj @ cur))
+        cur = s.columns @ (s.columns.conj().T @ shift_adjoint(grade, 0, cur))
     return MatrixPolynomial(tuple(coeffs))
 
 
@@ -217,14 +215,12 @@ def extract_phi_via_theta(
         raise GradeError("subspace and wandering grade differ")
     _require_unflagged(w, force)
     grade = s.grade
-    kappa = shift_matrix(grade, 1 + axis).entries
-    mz = shift_matrix(grade, 0).entries
-    projected = s.columns @ (s.columns.conj().T @ (kappa @ w.columns))
+    projected = s.columns @ (s.columns.conj().T @ shift(grade, 1 + axis, w.columns))
     coeffs = []
     shifted = w.columns
     for _ in range(grade.outer_cap + 1):
         coeffs.append(shifted.conj().T @ projected)
-        shifted = mz @ shifted
+        shifted = shift(grade, 0, shifted)
     return MatrixPolynomial(tuple(coeffs))
 
 
@@ -356,25 +352,16 @@ def wold_multiplication_consistency(
         raise GradeError("subspace and wandering grade differ")
     grade = s.grade
     cap = grade.outer_cap
-    kappa = shift_matrix(grade, 1 + axis).entries
-    mz = shift_matrix(grade, 0).entries
     r = w.dim
     nc = w.n_certified
-    degrees = []
-    for j in range(r):
-        support = [
-            t[0]
-            for t, c in zip(grade.indices, w.columns[:, j])
-            if abs(c) > 1e-12
-        ]
-        degrees.append(max(support) if support else 0)
+    degrees = outer_degrees(grade, w.columns, 1e-12)
     blocks = []
     shifted = w.columns
     for _ in range(cap + 1):
         blocks.append(shifted.conj().T @ s.columns)
-        shifted = mz @ shifted
+        shifted = shift(grade, 0, shifted)
     pi = np.vstack(blocks)
-    compressed = s.columns.conj().T @ (kappa @ s.columns)
+    compressed = s.columns.conj().T @ shift(grade, 1 + axis, s.columns)
     lhs = pi @ compressed @ pi.conj().T
     worst = 0.0
     worst_super = 0.0

@@ -22,7 +22,7 @@ from .blh import (
 )
 from .errors import GradeError, NotIsometricError
 from .grading import Grade
-from .operators import shift_matrix, spectral_norm
+from .operators import shift, spectral_norm
 from .subspace import SubspaceBasis, coordinate_slice
 
 CLASSIFY_TOL = 1e-8
@@ -114,7 +114,7 @@ def sylvester_nullspace(
             b = pb.coeffs[m] if m <= pb.degree else np.zeros((rb, rb))
             rows.append(np.kron(a.T, np.eye(rb)) - np.kron(np.eye(ra), b))
     stack = np.vstack(rows)
-    _, s, vh = np.linalg.svd(stack)
+    _, s, vh = np.linalg.svd(stack, full_matrices=False)
     tol = CLASSIFY_TOL * max(1.0, s[0] if len(s) else 1.0)
     k = int((s < tol).sum())
     if len(s) < ra * rb:
@@ -319,7 +319,7 @@ def bessel_diagnostics(
 
 def _restricted_tuple(s: SubspaceBasis) -> list[np.ndarray]:
     return [
-        s.columns.conj().T @ (shift_matrix(s.grade, ax).entries @ s.columns)
+        s.columns.conj().T @ shift(s.grade, ax, s.columns)
         for ax in range(1 + s.grade.n)
     ]
 
@@ -395,17 +395,6 @@ def isometric_module_map_lower_bound(
     of per-slot symbol vectors; plus a dimension-count certificate."""
     if source.n != target.n:
         raise GradeError("source and target must share the inner-variable count")
-    shifts = [shift_matrix(target, ax).entries for ax in range(1 + target.n)]
-    powers: dict[tuple[int, ...], np.ndarray] = {}
-    outer_range = range(target.outer_cap + 1)
-    inner_ranges = [range(target.inner_cap + 1)] * target.n
-    for a in outer_range:
-        base = np.linalg.matrix_power(shifts[0], a)
-        for bs in itertools.product(*inner_ranges):
-            mat = base
-            for i, b in enumerate(bs):
-                mat = mat @ np.linalg.matrix_power(shifts[1 + i], b)
-            powers[(a, *bs)] = mat
     src_cols = [
         (a, *bs, e)
         for a in range(source.outer_cap)
@@ -415,10 +404,13 @@ def isometric_module_map_lower_bound(
     n_src = len(src_cols)
     t_dim = target.dim
     d_src = source.coeff_dim
+    maps = [target.monomial_map(key[:-1]) for key in src_cols]
 
     def build(xs: np.ndarray) -> np.ndarray:
-        cols = [powers[key[:-1]] @ xs[key[-1]] for key in src_cols]
-        return np.array(cols).T
+        rows = np.zeros((n_src, t_dim), dtype=complex)
+        for idx, (key, (src, dst)) in enumerate(zip(src_cols, maps)):
+            rows[idx, dst] = xs[key[-1], src]
+        return rows.T
 
     def objective(xflat: np.ndarray) -> tuple[float, np.ndarray]:
         xs = xflat.view(complex).reshape(d_src, t_dim)
@@ -427,8 +419,8 @@ def isometric_module_map_lower_bound(
         value = float(np.linalg.norm(m0, "fro") ** 2)
         gc = 2 * (c @ m0)
         gxs = np.zeros_like(xs)
-        for idx, key in enumerate(src_cols):
-            gxs[key[-1]] += powers[key[:-1]].conj().T @ gc[:, idx]
+        for idx, (key, (src, dst)) in enumerate(zip(src_cols, maps)):
+            gxs[key[-1], src] += gc[dst, idx]
         return value, gxs.reshape(-1).view(float).copy()
 
     def aligned_start() -> np.ndarray:

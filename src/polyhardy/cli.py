@@ -54,8 +54,11 @@ from .subspace import (
     check_invariant,
     max_principal_angle_sine,
     orbit_span,
+    rebuild_grade,
     wandering_subspace,
+    wold_grade,
     wold_reconstruction,
+    working_grade,
 )
 
 DEFAULT_MAX_DIM = 20000
@@ -82,27 +85,11 @@ def _validate_pipeline(steps: tuple[str, ...]) -> None:
 
 
 def _guard_dims(grade: Grade, margin: int, max_dim: int) -> None:
-    working = Grade(
-        grade.n,
-        grade.outer_cap + margin,
-        grade.inner_cap + margin,
-        grade.coeff_dim,
-        grade.safe_margin,
-    )
-    wold_caps = (grade.outer_cap - 1) + grade.n * (grade.inner_cap - 1) + 1
-    wold = Grade(grade.n, wold_caps, wold_caps, grade.coeff_dim, grade.safe_margin)
-    rebuild = Grade(
-        grade.n,
-        grade.outer_cap + grade.n * grade.inner_cap,
-        grade.inner_cap,
-        grade.coeff_dim,
-        grade.safe_margin,
-    )
     for name, g in [
         ("target", grade),
-        ("working", working),
-        ("wold", wold),
-        ("rebuild", rebuild),
+        ("working", working_grade(grade, margin)),
+        ("wold", wold_grade(grade)),
+        ("rebuild", rebuild_grade(grade)),
     ]:
         if g.dim > max_dim:
             raise CapacityError(

@@ -8,6 +8,7 @@ fixed dense ordering is lexicographic on ``(outer, inner..., coord)``.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping
@@ -61,9 +62,46 @@ class Grade:
         return _index_map(self)
 
     @property
+    def shape(self) -> tuple[int, ...]:
+        """Axis lengths of the dense order: outer, inner ``1..n``, coordinate."""
+        return (self.outer_cap + 1, *(self.inner_cap + 1,) * self.n, self.coeff_dim)
+
+    @property
+    def degree_caps(self) -> np.ndarray:
+        """Cap of each variable axis: outer, inner ``1..n``."""
+        return np.array(self.shape[:-1]) - 1
+
+    @property
+    def strides(self) -> np.ndarray:
+        """Dense-position step of one degree on each variable axis."""
+        return np.array([math.prod(self.shape[k + 1 :]) for k in range(self.n + 1)])
+
+    @property
+    def exponents(self) -> np.ndarray:
+        """``dim × (n+2)`` table of the index ``(a, b1.., e)`` at each
+        position (read-only)."""
+        return _exponents(self)
+
+    @property
     def safe_mask(self) -> np.ndarray:
         """Boolean mask of indices on the safe band (read-only)."""
         return _safe_mask(self)
+
+    def monomial_map(self, mono) -> tuple[np.ndarray, np.ndarray]:
+        """Index map of multiplication by ``z^a z1^b1..`` with ``mono = (a,
+        b1..bn)``: the entry at ``src[k]`` moves to ``dst[k]``; entries
+        pushed past a cap are dropped."""
+        mono = np.asarray(mono)
+        fits = np.all(self.exponents[:, :-1] + mono <= self.degree_caps, axis=1)
+        src = np.flatnonzero(fits)
+        return src, src + int(mono @ self.strides)
+
+    def shift_map(self, axis: int) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`monomial_map` of ``z`` (axis 0) or ``z_i`` (axis ``i`` in
+        1..n), cached per axis; the arrays are read-only."""
+        if not 0 <= axis <= self.n:
+            raise GradeError(f"axis {axis} out of range 0..{self.n}")
+        return _shift_map(self, axis)
 
     def position(self, idx: MultiIndex) -> int:
         key = (idx.outer, *idx.inner, idx.coord)
@@ -87,18 +125,26 @@ def _index_map(grade: Grade) -> Mapping[tuple[int, ...], int]:
 
 
 @lru_cache(maxsize=None)
+def _exponents(grade: Grade) -> np.ndarray:
+    table = np.stack(np.unravel_index(np.arange(grade.dim), grade.shape), axis=1)
+    table.flags.writeable = False
+    return table
+
+
+@lru_cache(maxsize=None)
 def _safe_mask(grade: Grade) -> np.ndarray:
-    ms = grade.safe_margin
-    mask = np.array(
-        [
-            t[0] <= grade.outer_cap - ms
-            and all(b <= grade.inner_cap - ms for b in t[1:-1])
-            for t in _indices(grade)
-        ],
-        dtype=bool,
-    )
+    limit = grade.degree_caps - grade.safe_margin
+    mask = np.all(grade.exponents[:, :-1] <= limit, axis=1)
     mask.flags.writeable = False
     return mask
+
+
+@lru_cache(maxsize=None)
+def _shift_map(grade: Grade, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    maps = grade.monomial_map(np.eye(grade.n + 1, dtype=int)[axis])
+    for arr in maps:
+        arr.flags.writeable = False
+    return maps
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,9 @@
-"""Dense matrices of the multiplication shifts, projections, and defects.
+"""Multiplication shifts as index maps; dense operator matrices for the API.
+
+A shift is a partial permutation of the monomial basis, so the pipeline
+applies it as a gather over :meth:`Grade.shift_map` and never forms a
+matrix.  :func:`shift_matrix` builds the same map densely for callers that
+need an :class:`OperatorMatrix` (projections, defects, commutators).
 
 Truncated shifts overflow to zero past the caps, so every isometry or
 commutation claim is read on the safe band only.
@@ -13,8 +18,6 @@ import numpy as np
 
 from .errors import GradeError
 from .grading import Grade
-
-OUTER_AXIS = 0
 
 _GRAM_TOL = 1e-10
 
@@ -56,20 +59,42 @@ class DefectReport:
             raise ValueError("rank inconsistent with singular values")
 
 
+def shift(grade: Grade, axis: int, x: np.ndarray) -> np.ndarray:
+    """Multiplication by ``z`` (axis 0) or ``z_i`` (axis ``i`` in 1..n)
+    applied to the rows of ``x``."""
+    src, dst = grade.shift_map(axis)
+    out = np.zeros_like(x)
+    out[dst] = x[src]
+    return out
+
+
+def shift_adjoint(grade: Grade, axis: int, x: np.ndarray) -> np.ndarray:
+    """Adjoint of :func:`shift` applied to the rows of ``x``."""
+    src, dst = grade.shift_map(axis)
+    out = np.zeros_like(x)
+    out[src] = x[dst]
+    return out
+
+
+def monomial_multiples(grade: Grade, x: np.ndarray, monomials: np.ndarray) -> np.ndarray:
+    """Columns ``z^a z1^b1.. x``, one per row ``(a, b1..bn)`` of
+    ``monomials``; entries pushed past a cap are dropped."""
+    rows = np.flatnonzero(x)
+    degrees = grade.exponents[rows, None, :-1] + monomials[None, :, :]
+    fits = np.all(degrees <= grade.degree_caps, axis=2)
+    targets = rows[:, None] + monomials @ grade.strides
+    cols = np.broadcast_to(np.arange(len(monomials)), fits.shape)
+    values = np.broadcast_to(x[rows, None], fits.shape)
+    out = np.zeros((grade.dim, len(monomials)), dtype=complex)
+    out[targets[fits], cols[fits]] = values[fits]
+    return out
+
+
 def shift_matrix(grade: Grade, axis: int) -> OperatorMatrix:
-    """Multiplication by ``z`` (axis 0) or ``z_i`` (axis ``i`` in 1..n)."""
-    if axis != OUTER_AXIS and not 1 <= axis <= grade.n:
-        raise GradeError(f"inner axis {axis} out of range 1..{grade.n}")
-    dim = grade.dim
-    entries = np.zeros((dim, dim), dtype=complex)
-    index_of = grade.index_of
-    for t, col in index_of.items():
-        # tuple layout is (a, b1.., e): outer at slot 0, inner axis i at slot i
-        bumped = list(t)
-        bumped[axis] += 1
-        row = index_of.get(tuple(bumped))
-        if row is not None:
-            entries[row, col] = 1.0
+    """Dense matrix of :func:`shift`."""
+    src, dst = grade.shift_map(axis)
+    entries = np.zeros((grade.dim, grade.dim), dtype=complex)
+    entries[dst, src] = 1.0
     return OperatorMatrix(grade, grade, entries)
 
 

@@ -8,14 +8,20 @@ comes first, each block ordered by ascending outer degree.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DegenerateInputError, GradeError, NotInvariantError
 from .grading import Grade, HardyVector
-from .operators import OperatorMatrix, shift_matrix, spectral_norm
+from .operators import (
+    OperatorMatrix,
+    monomial_multiples,
+    shift,
+    shift_matrix,
+    spectral_norm,
+)
 
 SVD_CUTOFF = 1e-10
 _SUPPORT_TOL = 1e-12
@@ -27,13 +33,18 @@ INVARIANCE_TOL = 1e-10
 
 @dataclass(frozen=True)
 class Provenance:
-    """How a basis was produced; enough to re-derive working-grade data."""
+    """How a basis was produced; enough to re-derive working-grade data.
+
+    An orbit basis also carries the orthonormal orbit basis at its working
+    grade, so the wandering step does not span the same orbit again.
+    """
 
     kind: str
     generators: tuple[HardyVector, ...] = ()
     labels: tuple[str, ...] = ()
     margin: int = 0
     working_caps: tuple[int, int] = (0, 0)
+    working_basis: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -106,17 +117,13 @@ def coordinate_slice(basis: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return orthonormal_columns(basis @ null)
 
 
-def _outer_degree_mask(grade: Grade, d: int) -> np.ndarray:
-    return np.array([t[0] <= d for t in grade.indices])
-
-
 def graded_basis(grade: Grade, basis: np.ndarray) -> np.ndarray:
     """Re-basis a span so columns have minimal max outer degree, ascending."""
     if basis.shape[1] == 0:
         return basis
     done = np.zeros((grade.dim, 0), dtype=complex)
     for d in range(grade.outer_cap + 1):
-        part = coordinate_slice(basis, _outer_degree_mask(grade, d))
+        part = coordinate_slice(basis, grade.exponents[:, 0] <= d)
         fresh = orthonormal_columns(
             part - done @ (done.conj().T @ part), tol=_RESIDUAL_ORTH_TOL
         )
@@ -145,8 +152,7 @@ def embedding_positions(small: Grade, big: Grade) -> np.ndarray:
         or small.inner_cap > big.inner_cap
     ):
         raise GradeError("grades do not nest")
-    pos = big.index_of
-    return np.array([pos[t] for t in small.indices])
+    return np.ravel_multi_index(tuple(small.exponents.T), big.shape)
 
 
 def lift_dense(small: Grade, big: Grade, vectors: np.ndarray) -> np.ndarray:
@@ -160,30 +166,42 @@ def restrict_dense(small: Grade, big: Grade, vectors: np.ndarray) -> np.ndarray:
     return vectors[embedding_positions(small, big), :]
 
 
-def _monomial_orbit_columns(gw: Grade, dense_gens: Sequence[np.ndarray]) -> np.ndarray:
+def working_grade(grade: Grade, margin: int) -> Grade:
+    """Grade the orbit is spanned in: both caps raised by ``margin``."""
+    return replace(
+        grade, outer_cap=grade.outer_cap + margin, inner_cap=grade.inner_cap + margin
+    )
+
+
+def wold_grade(grade: Grade) -> Grade:
+    """Grade of the Wold check: large enough to hold every wandering stratum
+    the target safe band touches, plus one cleaning degree."""
+    caps = (grade.outer_cap - 1) + grade.n * (grade.inner_cap - 1) + 1
+    return replace(grade, outer_cap=caps, inner_cap=caps)
+
+
+def rebuild_grade(grade: Grade) -> Grade:
+    """Outer-enlarged grade in which the image of Θ is spanned."""
+    return replace(grade, outer_cap=grade.outer_cap + grade.n * grade.inner_cap)
+
+
+def _capped_slice(grade: Grade, big: Grade, basis: np.ndarray) -> np.ndarray:
+    """The part of span(basis) that lies inside the caps of ``grade``, in
+    ``grade``'s coordinates."""
+    keep = np.zeros(big.dim, dtype=bool)
+    keep[embedding_positions(grade, big)] = True
+    return restrict_dense(grade, big, coordinate_slice(basis, keep))
+
+
+def _monomial_orbit_columns(gw: Grade, generators: Sequence[HardyVector]) -> np.ndarray:
     """All monomial multiples of the generators that fit the caps of ``gw``."""
-    shifts = [shift_matrix(gw, axis).entries for axis in range(gw.n + 1)]
     cols: list[np.ndarray] = []
-    for vec in dense_gens:
-        support = [t for t, c in zip(gw.indices, vec) if abs(c) > 1e-14]
-        deg_outer = max(t[0] for t in support)
-        deg_inner = [max(t[1 + i] for t in support) for i in range(gw.n)]
-        powers = [vec]
-        for _ in range(gw.outer_cap - deg_outer):
-            powers.append(shifts[0] @ powers[-1])
-        for base in powers:
-            stack = [base]
-            for i in range(gw.n):
-                grown: list[np.ndarray] = []
-                for w in stack:
-                    grown.append(w)
-                    cur = w
-                    for _ in range(gw.inner_cap - deg_inner[i]):
-                        cur = shifts[1 + i] @ cur
-                        grown.append(cur)
-                stack = grown
-            cols.extend(stack)
-    return np.stack(cols, axis=1)
+    for g in generators:
+        room = gw.degree_caps - (g.outer_degree(), *g.inner_degrees()) + 1
+        monomials = np.stack(np.unravel_index(np.arange(np.prod(room)), room), axis=1)
+        dense = lift_dense(g.grade, gw, g.to_dense()[:, None])[:, 0]
+        cols.append(monomial_multiples(gw, dense, monomials))
+    return np.hstack(cols)
 
 
 def orbit_span(
@@ -212,18 +230,10 @@ def orbit_span(
             b > grade.inner_cap for b in g.inner_degrees()
         ):
             raise GradeError("generator degree too high for the grade")
-    gw = Grade(
-        grade.n,
-        grade.outer_cap + working_margin,
-        grade.inner_cap + working_margin,
-        grade.coeff_dim,
-        grade.safe_margin,
-    )
-    dense = [lift_dense(grade, gw, g.to_dense()[:, None])[:, 0] for g in cleaned]
-    working = orthonormal_columns(_monomial_orbit_columns(gw, dense))
-    keep = np.zeros(gw.dim, dtype=bool)
-    keep[embedding_positions(grade, gw)] = True
-    sliced = restrict_dense(grade, gw, coordinate_slice(working, keep))
+    gw = working_grade(grade, working_margin)
+    working = orthonormal_columns(_monomial_orbit_columns(gw, cleaned))
+    working.flags.writeable = False
+    sliced = _capped_slice(grade, gw, working)
     organized, n_safe = organize_basis(grade, orthonormal_columns(sliced))
     if organized.shape[1] == 0:
         raise DegenerateInputError("generators produce an empty capped slice")
@@ -233,6 +243,7 @@ def orbit_span(
         labels=tuple(labels),
         margin=working_margin,
         working_caps=(gw.outer_cap, gw.inner_cap),
+        working_basis=working,
     )
     return SubspaceBasis(grade, organized, prov, n_certified=n_safe)
 
@@ -248,8 +259,8 @@ def orbit_stability(
     return base, probe.dim == base.dim
 
 
-def _naive_wandering(mz: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    shifted = orthonormal_columns(mz @ basis)
+def _naive_wandering(grade: Grade, basis: np.ndarray) -> np.ndarray:
+    shifted = orthonormal_columns(shift(grade, 0, basis))
     if shifted.shape[1] == 0:
         return basis
     overlap = shifted.conj().T @ basis
@@ -261,10 +272,11 @@ def _naive_wandering(mz: np.ndarray, basis: np.ndarray) -> np.ndarray:
 def wandering_subspace(s: SubspaceBasis) -> SubspaceBasis:
     """Basis of S ⊖ zS; certified block first, truncation-suspect block after.
 
-    When the input carries orbit provenance, the wandering space is computed
-    at the recorded working grade and sliced to the target caps so that every
-    returned vector is genuinely wandering; otherwise it is computed directly
-    at the target grade.
+    When the input carries a working-grade orbit basis (every basis from
+    :func:`orbit_span` does), the wandering space is computed at that working
+    grade and sliced to the target caps so that every returned vector is
+    genuinely wandering; otherwise it is computed directly at the target
+    grade.
     """
     grade = s.grade
     report = check_invariant(s, [shift_matrix(grade, 0)])
@@ -274,24 +286,12 @@ def wandering_subspace(s: SubspaceBasis) -> SubspaceBasis:
             f"(residual {max(report.residuals):.2e})"
         )
     prov = s.provenance
-    if prov.kind == "orbit" and prov.generators:
-        gw = Grade(
-            grade.n,
-            prov.working_caps[0],
-            prov.working_caps[1],
-            grade.coeff_dim,
-            grade.safe_margin,
-        )
-        dense = [
-            lift_dense(grade, gw, g.to_dense()[:, None])[:, 0] for g in prov.generators
-        ]
-        working = orthonormal_columns(_monomial_orbit_columns(gw, dense))
-        ww = _naive_wandering(shift_matrix(gw, 0).entries, working)
-        keep = np.zeros(gw.dim, dtype=bool)
-        keep[embedding_positions(grade, gw)] = True
-        wt = orthonormal_columns(restrict_dense(grade, gw, coordinate_slice(ww, keep)))
+    if prov.working_basis is not None:
+        gw = working_grade(grade, prov.margin)
+        ww = _naive_wandering(gw, prov.working_basis)
+        wt = orthonormal_columns(_capped_slice(grade, gw, ww))
     else:
-        wt = _naive_wandering(shift_matrix(grade, 0).entries, s.columns)
+        wt = _naive_wandering(grade, s.columns)
     organized, n_cert = organize_basis(grade, wt)
     return SubspaceBasis(
         grade,
@@ -307,12 +307,16 @@ def wandering_subspace(s: SubspaceBasis) -> SubspaceBasis:
     )
 
 
+def outer_degrees(grade: Grade, columns: np.ndarray, tol: float) -> np.ndarray:
+    """Highest outer degree among each column's entries above ``tol``; 0 for
+    a column with none."""
+    return np.where(np.abs(columns) > tol, grade.exponents[:, :1], 0).max(axis=0)
+
+
 def safe_column_mask(s: SubspaceBasis) -> np.ndarray:
     """Columns of the stored basis fully supported on the safe band."""
     unsafe = ~s.grade.safe_mask
-    return np.array(
-        [bool(np.all(np.abs(s.columns[unsafe, j]) < _SUPPORT_TOL)) for j in range(s.dim)]
-    )
+    return np.all(np.abs(s.columns[unsafe]) < _SUPPORT_TOL, axis=0)
 
 
 def check_invariant(
@@ -354,78 +358,54 @@ def build_from_theta(theta, grade: Grade) -> SubspaceBasis:
         raise GradeError("theta codomain does not match the grade's inner slot")
     if theta.degree > grade.outer_cap:
         raise GradeError("theta degree exceeds the outer cap")
-    # wandering columns at the target grade, one per domain coordinate
-    inner_positions = [i for i, t in enumerate(grade.indices) if t[0] == 0]
-    r = theta.coeffs[0].shape[1]
-    w_cols = np.zeros((grade.dim, r), dtype=complex)
-    outer_step = shift_matrix(grade, 0).entries
-    lift = np.zeros((grade.dim, slot), dtype=complex)
-    lift[inner_positions, :] = np.eye(slot)
-    for m, coeff in enumerate(theta.coeffs):
-        w_cols += np.linalg.matrix_power(outer_step, m) @ (lift @ coeff)
+    # wandering columns at the target grade, one per domain coordinate:
+    # coefficient m fills the outer-degree-m stratum
+    w_cols = np.zeros((grade.dim, theta.shape[1]), dtype=complex)
+    w_cols[: len(theta.coeffs) * slot] = np.vstack(theta.coeffs)
+    degrees = outer_degrees(grade, w_cols, _SUPPORT_TOL)
     # image columns generated in an outer-enlarged working grade, then sliced
-    gw = Grade(
-        grade.n,
-        grade.outer_cap + grade.n * grade.inner_cap,
-        grade.inner_cap,
-        grade.coeff_dim,
-        grade.safe_margin,
-    )
+    gw = rebuild_grade(grade)
     lifted = lift_dense(grade, gw, w_cols)
-    mzw = shift_matrix(gw, 0).entries
-    cols: list[np.ndarray] = []
-    for j in range(r):
-        deg = max(
-            (t[0] for t, c in zip(grade.indices, w_cols[:, j]) if abs(c) > _SUPPORT_TOL),
-            default=0,
-        )
-        cur = lifted[:, j]
-        for _ in range(gw.outer_cap - deg + 1):
-            cols.append(cur)
-            cur = mzw @ cur
-    span = orthonormal_columns(np.stack(cols, axis=1))
-    keep = np.zeros(gw.dim, dtype=bool)
-    keep[embedding_positions(grade, gw)] = True
-    sliced = restrict_dense(grade, gw, coordinate_slice(span, keep))
+    outer_powers = np.arange(gw.outer_cap + 1)[:, None] * np.eye(1, gw.n + 1, dtype=int)
+    cols = [
+        monomial_multiples(gw, lifted[:, j], outer_powers[: gw.outer_cap - deg + 1])
+        for j, deg in enumerate(degrees)
+    ]
+    span = orthonormal_columns(np.hstack(cols))
+    sliced = _capped_slice(grade, gw, span)
     organized, n_safe = organize_basis(grade, orthonormal_columns(sliced))
     prov = Provenance(kind="theta-image", working_caps=(gw.outer_cap, gw.inner_cap))
     return SubspaceBasis(grade, organized, prov, n_certified=n_safe)
 
 
 def wold_reconstruction(s: SubspaceBasis, tolerance: float = INVARIANCE_TOL) -> WoldReport:
-    """Residual of ``P_S − Σ_m M_z^m P_W M_z^{*m}`` on the target safe band.
-
-    Computed at a dedicated grade large enough to hold every wandering
-    stratum the target safe band touches, plus one cleaning degree.
-    """
+    """Residual of ``P_S − Σ_m M_z^m P_W M_z^{*m}`` on the target safe band,
+    computed at :func:`wold_grade`."""
     prov = s.provenance
     if prov.kind != "orbit" or not prov.generators:
         raise GradeError("wold reconstruction needs orbit provenance")
     grade = s.grade
-    caps = (grade.outer_cap - 1) + grade.n * (grade.inner_cap - 1) + 1
-    gb = Grade(grade.n, caps, caps, grade.coeff_dim, grade.safe_margin)
-    dense = [lift_dense(grade, gb, g.to_dense()[:, None])[:, 0] for g in prov.generators]
-    sb = orthonormal_columns(_monomial_orbit_columns(gb, dense))
-    wb = _naive_wandering(shift_matrix(gb, 0).entries, sb)
-    inner_caps_mask = np.array(
-        [all(x <= caps - 1 for x in t[:-1]) for t in gb.indices]
-    )
-    wc = coordinate_slice(wb, inner_caps_mask)
-    mz = shift_matrix(gb, 0).entries
-    reconstruction = np.zeros((gb.dim, gb.dim), dtype=complex)
+    gb = wold_grade(grade)
+    sb = orthonormal_columns(_monomial_orbit_columns(gb, prov.generators))
+    wb = _naive_wandering(gb, sb)
+    inside_caps = np.all(gb.exponents[:, :-1] < gb.degree_caps, axis=1)
+    wc = coordinate_slice(wb, inside_caps)
+    # Only the rows on the target safe band E are read: the residual is
+    # ‖B_E B_Eᴴ − K Kᴴ‖ with B_E = sb[E] and K = [(M_z^m wc)[E]]_m.
+    band = embedding_positions(grade, gb)[grade.safe_mask]
+    blocks = []
     cur = wc
-    for _ in range(caps + 1):
-        reconstruction += cur @ cur.conj().T
-        cur = mz @ cur
-    defect = sb @ sb.conj().T - reconstruction
-    embed_cols = embedding_positions(grade, gb)[grade.safe_mask]
-    compressed = defect[np.ix_(embed_cols, embed_cols)]
-    residual = spectral_norm(compressed)
+    for _ in range(gb.outer_cap + 1):
+        blocks.append(cur[band])
+        cur = shift(gb, 0, cur)
+    k = np.hstack(blocks)
+    b = sb[band]
+    residual = spectral_norm(b @ b.conj().T - k @ k.conj().T)
     return WoldReport(
         residual=residual,
         verdict=residual < tolerance,
         tolerance=tolerance,
-        reconstruction_caps=caps,
+        reconstruction_caps=gb.outer_cap,
         safe_band_dim=int(grade.safe_mask.sum()),
     )
 

@@ -1,9 +1,12 @@
 """Independent brute-force references.
 
-These deliberately avoid the package's shift matrices and SVD helpers:
-orbits are built by dict-level polynomial multiplication and intersected
-with the cap box via scipy nullspaces, and wandering spaces come from the
-adjoint nullspace of the restricted shift.  Used to pin derived values.
+The orbit and wandering references deliberately avoid the package's shift
+matrices and SVD helpers: orbits are built by dict-level polynomial
+multiplication and intersected with the cap box via scipy nullspaces, and
+wandering spaces come from the adjoint nullspace of the restricted shift.
+Used to pin derived values.  The Wold reference is the dense formula the
+gather-based check replaces: every shift is a dense ``shift_matrix`` and the
+reconstruction is formed over the whole Wold grade.
 """
 from __future__ import annotations
 
@@ -13,6 +16,15 @@ import numpy as np
 import scipy.linalg
 
 from polyhardy.grading import Grade, HardyVector
+from polyhardy.operators import shift_matrix
+from polyhardy.subspace import (
+    SubspaceBasis,
+    coordinate_slice,
+    embedding_positions,
+    lift_dense,
+    orthonormal_columns,
+    wold_grade,
+)
 
 
 def _product_support(coeffs: dict, mono: tuple[int, ...]) -> dict:
@@ -75,3 +87,48 @@ def wandering_reference(s_columns: np.ndarray, outer_shift: np.ndarray) -> np.nd
     restricted = s_columns.conj().T @ outer_shift @ s_columns
     kernel = scipy.linalg.null_space(restricted.conj().T, rcond=1e-10)
     return s_columns @ kernel
+
+
+def _dense_orbit_columns(gw: Grade, generators: list[HardyVector]) -> np.ndarray:
+    """Monomial multiples of the generators in ``gw`` by dense shift mat-vecs."""
+    shifts = [shift_matrix(gw, axis).entries for axis in range(gw.n + 1)]
+    cols = []
+    for g in generators:
+        vec = lift_dense(g.grade, gw, g.to_dense()[:, None])[:, 0]
+        powers = [vec]
+        for _ in range(gw.outer_cap - g.outer_degree()):
+            powers.append(shifts[0] @ powers[-1])
+        for base in powers:
+            stack = [base]
+            for i, deg in enumerate(g.inner_degrees()):
+                grown = []
+                for w in stack:
+                    grown.append(w)
+                    for _ in range(gw.inner_cap - deg):
+                        grown.append(shifts[1 + i] @ grown[-1])
+                stack = grown
+            cols.extend(stack)
+    return np.stack(cols, axis=1)
+
+
+def wold_residual_dense(s: SubspaceBasis) -> float:
+    """``‖P_S − Σ_m M_z^m P_W M_z^{*m}‖`` compressed to the target safe band,
+    with the projections formed as dense Wold-grade matrices."""
+    grade = s.grade
+    gb = wold_grade(grade)
+    caps = gb.outer_cap
+    mz = shift_matrix(gb, 0).entries
+    sb = orthonormal_columns(_dense_orbit_columns(gb, list(s.provenance.generators)))
+    shifted = orthonormal_columns(mz @ sb)
+    _, sv, vh = np.linalg.svd(shifted.conj().T @ sb, full_matrices=True)
+    wb = orthonormal_columns(sb @ vh.conj().T[:, int((sv > 1e-10).sum()) :])
+    inner_caps_mask = np.array([all(x <= caps - 1 for x in t[:-1]) for t in gb.indices])
+    wc = coordinate_slice(wb, inner_caps_mask)
+    reconstruction = np.zeros((gb.dim, gb.dim), dtype=complex)
+    cur = wc
+    for _ in range(caps + 1):
+        reconstruction += cur @ cur.conj().T
+        cur = mz @ cur
+    defect = sb @ sb.conj().T - reconstruction
+    band = embedding_positions(grade, gb)[grade.safe_mask]
+    return float(np.linalg.norm(defect[np.ix_(band, band)], 2))

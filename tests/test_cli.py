@@ -118,6 +118,23 @@ def test_capacity_guard_exit_one(capsys):
     assert "limit" in err
 
 
+def test_tiny_generator_exit_one_without_traceback(tmp_path):
+    sc = Scenario(label="tiny", grade=Grade(1, 5, 5, 1), generators=("1e-15*z - 1e-15*z1",))
+    path = tmp_path / "tiny.json"
+    dump_scenario(sc, path)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "polyhardy.cli", "run", str(path)],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
 def test_pipeline_dependency_exit_one(capsys, tmp_path):
     sc = Scenario(
         label="orphan",

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import polyhardy as ph
 from polyhardy.errors import GradeError
+from polyhardy.operators import monomial_multiples
 
 
 def test_shift_matrix_moves_basis(g1):
@@ -24,6 +25,31 @@ def test_shift_partial_isometry(g1):
     gram = mz.conj().T @ mz
     expected = np.diag([1.0 if t[0] < 5 else 0.0 for t in g1.indices])
     assert np.array_equal(gram, expected)
+
+
+@pytest.mark.parametrize(
+    "grade",
+    [ph.Grade(n, 4 - n, 5 - n, d_e) for n in (1, 2, 3) for d_e in (1, 2)],
+    ids=lambda g: f"n{g.n}-dE{g.coeff_dim}",
+)
+def test_gathers_equal_shift_matrix(grade):
+    rng = np.random.default_rng(grade.dim)
+    vec = rng.normal(size=grade.dim) + 1j * rng.normal(size=grade.dim)
+    block = rng.normal(size=(grade.dim, 3)) + 1j * rng.normal(size=(grade.dim, 3))
+    for axis in range(grade.n + 1):
+        dense = ph.shift_matrix(grade, axis).entries
+        for x in (vec, block):
+            assert np.array_equal(ph.shift(grade, axis, x), dense @ x)
+            assert np.array_equal(ph.shift_adjoint(grade, axis, x), dense.conj().T @ x)
+    # monomial multiples, truncated at the caps, equal products of dense shifts
+    monomials = rng.integers(0, grade.inner_cap + 2, size=(6, grade.n + 1))
+    multiples = monomial_multiples(grade, vec, monomials)
+    for col, mono in zip(multiples.T, monomials):
+        image = vec
+        for axis, power in enumerate(mono):
+            for _ in range(power):
+                image = ph.shift_matrix(grade, axis).entries @ image
+        assert np.array_equal(col, image)
 
 
 def test_axis_validation(g1):

@@ -10,7 +10,7 @@ from polyhardy.errors import (
     NotInvariantError,
     NotIsometricError,
 )
-from .oracles import orbit_reference, wandering_reference
+from .oracles import orbit_reference, wandering_reference, wold_residual_dense
 
 GOLDEN_DIMS = {
     # label: (orbit dim, orbit safe columns, wandering dim, certified)
@@ -164,6 +164,18 @@ def test_wold_reconstruction(corpus_artifacts):
     assert report.verdict
     assert report.residual < 1e-10
     assert report.reconstruction_caps == 9
+
+
+@pytest.mark.parametrize(
+    "grade, texts",
+    [(ph.Grade(1, 5, 5, 1), ["z - z1"]), (ph.Grade(2, 3, 3, 1), ["z - z1", "z - z2"])],
+)
+def test_wold_safe_band_residual_matches_dense(grade, texts):
+    s = ph.orbit_span([ph.parse_polynomial(t, grade) for t in texts], grade)
+    report = ph.wold_reconstruction(s)
+    dense = wold_residual_dense(s)
+    assert abs(report.residual - dense) < 1e-13
+    assert report.verdict == (dense < report.tolerance)
 
 
 def test_wold_requires_orbit_provenance(g1):
