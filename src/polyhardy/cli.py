@@ -10,6 +10,7 @@ failed, 3 a certificate came back indeterminate.
 from __future__ import annotations
 
 import argparse
+import resource
 import sys
 import time
 from pathlib import Path
@@ -54,6 +55,7 @@ from .subspace import (
     check_invariant,
     max_principal_angle_sine,
     orbit_span,
+    orbit_stability,
     rebuild_grade,
     wandering_subspace,
     wold_grade,
@@ -84,17 +86,36 @@ def _validate_pipeline(steps: tuple[str, ...]) -> None:
         seen.add(step)
 
 
+def _grade_dims(grade: Grade, margin: int) -> dict[str, int]:
+    """Ambient dimension of each grade a run works in."""
+    return {
+        "target": grade.dim,
+        "working": working_grade(grade, margin).dim,
+        "wold": wold_grade(grade).dim,
+        "rebuild": rebuild_grade(grade).dim,
+    }
+
+
 def _guard_dims(grade: Grade, margin: int, max_dim: int) -> None:
-    for name, g in [
-        ("target", grade),
-        ("working", working_grade(grade, margin)),
-        ("wold", wold_grade(grade)),
-        ("rebuild", rebuild_grade(grade)),
-    ]:
-        if g.dim > max_dim:
+    for name, dim in _grade_dims(grade, margin).items():
+        if dim > max_dim:
             raise CapacityError(
-                f"{name} grade needs ambient dimension {g.dim} > limit {max_dim}"
+                f"{name} grade needs ambient dimension {dim} > limit {max_dim}"
             )
+
+
+def _lap_timer():
+    """A dict of lap seconds, and a function that ends the running lap and
+    records it under the given name."""
+    laps: dict[str, float] = {}
+    last = [time.monotonic()]
+
+    def lap(name: str) -> None:
+        now = time.monotonic()
+        laps[name] = round(now - last[0], 4)
+        last[0] = now
+
+    return laps, lap
 
 
 def run_pipeline(
@@ -129,22 +150,29 @@ def run_pipeline(
         "steps": {},
     }
     verdicts: dict[str, bool] = {}
+    step_s, step = _lap_timer()
+    check_s: dict[str, float] = {}
 
     s = w = theta = None
     phis: list = []
     if "orbit" in steps:
-        s = orbit_span(generators, grade, used_margin, labels=(scenario.label,))
+        if stability:
+            s, stable = orbit_stability(
+                generators, grade, used_margin, labels=(scenario.label,)
+            )
+        else:
+            s = orbit_span(generators, grade, used_margin, labels=(scenario.label,))
         orbit_info = {
             "dim": s.dim,
             "n_safe_columns": s.n_certified,
             "working_caps": list(s.provenance.working_caps),
         }
         if stability:
-            probe = orbit_span(generators, grade, used_margin + 1)
-            orbit_info["stable"] = probe.dim == s.dim
+            orbit_info["stable"] = stable
             orbit_info["probe_margin"] = used_margin + 1
-            report.setdefault("flags", {})["margin_stable"] = probe.dim == s.dim
+            report.setdefault("flags", {})["margin_stable"] = stable
         report["steps"]["orbit"] = orbit_info
+        step("orbit")
 
     if "wandering" in steps:
         w = wandering_subspace(s)
@@ -153,6 +181,7 @@ def run_pipeline(
             "certified": w.n_certified,
             "flagged": w.n_flagged,
         }
+        step("wandering")
 
     if "extract" in steps:
         theta = extract_theta(s, w, force=force)
@@ -172,10 +201,13 @@ def run_pipeline(
             "n_certified": nc,
         }
         verdicts["phi_routes_agree"] = agreement < max(tolerance, 1e-10)
+        step("extract")
 
     if "verify" in steps:
+        check_s, check = _lap_timer()
         inv = check_invariant(s, model_tuple(grade), tolerance=tolerance)
         verdicts["joint_invariant"] = inv.verdict
+        check("invariance")
         intertwine = [
             verify_intertwining(
                 kappa_polynomial(grade, axis),
@@ -188,10 +220,13 @@ def run_pipeline(
             for axis in range(grade.n)
         ]
         verdicts["intertwining"] = all(r.verdict for r in intertwine)
+        check("intertwining")
         iso = is_isometric_multiplier(theta, w.n_certified, tolerance=tolerance)
         verdicts["isometry"] = iso.verdict
+        check("isometry")
         wold = wold_reconstruction(s, tolerance=tolerance)
         verdicts["wold"] = wold.verdict
+        check("wold")
         rebuilt = build_from_theta(theta, grade)
         angle = max_principal_angle_sine(rebuilt, s)
         rebuilt_inv = check_invariant(rebuilt, [model_tuple(grade)[0]], tolerance)
@@ -215,11 +250,13 @@ def run_pipeline(
                 "capped wandering vectors do not generate the capped slice under "
                 "the outer shift; joint comparison skipped"
             )
+        check("rebuild")
         consistency = [
             wold_multiplication_consistency(s, w, phis[axis], axis, tolerance=tolerance)
             for axis in range(grade.n)
         ]
         verdicts["wold_multiplication"] = all(c.verdict for c in consistency)
+        check("wold_multiplication")
         report["steps"]["verify"] = {
             "invariance": inv,
             "intertwining": intertwine,
@@ -228,6 +265,7 @@ def run_pipeline(
             "rebuild": rebuild_info,
             "wold_multiplication": consistency,
         }
+        step("verify")
 
     if "classify" in steps:
         classification = doubly_commuting_classification(
@@ -238,10 +276,19 @@ def run_pipeline(
             classify_info["purity"] = shift_purity_diagnostic(phis[0])
         report["steps"]["classify"] = classify_info
         verdicts["classification_consistent"] = classification.equivalence_holds
+        step("classify")
 
     verdicts["all"] = all(verdicts.values())
     report["verdicts"] = verdicts
-    report["timing"] = {"seconds": round(time.monotonic() - start, 3)}
+    # ru_maxrss is in KiB on Linux; it is the peak of the whole process
+    peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    report["timing"] = {
+        "seconds": round(time.monotonic() - start, 3),
+        "steps": step_s,
+        "verify_checks": check_s,
+        "grade_dims": _grade_dims(grade, used_margin),
+        "peak_rss_mb": round(peak_kib / 1024, 1),
+    }
     return report
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.sparse import coo_array, csr_array, issparse
 
 from .errors import GradeError
 from .grading import Grade
@@ -59,10 +60,12 @@ class DefectReport:
             raise ValueError("rank inconsistent with singular values")
 
 
-def shift(grade: Grade, axis: int, x: np.ndarray) -> np.ndarray:
+def shift(grade: Grade, axis: int, x):
     """Multiplication by ``z`` (axis 0) or ``z_i`` (axis ``i`` in 1..n)
-    applied to the rows of ``x``."""
+    applied to the rows of the dense or sparse ``x``."""
     src, dst = grade.shift_map(axis)
+    if issparse(x):
+        return csr_array((np.ones(src.size), (dst, src)), shape=(grade.dim,) * 2) @ x
     out = np.zeros_like(x)
     out[dst] = x[src]
     return out
@@ -76,18 +79,34 @@ def shift_adjoint(grade: Grade, axis: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def coo_to_dense(a: coo_array) -> np.ndarray:
+    """``a`` as a dense complex array, each stored entry copied bit for bit;
+    ``a`` has no duplicate entries. (``toarray`` adds entries into zeros,
+    which turns a -0.0 imaginary part into +0.0.)"""
+    out = np.zeros(a.shape, dtype=complex)
+    out[a.row, a.col] = a.data
+    return out
+
+
 def monomial_multiples(grade: Grade, x: np.ndarray, monomials: np.ndarray) -> np.ndarray:
     """Columns ``z^a z1^b1.. x``, one per row ``(a, b1..bn)`` of
     ``monomials``; entries pushed past a cap are dropped."""
+    return coo_to_dense(sparse_monomial_multiples(grade, x, monomials))
+
+
+def sparse_monomial_multiples(
+    grade: Grade, x: np.ndarray, monomials: np.ndarray
+) -> coo_array:
+    """:func:`monomial_multiples` as a sparse array."""
     rows = np.flatnonzero(x)
     degrees = grade.exponents[rows, None, :-1] + monomials[None, :, :]
     fits = np.all(degrees <= grade.degree_caps, axis=2)
     targets = rows[:, None] + monomials @ grade.strides
     cols = np.broadcast_to(np.arange(len(monomials)), fits.shape)
     values = np.broadcast_to(x[rows, None], fits.shape)
-    out = np.zeros((grade.dim, len(monomials)), dtype=complex)
-    out[targets[fits], cols[fits]] = values[fits]
-    return out
+    return coo_array(
+        (values[fits], (targets[fits], cols[fits])), shape=(grade.dim, len(monomials))
+    )
 
 
 def shift_matrix(grade: Grade, axis: int) -> OperatorMatrix:

@@ -12,13 +12,17 @@ from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
+from scipy.sparse import coo_array, csr_array, hstack, issparse, vstack
+from scipy.sparse.csgraph import connected_components
 
 from .errors import DegenerateInputError, GradeError, NotInvariantError
 from .grading import Grade, HardyVector
 from .operators import (
     OperatorMatrix,
+    coo_to_dense,
     monomial_multiples,
     shift,
+    sparse_monomial_multiples,
     shift_matrix,
     spectral_norm,
 )
@@ -104,17 +108,158 @@ def orthonormal_columns(a: np.ndarray, tol: float = SVD_CUTOFF) -> np.ndarray:
     return u[:, s > tol * max(1.0, s[0])]
 
 
+def null_columns(a: np.ndarray) -> np.ndarray:
+    """SVD basis of the null space with the absolute cutoff ``SVD_CUTOFF``."""
+    _, s, vh = np.linalg.svd(a, full_matrices=True)
+    return vh.conj().T[:, int((s > SVD_CUTOFF).sum()):]
+
+
+def _grouped(labels: np.ndarray, count: int):
+    """Indices sorted by label, each label's start and size in that order,
+    and each index's place among those of its label."""
+    order = np.argsort(labels, kind="stable")
+    sizes = np.bincount(labels, minlength=count)
+    start = np.cumsum(sizes) - sizes
+    place = np.empty(labels.size, dtype=int)
+    place[order] = np.arange(labels.size) - start[labels[order]]
+    return order, start, sizes, place
+
+
+def _pattern_blocks(a) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The blocks of the nonzero pattern of the dense or sparse matrix ``a``:
+    the connected components of its rows and columns, taken as one bipartite
+    graph, grouped by shape.
+
+    A group of k blocks of shape r × c is ``(rows, cols, blocks)`` with
+    ``rows`` k × r, ``cols`` k × c and ``blocks[i] = a[rows[i]][:, cols[i]]``.
+    ``a`` is the direct sum of its blocks, so the union of their SVDs is the
+    SVD of ``a``. Zero rows and zero columns lie in no block.
+    """
+    m, n = a.shape
+    if issparse(a):
+        a = a.tocsr()
+        a.sum_duplicates()
+        r = np.repeat(np.arange(m), np.diff(a.indptr))
+        nonzero = a.data != 0
+        r, c, v = r[nonzero], a.indices[nonzero], a.data[nonzero]
+    else:
+        r, c = np.nonzero(a)
+        v = a[r, c]
+    if v.size == 0:
+        return []
+    # rows are nodes 0..m-1 and columns m..m+n-1; r is sorted
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(r, minlength=m + n))])
+    graph = csr_array((np.ones(v.size), c + m, indptr), shape=(m + n, m + n))
+    count, labels = connected_components(graph, directed=False)
+    row_order, row_start, n_rows, row_place = _grouped(labels[:m], count)
+    col_order, col_start, n_cols, col_place = _grouped(labels[m:], count)
+    live = np.flatnonzero((n_rows > 0) & (n_cols > 0))
+    key, group, counts = np.unique(
+        n_rows[live] * (n + 1) + n_cols[live], return_inverse=True, return_counts=True
+    )
+    shapes = np.stack(np.divmod(key, n + 1), axis=1)
+    # lay the blocks out one after another, grouped by shape, and scatter
+    # every entry to its place
+    live = live[np.argsort(group, kind="stable")]
+    size = n_rows[live] * n_cols[live]
+    offset = np.zeros(count, dtype=int)
+    offset[live] = np.cumsum(size) - size
+    flat = np.zeros(size.sum(), dtype=v.dtype)
+    lab = labels[r]
+    flat[offset[lab] + row_place[r] * n_cols[lab] + col_place[c]] = v
+    out = []
+    for (nr, nc), members in zip(shapes, np.split(live, np.cumsum(counts)[:-1])):
+        start = offset[members[0]]
+        blocks = flat[start : start + members.size * nr * nc].reshape(-1, nr, nc)
+        rows = row_order[row_start[members, None] + np.arange(nr)]
+        cols = col_order[col_start[members, None] + np.arange(nc)]
+        out.append((rows, cols, blocks))
+    return out
+
+
+def _matmul(a, b):
+    """``a @ b``; for sparse operands, one dense product per connected
+    component of the nonzero pattern of ``[a; bᵀ]``, as a sparse array."""
+    if not issparse(b):
+        return a @ b
+    m = a.shape[0]
+    rows, cols, values = [], [], []
+    for index, _, blocks in _pattern_blocks(vstack([a, b.T])):
+        # a's rows come first in each block's sorted index
+        n_top = (index < m).sum(axis=1)
+        for h in np.unique(n_top):
+            same = n_top == h
+            part, t = index[same], blocks[same]
+            product = t[:, :h] @ t[:, h:].transpose(0, 2, 1)
+            rows.append(np.broadcast_to(part[:, :h, None], product.shape).ravel())
+            cols.append(np.broadcast_to(part[:, None, h:] - m, product.shape).ravel())
+            values.append(product.ravel())
+    if not values:
+        return csr_array((m, b.shape[1]), dtype=complex)
+    coords = (np.concatenate(rows), np.concatenate(cols))
+    return csr_array((np.concatenate(values), coords), shape=(m, b.shape[1]))
+
+
+def _place(length: int, pieces) -> csr_array:
+    """Sparse matrix of ``length`` rows whose columns are the kept vectors:
+    a piece ``(index, vectors, keep)`` contributes ``vectors[i, :, j]`` at
+    rows ``index[i]`` for each true ``keep[i, j]``."""
+    if not pieces:
+        return csr_array((length, 0), dtype=complex)
+    values, rows, widths = [], [], []
+    for index, vectors, keep in pieces:
+        i, j = np.nonzero(keep)
+        values.append(vectors[i, :, j].ravel())
+        rows.append(index[i].ravel())
+        widths.append(np.full(i.size, index.shape[1]))
+    widths = np.concatenate(widths)
+    cols = np.repeat(np.arange(widths.size), widths)
+    data = np.concatenate(values, dtype=complex)
+    return csr_array((data, (np.concatenate(rows), cols)), shape=(length, widths.size))
+
+
+def block_span(a) -> csr_array:
+    """:func:`orthonormal_columns` with one SVD per block of the nonzero
+    pattern of the dense or sparse ``a``; the cut ``SVD_CUTOFF·max(1, s₀)``
+    takes s₀ over all blocks. The basis is returned sparse."""
+    svds = [
+        (rows, *np.linalg.svd(blocks, full_matrices=False)[:2])
+        for rows, _, blocks in _pattern_blocks(a)
+    ]
+    cut = SVD_CUTOFF * max(1.0, max((s.max() for _, _, s in svds), default=0.0))
+    return _place(a.shape[0], [(rows, u, s > cut) for rows, u, s in svds])
+
+
+def block_null(a) -> csr_array:
+    """:func:`null_columns` with one SVD per block of the nonzero pattern of
+    the dense or sparse ``a``; zero columns of ``a`` are null. The basis is
+    returned sparse."""
+    free = np.ones(a.shape[1], dtype=bool)
+    pieces = []
+    for _, cols, blocks in _pattern_blocks(a):
+        free[cols] = False
+        _, s, vh = np.linalg.svd(blocks, full_matrices=True)
+        rank = (s > SVD_CUTOFF).sum(axis=1)
+        null = np.arange(cols.shape[1]) >= rank[:, None]
+        pieces.append((cols, vh.conj().transpose(0, 2, 1), null))
+    zero = np.flatnonzero(free)[:, None]
+    unit = np.ones((zero.size, 1, 1))
+    pieces.append((zero, unit, np.ones((zero.size, 1), dtype=bool)))
+    return _place(a.shape[1], pieces)
+
+
+def _slice(basis, keep: np.ndarray, span, null):
+    """:func:`coordinate_slice` of the dense or sparse ``basis`` with the
+    given span and null kernels."""
+    outside = basis[~keep, :]
+    if basis.shape[1] == 0 or outside.shape[0] == 0:
+        return basis
+    return span(_matmul(basis, null(outside)))
+
+
 def coordinate_slice(basis: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """Orthonormal basis of span(basis) ∩ {x : x vanishes off ``keep``}."""
-    if basis.shape[1] == 0:
-        return basis
-    outside = basis[~keep, :]
-    if outside.shape[0] == 0:
-        return basis
-    _, s, vh = np.linalg.svd(outside, full_matrices=True)
-    rank = int((s > SVD_CUTOFF).sum())
-    null = vh.conj().T[:, rank:]
-    return orthonormal_columns(basis @ null)
+    return _slice(basis, keep, orthonormal_columns, null_columns)
 
 
 def graded_basis(grade: Grade, basis: np.ndarray) -> np.ndarray:
@@ -185,23 +330,30 @@ def rebuild_grade(grade: Grade) -> Grade:
     return replace(grade, outer_cap=grade.outer_cap + grade.n * grade.inner_cap)
 
 
+def _inside_caps(grade: Grade, big: Grade) -> np.ndarray:
+    """Mask of the positions of ``big`` that lie inside the caps of ``grade``."""
+    keep = np.zeros(big.dim, dtype=bool)
+    keep[embedding_positions(grade, big)] = True
+    return keep
+
+
 def _capped_slice(grade: Grade, big: Grade, basis: np.ndarray) -> np.ndarray:
     """The part of span(basis) that lies inside the caps of ``grade``, in
     ``grade``'s coordinates."""
-    keep = np.zeros(big.dim, dtype=bool)
-    keep[embedding_positions(grade, big)] = True
+    keep = _inside_caps(grade, big)
     return restrict_dense(grade, big, coordinate_slice(basis, keep))
 
 
-def _monomial_orbit_columns(gw: Grade, generators: Sequence[HardyVector]) -> np.ndarray:
-    """All monomial multiples of the generators that fit the caps of ``gw``."""
-    cols: list[np.ndarray] = []
+def _monomial_orbit_columns(gw: Grade, generators: Sequence[HardyVector]) -> coo_array:
+    """All monomial multiples of the generators that fit the caps of ``gw``,
+    as a sparse array."""
+    cols: list[coo_array] = []
     for g in generators:
         room = gw.degree_caps - (g.outer_degree(), *g.inner_degrees()) + 1
         monomials = np.stack(np.unravel_index(np.arange(np.prod(room)), room), axis=1)
-        dense = lift_dense(g.grade, gw, g.to_dense()[:, None])[:, 0]
-        cols.append(monomial_multiples(gw, dense, monomials))
-    return np.hstack(cols)
+        vec = lift_dense(g.grade, gw, g.to_dense()[:, None])[:, 0]
+        cols.append(sparse_monomial_multiples(gw, vec, monomials))
+    return hstack(cols, format="coo")
 
 
 def orbit_span(
@@ -231,7 +383,7 @@ def orbit_span(
         ):
             raise GradeError("generator degree too high for the grade")
     gw = working_grade(grade, working_margin)
-    working = orthonormal_columns(_monomial_orbit_columns(gw, cleaned))
+    working = orthonormal_columns(coo_to_dense(_monomial_orbit_columns(gw, cleaned)))
     working.flags.writeable = False
     sliced = _capped_slice(grade, gw, working)
     organized, n_safe = organize_basis(grade, orthonormal_columns(sliced))
@@ -252,21 +404,30 @@ def orbit_stability(
     generators: Sequence[HardyVector],
     grade: Grade,
     working_margin: int = DEFAULT_MARGIN,
+    labels: Sequence[str] = (),
 ) -> tuple[SubspaceBasis, bool]:
-    """Orbit plus the margin-stability flag (re-run at margin + 1)."""
-    base = orbit_span(generators, grade, working_margin)
-    probe = orbit_span(generators, grade, working_margin + 1)
-    return base, probe.dim == base.dim
+    """Orbit plus the margin-stability flag: whether the capped slice keeps
+    its dimension when spanned at margin + 1.
+
+    The probe needs only that dimension, the nullity of the probe orbit
+    basis's rows outside the caps, so it builds no organized basis and runs
+    block by block.
+    """
+    base = orbit_span(generators, grade, working_margin, labels)
+    gp = working_grade(grade, working_margin + 1)
+    probe = block_span(_monomial_orbit_columns(gp, base.provenance.generators))
+    outside = probe[~_inside_caps(grade, gp)]
+    return base, block_null(outside).shape[1] == base.dim
 
 
-def _naive_wandering(grade: Grade, basis: np.ndarray) -> np.ndarray:
-    shifted = orthonormal_columns(shift(grade, 0, basis))
+def _wandering(grade: Grade, basis, span, null):
+    """Orthonormal basis of span(basis) ⊖ z·span(basis) for the orthonormal,
+    dense or sparse ``basis``, with the given span and null kernels."""
+    shifted = span(shift(grade, 0, basis))
     if shifted.shape[1] == 0:
         return basis
-    overlap = shifted.conj().T @ basis
-    _, s, vh = np.linalg.svd(overlap, full_matrices=True)
-    null = vh.conj().T[:, int((s > SVD_CUTOFF).sum()):]
-    return orthonormal_columns(basis @ null)
+    overlap = _matmul(shifted.conj().T, basis)
+    return span(_matmul(basis, null(overlap)))
 
 
 def wandering_subspace(s: SubspaceBasis) -> SubspaceBasis:
@@ -288,11 +449,15 @@ def wandering_subspace(s: SubspaceBasis) -> SubspaceBasis:
     prov = s.provenance
     if prov.working_basis is not None:
         gw = working_grade(grade, prov.margin)
-        ww = _naive_wandering(gw, prov.working_basis)
+        ww = _wandering(gw, prov.working_basis, orthonormal_columns, null_columns)
         wt = orthonormal_columns(_capped_slice(grade, gw, ww))
     else:
-        wt = _naive_wandering(grade, s.columns)
+        wt = _wandering(grade, s.columns, orthonormal_columns, null_columns)
     organized, n_cert = organize_basis(grade, wt)
+    if organized.shape[1] == 0:
+        raise DegenerateInputError(
+            "the subspace has no wandering vector inside the caps"
+        )
     return SubspaceBasis(
         grade,
         organized,
@@ -380,16 +545,20 @@ def build_from_theta(theta, grade: Grade) -> SubspaceBasis:
 
 def wold_reconstruction(s: SubspaceBasis, tolerance: float = INVARIANCE_TOL) -> WoldReport:
     """Residual of ``P_S − Σ_m M_z^m P_W M_z^{*m}`` on the target safe band,
-    computed at :func:`wold_grade`."""
+    computed at :func:`wold_grade`.
+
+    Only the residual leaves this function, not a basis, so every span, null
+    space and slice here is computed block by block.
+    """
     prov = s.provenance
     if prov.kind != "orbit" or not prov.generators:
         raise GradeError("wold reconstruction needs orbit provenance")
     grade = s.grade
     gb = wold_grade(grade)
-    sb = orthonormal_columns(_monomial_orbit_columns(gb, prov.generators))
-    wb = _naive_wandering(gb, sb)
+    sb = block_span(_monomial_orbit_columns(gb, prov.generators))
+    wb = _wandering(gb, sb, block_span, block_null)
     inside_caps = np.all(gb.exponents[:, :-1] < gb.degree_caps, axis=1)
-    wc = coordinate_slice(wb, inside_caps)
+    wc = _slice(wb, inside_caps, block_span, block_null).toarray()
     # Only the rows on the target safe band E are read: the residual is
     # ‖B_E B_Eᴴ − K Kᴴ‖ with B_E = sb[E] and K = [(M_z^m wc)[E]]_m.
     band = embedding_positions(grade, gb)[grade.safe_mask]
@@ -399,7 +568,7 @@ def wold_reconstruction(s: SubspaceBasis, tolerance: float = INVARIANCE_TOL) -> 
         blocks.append(cur[band])
         cur = shift(gb, 0, cur)
     k = np.hstack(blocks)
-    b = sb[band]
+    b = sb[band].toarray()
     residual = spectral_norm(b @ b.conj().T - k @ k.conj().T)
     return WoldReport(
         residual=residual,

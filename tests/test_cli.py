@@ -35,7 +35,28 @@ def test_run_exit_zero_and_report_shape(capsys, tmp_path):
     assert set(report["steps"]) == {"orbit", "wandering", "extract", "verify", "classify"}
     assert report["steps"]["orbit"]["dim"] == 30
     assert report["steps"]["wandering"]["dim"] == 6
-    assert "seconds" in report["timing"]
+    timing = report["timing"]
+    assert set(timing) == {
+        "seconds",
+        "steps",
+        "verify_checks",
+        "grade_dims",
+        "peak_rss_mb",
+    }
+    assert set(timing["steps"]) == set(report["steps"])
+    assert set(timing["verify_checks"]) == {
+        "invariance",
+        "intertwining",
+        "isometry",
+        "wold",
+        "rebuild",
+        "wold_multiplication",
+    }
+    seconds = [*timing["steps"].values(), *timing["verify_checks"].values()]
+    assert all(v >= 0 for v in seconds)
+    dims = {"target": 36, "working": 64, "wold": 100, "rebuild": 66}
+    assert timing["grade_dims"] == dims
+    assert timing["peak_rss_mb"] > 0
 
 
 def test_run_report_carries_multiplier_coefficients(capsys, tmp_path):
@@ -59,12 +80,14 @@ def test_golden_report_bytes():
     assert text == golden
 
 
-def _run_in_subprocess(env_update: dict[str, str]) -> dict:
+def _run_in_subprocess(
+    env_update: dict[str, str], path: Path = SCENARIOS / "z-minus-z1.json"
+) -> dict:
     env = dict(os.environ, **env_update)
     src = str(REPO / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     out = subprocess.run(
-        [sys.executable, "-m", "polyhardy.cli", "run", str(SCENARIOS / "z-minus-z1.json")],
+        [sys.executable, "-m", "polyhardy.cli", "run", str(path)],
         env=env,
         capture_output=True,
         text=True,
@@ -80,6 +103,27 @@ def test_stable_part_independent_of_blas_threads():
     ambient = _run_in_subprocess({})
     assert single["verdicts"] == ambient["verdicts"]
     assert canonical_json(stable_part(single)) == canonical_json(stable_part(ambient))
+
+
+def test_wold_verdict_independent_of_blas_threads(tmp_path):
+    # Two generic linear forms at n=2 whose Wold rank cut once depended on
+    # the OpenBLAS thread count (residual 0.473 with two threads).
+    sc = Scenario(
+        label="linear-forms",
+        grade=Grade(2, 4, 4, 1),
+        generators=(
+            "(0.676-1.049i)*z2 + (0.169-0.701i)*z1 + (-0.0-1.339i)*z",
+            "(-0.833+0.699i)*z2 + (-0.54+0.597i)*z1 + (0.2+0.55i)*z",
+        ),
+        options=(("force", True),),
+    )
+    path = tmp_path / "linear-forms.json"
+    dump_scenario(sc, path)
+    single = _run_in_subprocess({"OPENBLAS_NUM_THREADS": "1"}, path)
+    for report in (run_pipeline(sc), single):
+        wold = json.loads(canonical_json(report["steps"]["verify"]["wold"]))
+        assert wold["verdict"] is True
+        assert wold["residual"] < 1e-12
 
 
 def test_report_deterministic():
@@ -118,20 +162,40 @@ def test_capacity_guard_exit_one(capsys):
     assert "limit" in err
 
 
-def test_tiny_generator_exit_one_without_traceback(tmp_path):
-    sc = Scenario(label="tiny", grade=Grade(1, 5, 5, 1), generators=("1e-15*z - 1e-15*z1",))
-    path = tmp_path / "tiny.json"
-    dump_scenario(sc, path)
+def _cli_subprocess(argv: list[str]) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "polyhardy.cli", "run", str(path)],
+    return subprocess.run(
+        [sys.executable, "-m", "polyhardy.cli", *argv],
         env=env,
         capture_output=True,
         text=True,
     )
+
+
+def test_tiny_generator_exit_one_without_traceback(tmp_path):
+    sc = Scenario(label="tiny", grade=Grade(1, 5, 5, 1), generators=("1e-15*z - 1e-15*z1",))
+    path = tmp_path / "tiny.json"
+    dump_scenario(sc, path)
+    proc = _cli_subprocess(["run", str(path)])
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_empty_wandering_space_exit_one_without_traceback(tmp_path, command):
+    # S is nonzero, but no vector of S ⊖ zS fits inside the caps
+    sc = Scenario(
+        label="no-wandering", grade=Grade(1, 5, 5, 1), generators=("1 + z - z1",)
+    )
+    path = tmp_path / "no-wandering.json"
+    dump_scenario(sc, path)
+    files = [str(path)] * (2 if command == "compare" else 1)
+    proc = _cli_subprocess([command, *files])
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "wandering" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

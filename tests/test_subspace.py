@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_array
 
 import polyhardy as ph
 from polyhardy.errors import (
@@ -10,6 +11,7 @@ from polyhardy.errors import (
     NotInvariantError,
     NotIsometricError,
 )
+from polyhardy.subspace import _matmul, block_null, block_span, null_columns
 from .oracles import orbit_reference, wandering_reference, wold_residual_dense
 
 GOLDEN_DIMS = {
@@ -176,6 +178,103 @@ def test_wold_safe_band_residual_matches_dense(grade, texts):
     dense = wold_residual_dense(s)
     assert abs(report.residual - dense) < 1e-13
     assert report.verdict == (dense < report.tolerance)
+
+
+def test_wold_block_residual_matches_dense_when_verdict_fails():
+    # An inhomogeneous orbit whose Wold verdict fails: the residual is not
+    # round-off here, so it is compared relative to its size.
+    grade = ph.Grade(2, 3, 3, 1)
+    texts = ["1 + z - z1", "z - z2"]
+    s = ph.orbit_span([ph.parse_polynomial(t, grade) for t in texts], grade)
+    report = ph.wold_reconstruction(s)
+    dense = wold_residual_dense(s)
+    assert abs(report.residual - dense) < 1e-12 * dense
+    assert report.verdict == (dense < report.tolerance)
+
+
+def test_wold_factors_only_pattern_blocks(corpus_artifacts, monkeypatch):
+    # pair-n2's Wold-grade matrices split by total degree; the largest block
+    # has 91 rows where the Wold grade has 1331.
+    rows = []
+    svd = np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        rows.append(a.shape[-2])
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    report = ph.wold_reconstruction(corpus_artifacts["pair-n2"]["s"])
+    assert report.verdict
+    assert rows and max(rows) <= 91
+
+
+def _scattered_blocks(rng, blocks, zero_rows, zero_cols):
+    """``(rows, cols, rank, scale)`` blocks on a diagonal, plus zero rows and
+    zero columns, with rows and columns then permuted."""
+    m = sum(b[0] for b in blocks) + zero_rows
+    n = sum(b[1] for b in blocks) + zero_cols
+    a = np.zeros((m, n), dtype=complex)
+    r0 = c0 = 0
+    for r, c, rank, scale in blocks:
+        left = rng.normal(size=(r, rank)) + 1j * rng.normal(size=(r, rank))
+        a[r0 : r0 + r, c0 : c0 + c] = scale * left @ rng.normal(size=(rank, c))
+        r0, c0 = r0 + r, c0 + c
+    return a[rng.permutation(m)][:, rng.permutation(n)]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_block_kernels_span_what_dense_spans(seed):
+    rng = np.random.default_rng(seed)
+    # (rows, cols, rank, scale); the last block falls below both cuts
+    blocks = [(4, 3, 3, 1.0), (5, 6, 2, 10.0), (1, 1, 1, 0.5), (3, 5, 3, 1.0)]
+    blocks.append((6, 2, 1, 1e-12))
+    a = _scattered_blocks(rng, blocks, zero_rows=3, zero_cols=2)
+    pairs = [(block_span(a), ph.orthonormal_columns(a)), (block_null(a), null_columns(a))]
+    for sparse, dense in pairs:
+        block = sparse.toarray()
+        assert block.shape == dense.shape
+        assert ph.max_principal_angle_sine(block, dense) < 1e-12
+        assert np.linalg.norm(block.conj().T @ block - np.eye(block.shape[1])) < 1e-12
+    # the Wold path hands the kernels sparse matrices
+    for kernel in (block_span, block_null):
+        assert np.array_equal(kernel(csr_array(a)).toarray(), kernel(a).toarray())
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_block_product_equals_dense_product(seed):
+    rng = np.random.default_rng(seed)
+    a = _scattered_blocks(rng, [(3, 2, 2, 1.0), (2, 2, 2, 1.0), (1, 3, 1, 1.0)], 2, 1)
+    b = _scattered_blocks(rng, [(3, 2, 2, 1.0), (4, 3, 2, 1.0), (1, 1, 1, 1.0)], 0, 2)
+    # two components of [a; bᵀ] with one shape, 3 × 2, split 2 + 1 and 1 + 2
+    c = np.zeros((3, 4), dtype=complex)
+    d = np.zeros((4, 3), dtype=complex)
+    c[:2, :2], c[2, 2:] = rng.normal(size=(2, 2)), rng.normal(size=2)
+    d[:2, 0], d[2:, 1:] = rng.normal(size=2), rng.normal(size=(2, 2))
+    for x, y in [(a, b), (c, d)]:
+        product = _matmul(csr_array(x), csr_array(y))
+        assert product.shape == (x.shape[0], y.shape[1])
+        assert np.abs(product.toarray() - x @ y).max() < 1e-12
+
+
+def test_block_kernels_edge_cases():
+    # the relative cut is taken against the largest singular value of the
+    # whole matrix, not of each block
+    assert block_span(np.diag([10.0, 5e-10])).shape == (2, 1)
+    zero = np.zeros((5, 4))
+    assert block_span(zero).shape == (5, 0)
+    assert np.array_equal(block_null(zero).toarray(), np.eye(4))
+    no_columns = np.zeros((5, 0))
+    assert block_span(no_columns).shape == (5, 0)
+    assert block_null(no_columns).shape == (0, 0)
+
+
+def test_block_kernels_equal_dense_on_connected_pattern():
+    rng = np.random.default_rng(3)
+    full = rng.normal(size=(6, 4)) + 1j * rng.normal(size=(6, 4))
+    low_rank = rng.normal(size=(6, 2)) @ rng.normal(size=(2, 5))
+    for a in (full, full.T, low_rank, low_rank.T):
+        assert np.array_equal(block_span(a).toarray(), ph.orthonormal_columns(a))
+        assert np.array_equal(block_null(a).toarray(), null_columns(a))
 
 
 def test_wold_requires_orbit_provenance(g1):
