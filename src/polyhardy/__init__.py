@@ -64,13 +64,9 @@ from .grading import (
 from .operators import (
     DefectReport,
     OperatorMatrix,
-    adjoint,
-    commutation_residuals,
-    compress_to_safe,
-    defect_operator,
     defect_rank,
+    defect_sum,
     model_tuple,
-    projection,
     shift,
     shift_adjoint,
     shift_matrix,

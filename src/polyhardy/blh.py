@@ -8,8 +8,7 @@ relations degree-by-degree on the certified block.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,7 +19,7 @@ from .errors import (
     NotIsometricError,
 )
 from .grading import Grade
-from .operators import shift, shift_adjoint, spectral_norm
+from .operators import shift, shift_adjoint, shift_matrix, spectral_norm
 from .subspace import SubspaceBasis, outer_degrees
 
 VERIFY_TOL = 1e-10
@@ -57,6 +56,12 @@ class MatrixPolynomial:
     @property
     def shape(self) -> tuple[int, int]:
         return self.coeffs[0].shape
+
+    def coeff(self, m: int) -> np.ndarray:
+        """Coefficient of ``w^m``; complex zeros outside ``0..degree``."""
+        if 0 <= m <= self.degree:
+            return self.coeffs[m]
+        return np.zeros(self.shape, dtype=complex)
 
     def evaluate(self, w: complex) -> np.ndarray:
         out = np.zeros(self.shape, dtype=complex)
@@ -131,31 +136,12 @@ def inner_slot_shift(grade: Grade, axis: int) -> np.ndarray:
     """Inner-variable shift acting on the degree-zero outer slot."""
     if not 0 <= axis < grade.n:
         raise GradeError("inner axis out of range")
-    slots = [t for t in grade.indices if t[0] == 0]
-    pos = {t: i for i, t in enumerate(slots)}
-    out = np.zeros((len(slots), len(slots)), dtype=complex)
-    for i, t in enumerate(slots):
-        bumped = list(t)
-        bumped[1 + axis] += 1
-        target = tuple(bumped)
-        if target in pos:
-            out[pos[target], i] = 1.0
-    return out
+    return shift_matrix(replace(grade, outer_cap=0), 1 + axis).entries
 
 
 def kappa_polynomial(grade: Grade, axis: int) -> MatrixPolynomial:
     """Constant symbol of the inner shift in outer-variable coordinates."""
     return MatrixPolynomial((inner_slot_shift(grade, axis),))
-
-
-def _outer_stratum_positions(grade: Grade) -> list[np.ndarray]:
-    """Positions of each outer-degree stratum, inner-slot order within."""
-    out = []
-    for m in range(grade.outer_cap + 1):
-        out.append(
-            np.array([i for i, t in enumerate(grade.indices) if t[0] == m])
-        )
-    return out
 
 
 def _require_unflagged(w: SubspaceBasis, force: bool) -> None:
@@ -175,9 +161,8 @@ def extract_theta(
         raise GradeError("subspace and wandering grade differ")
     _require_unflagged(w, force)
     grade = s.grade
-    strata = _outer_stratum_positions(grade)
-    coeffs = tuple(w.columns[idx, :] for idx in strata)
-    return MatrixPolynomial(coeffs)
+    strata = w.columns.reshape(grade.outer_cap + 1, grade.inner_slot_dim, w.dim)
+    return MatrixPolynomial(tuple(strata))
 
 
 def extract_phi(
@@ -237,9 +222,7 @@ def verify_intertwining(
     nc = theta.shape[1] if n_certified is None else n_certified
     residuals = []
     for m in range(trusted_degree + 1):
-        lhs = k0 @ theta.coeffs[m] if m <= theta.degree else np.zeros_like(
-            k0 @ theta.coeffs[0]
-        )
+        lhs = k0 @ theta.coeff(m)
         rhs = np.zeros_like(lhs)
         for k in range(m + 1):
             if k <= theta.degree and m - k <= phi.degree:
@@ -301,8 +284,7 @@ def multiplication_matrix(phi: MatrixPolynomial, degree_cap: int) -> np.ndarray:
     out = np.zeros(((degree_cap + 1) * r, (degree_cap + 1) * r), dtype=complex)
     for m in range(degree_cap + 1):
         for k in range(m + 1):
-            if m - k <= phi.degree:
-                out[m * r : (m + 1) * r, k * r : (k + 1) * r] = phi.coeffs[m - k]
+            out[m * r : (m + 1) * r, k * r : (k + 1) * r] = phi.coeff(m - k)
     return out
 
 
@@ -368,10 +350,7 @@ def wold_multiplication_consistency(
     for m in range(cap + 1):
         for mp in range(cap + 1):
             block = lhs[m * r : (m + 1) * r, mp * r : (mp + 1) * r]
-            if mp <= m and m - mp <= phi.degree:
-                target = phi.coeffs[m - mp]
-            else:
-                target = np.zeros((r, r), dtype=complex)
+            target = phi.coeff(m - mp)
             for j in range(min(r, nc)):
                 if m + degrees[j] > cap:
                     continue

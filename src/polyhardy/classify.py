@@ -22,7 +22,7 @@ from .blh import (
 )
 from .errors import GradeError, NotIsometricError
 from .grading import Grade
-from .operators import shift, spectral_norm
+from .operators import defect_sum, shift, spectral_norm
 from .subspace import SubspaceBasis, coordinate_slice
 
 CLASSIFY_TOL = 1e-8
@@ -110,8 +110,7 @@ def sylvester_nullspace(
     rows = []
     for pa, pb in zip(phis_a, phis_b):
         for m in range(trusted_degree + 1):
-            a = pa.coeffs[m] if m <= pa.degree else np.zeros((ra, ra))
-            b = pb.coeffs[m] if m <= pb.degree else np.zeros((rb, rb))
+            a, b = pa.coeff(m), pb.coeff(m)
             rows.append(np.kron(a.T, np.eye(rb)) - np.kron(np.eye(ra), b))
     stack = np.vstack(rows)
     _, s, vh = np.linalg.svd(stack, full_matrices=False)
@@ -133,9 +132,7 @@ def _intertwining_residual(
     worst = 0.0
     for pa, pb in zip(phis_a, phis_b):
         for m in range(trusted_degree + 1):
-            a = pa.coeffs[m] if m <= pa.degree else np.zeros(pa.shape)
-            b = pb.coeffs[m] if m <= pb.degree else np.zeros(pb.shape)
-            worst = max(worst, spectral_norm(tau @ a - b @ tau))
+            worst = max(worst, spectral_norm(tau @ pa.coeff(m) - pb.coeff(m) @ tau))
     return worst
 
 
@@ -227,11 +224,8 @@ def nested_factor(
     product = convolve(theta_outer, psi)
     factorization = 0.0
     for m in range(trusted_degree + 1):
-        lhs = theta_inner.coeffs[m] if m <= theta_inner.degree else np.zeros(
-            theta_inner.shape
-        )
-        rhs = product.coeffs[m] if m <= product.degree else np.zeros(product.shape)
-        factorization = max(factorization, spectral_norm((lhs - rhs)[:, :nc]))
+        residual = theta_inner.coeff(m) - product.coeff(m)
+        factorization = max(factorization, spectral_norm(residual[:, :nc]))
     iso_psi = is_isometric_multiplier(psi, nc).max_residual
     verdict = "nested" if factorization < tolerance and iso_psi < tolerance else "not nested"
     return FactorizationCertificate(
@@ -255,11 +249,7 @@ def uniqueness_tau(
     ures = spectral_norm(tau.conj().T @ tau - np.eye(nca))
     factor = 0.0
     for m in range(theta.degree + 1):
-        tilde = (
-            theta_tilde.coeffs[m][:, :ncb]
-            if m <= theta_tilde.degree
-            else np.zeros((theta_tilde.shape[0], ncb))
-        )
+        tilde = theta_tilde.coeff(m)[:, :ncb]
         factor = max(
             factor, spectral_norm(theta.coeffs[m][:, :nca] - tilde @ tau)
         )
@@ -285,9 +275,8 @@ def module_map_check(
         left = convolve(x, ps)
         right = convolve(pt, x)
         for m in range(min(trusted_degree, max(left.degree, right.degree)) + 1):
-            lc = left.coeffs[m] if m <= left.degree else np.zeros(left.shape)
-            rc = right.coeffs[m] if m <= right.degree else np.zeros(right.shape)
-            commutation = max(commutation, spectral_norm((lc - rc)[:, :nc_cols]))
+            residual = left.coeff(m) - right.coeff(m)
+            commutation = max(commutation, spectral_norm(residual[:, :nc_cols]))
     iso = is_isometric_multiplier(x, n_certified).max_residual
     verdict = commutation < tolerance and iso < tolerance
     return ModuleMapReport(commutation, iso, verdict, tolerance)
@@ -349,15 +338,7 @@ def doubly_commuting_classification(
                 continue
             comm = vi.conj().T @ vj - vj @ vi.conj().T
             adj = max(adj, spectral_norm(frame.conj().T @ comm @ frame))
-    dim = s.dim
-    defect = np.zeros((dim, dim), dtype=complex)
-    for bits in itertools.product([0, 1], repeat=len(ops)):
-        term = np.eye(dim, dtype=complex)
-        for op, b in zip(ops, bits):
-            if b:
-                term = term @ op
-        defect += ((-1) ** sum(bits)) * (term @ term.conj().T)
-    sv = np.linalg.svd(frame.conj().T @ defect @ frame, compute_uv=False)
+    sv = np.linalg.svd(frame.conj().T @ defect_sum(ops) @ frame, compute_uv=False)
     rank = int((sv > rank_tolerance).sum())
     if 0 < rank < len(sv) and sv[rank] > 0:
         gap = float(sv[rank - 1] / sv[rank])

@@ -1,8 +1,10 @@
 """Command-line driver.
 
-    polyhardy run SCENARIO.json [--output report.json] [flags]
-    polyhardy compare A.json B.json [flags]
-    polyhardy selftest [--random K] [flags]
+    polyhardy run SCENARIO.json [--tolerance T] [--margin M] [--max-dim N]
+                  [--output report.json] [--quiet]
+    polyhardy compare A.json B.json [--margin M] [--max-dim N]
+                  [--output result.json] [--quiet]
+    polyhardy selftest [--random K] [--tolerance T] [--max-dim N] [--quiet]
 
 Exit codes: 0 all checks pass, 1 input or capacity error, 2 a verdict
 failed, 3 a certificate came back indeterminate.
@@ -38,8 +40,7 @@ from .errors import (
     PolynomialParseError,
     ToolkitError,
 )
-from .grading import Grade
-from .operators import model_tuple
+from .grading import Grade, HardyVector
 from .parsing import parse_polynomial
 from .reporting import canonical_json
 from .scenarios import (
@@ -96,12 +97,24 @@ def _grade_dims(grade: Grade, margin: int) -> dict[str, int]:
     }
 
 
-def _guard_dims(grade: Grade, margin: int, max_dim: int) -> None:
+def _prepare(
+    scenario: Scenario, margin: int | None, max_dim: int
+) -> tuple[int, list[HardyVector]]:
+    """The margin a run uses (the scenario's option unless ``margin`` is
+    given) and the parsed generators, after the trusted-range check and the
+    capacity guard."""
+    grade = scenario.grade
+    if grade.outer_cap <= grade.safe_margin:
+        raise DegenerateInputError(
+            "outer cap does not exceed the safe margin; the trusted range is empty"
+        )
+    margin = int(scenario.option("margin", DEFAULT_MARGIN) if margin is None else margin)
     for name, dim in _grade_dims(grade, margin).items():
         if dim > max_dim:
             raise CapacityError(
                 f"{name} grade needs ambient dimension {dim} > limit {max_dim}"
             )
+    return margin, [parse_polynomial(text, grade) for text in scenario.generators]
 
 
 def _lap_timer():
@@ -123,22 +136,14 @@ def run_pipeline(
     tolerance: float = 1e-10,
     margin: int | None = None,
     max_dim: int = DEFAULT_MAX_DIM,
-    stability: bool = True,
 ) -> dict:
     """Run the scenario's pipeline and return the full report dict."""
     start = time.monotonic()
     steps = tuple(scenario.pipeline) or DEFAULT_PIPELINE
     _validate_pipeline(steps)
     grade = scenario.grade
-    if grade.outer_cap <= grade.safe_margin:
-        raise DegenerateInputError(
-            "outer cap does not exceed the safe margin; the trusted range is empty"
-        )
-    used_margin = scenario.option("margin", DEFAULT_MARGIN) if margin is None else margin
-    used_margin = int(used_margin)
+    used_margin, generators = _prepare(scenario, margin, max_dim)
     force = bool(scenario.option("force", False))
-    _guard_dims(grade, used_margin, max_dim)
-    generators = [parse_polynomial(text, grade) for text in scenario.generators]
     trusted = grade.outer_cap - grade.safe_margin
 
     report: dict = {
@@ -156,22 +161,17 @@ def run_pipeline(
     s = w = theta = None
     phis: list = []
     if "orbit" in steps:
-        if stability:
-            s, stable = orbit_stability(
-                generators, grade, used_margin, labels=(scenario.label,)
-            )
-        else:
-            s = orbit_span(generators, grade, used_margin, labels=(scenario.label,))
-        orbit_info = {
+        s, stable = orbit_stability(
+            generators, grade, used_margin, labels=(scenario.label,)
+        )
+        report["steps"]["orbit"] = {
             "dim": s.dim,
             "n_safe_columns": s.n_certified,
             "working_caps": list(s.provenance.working_caps),
+            "stable": stable,
+            "probe_margin": used_margin + 1,
         }
-        if stability:
-            orbit_info["stable"] = stable
-            orbit_info["probe_margin"] = used_margin + 1
-            report.setdefault("flags", {})["margin_stable"] = stable
-        report["steps"]["orbit"] = orbit_info
+        report["flags"] = {"margin_stable": stable}
         step("orbit")
 
     if "wandering" in steps:
@@ -205,7 +205,7 @@ def run_pipeline(
 
     if "verify" in steps:
         check_s, check = _lap_timer()
-        inv = check_invariant(s, model_tuple(grade), tolerance=tolerance)
+        inv = check_invariant(s, range(grade.n + 1), tolerance=tolerance)
         verdicts["joint_invariant"] = inv.verdict
         check("invariance")
         intertwine = [
@@ -229,7 +229,7 @@ def run_pipeline(
         check("wold")
         rebuilt = build_from_theta(theta, grade)
         angle = max_principal_angle_sine(rebuilt, s)
-        rebuilt_inv = check_invariant(rebuilt, [model_tuple(grade)[0]], tolerance)
+        rebuilt_inv = check_invariant(rebuilt, [0], tolerance)
         complete = rebuilt.dim == s.dim
         rebuild_info = {
             "original_dim": s.dim,
@@ -241,7 +241,7 @@ def run_pipeline(
         verdicts["rebuild_angles"] = angle < ANGLE_TOL
         verdicts["rebuild_outer_invariant"] = rebuilt_inv.verdict
         if complete:
-            joint = check_invariant(rebuilt, model_tuple(grade), tolerance)
+            joint = check_invariant(rebuilt, range(grade.n + 1), tolerance)
             rebuild_info["joint_invariance"] = max(joint.residuals)
             verdicts["rebuild_joint_invariant"] = joint.verdict
         else:
@@ -309,27 +309,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
         tolerance=args.tolerance,
         margin=args.margin,
         max_dim=args.max_dim,
-        stability=not args.no_stability,
     )
     _emit(report, args.output, args.quiet)
     return 0 if report["verdicts"]["all"] else 2
 
 
 def _certified_phis(
-    scenario: Scenario, margin_override: int | None, max_dim: int
+    scenario: Scenario, margin: int | None, max_dim: int
 ) -> tuple[str, list[MatrixPolynomial], int, int]:
     grade = scenario.grade
-    if grade.outer_cap <= grade.safe_margin:
-        raise DegenerateInputError(
-            "outer cap does not exceed the safe margin; the trusted range is empty"
-        )
-    used_margin = int(
-        scenario.option("margin", DEFAULT_MARGIN)
-        if margin_override is None
-        else margin_override
-    )
-    _guard_dims(grade, used_margin, max_dim)
-    generators = [parse_polynomial(t, grade) for t in scenario.generators]
+    used_margin, generators = _prepare(scenario, margin, max_dim)
     s = orbit_span(generators, grade, used_margin)
     w = wandering_subspace(s)
     force = bool(scenario.option("force", True))
@@ -371,10 +360,7 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
     for scenario in scenarios:
         try:
             report = run_pipeline(
-                scenario,
-                tolerance=args.tolerance,
-                max_dim=args.max_dim,
-                stability=not args.no_stability,
+                scenario, tolerance=args.tolerance, max_dim=args.max_dim
             )
             ok = report["verdicts"]["all"]
         except ToolkitError as exc:
@@ -396,28 +382,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--tolerance", type=float, default=1e-10)
-        p.add_argument("--margin", type=int, default=None)
-        p.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM)
-        p.add_argument("--quiet", action="store_true")
-        p.add_argument("--no-stability", action="store_true")
-        p.add_argument("--output", type=str, default=None)
+    specs = {
+        "--tolerance": {"type": float, "default": 1e-10},
+        "--margin": {"type": int, "default": None},
+        "--max-dim": {"type": int, "default": DEFAULT_MAX_DIM},
+        "--quiet": {"action": "store_true"},
+        "--output": {"type": str, "default": None},
+    }
+
+    def flags(p: argparse.ArgumentParser, *names: str) -> None:
+        for name in names:
+            p.add_argument(name, **specs[name])
 
     p_run = sub.add_parser("run", help="run a scenario pipeline")
     p_run.add_argument("scenario")
-    common(p_run)
+    flags(p_run, "--tolerance", "--margin", "--max-dim", "--quiet", "--output")
     p_run.set_defaults(func=_cmd_run)
 
     p_cmp = sub.add_parser("compare", help="coincidence certificate for two scenarios")
     p_cmp.add_argument("scenario_a")
     p_cmp.add_argument("scenario_b")
-    common(p_cmp)
+    flags(p_cmp, "--margin", "--max-dim", "--quiet", "--output")
     p_cmp.set_defaults(func=_cmd_compare)
 
     p_self = sub.add_parser("selftest", help="run the bundled corpus")
     p_self.add_argument("--random", type=int, default=2)
-    common(p_self)
+    flags(p_self, "--tolerance", "--max-dim", "--quiet")
     p_self.set_defaults(func=_cmd_selftest)
     return parser
 

@@ -1,9 +1,9 @@
-"""Multiplication shifts as index maps; dense operator matrices for the API.
+"""Multiplication shifts as index maps.
 
-A shift is a partial permutation of the monomial basis, so the pipeline
-applies it as a gather over :meth:`Grade.shift_map` and never forms a
-matrix.  :func:`shift_matrix` builds the same map densely for callers that
-need an :class:`OperatorMatrix` (projections, defects, commutators).
+A shift is a partial permutation of the monomial basis, so it is applied as
+a gather over :meth:`Grade.shift_map` and never formed as a matrix.
+:func:`shift_matrix` builds the same map densely, as the test reference for
+the gathers and for the model tuple's defect rank.
 
 Truncated shifts overflow to zero past the caps, so every isometry or
 commutation claim is read on the safe band only.
@@ -19,8 +19,6 @@ from scipy.sparse import coo_array, csr_array, issparse
 
 from .errors import GradeError
 from .grading import Grade
-
-_GRAM_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -40,11 +38,6 @@ class OperatorMatrix:
         arr = np.asarray(self.entries, dtype=complex)
         arr.flags.writeable = False
         object.__setattr__(self, "entries", arr)
-
-    def __matmul__(self, other: OperatorMatrix) -> OperatorMatrix:
-        if other.codomain != self.domain:
-            raise GradeError("operator grades do not compose")
-        return OperatorMatrix(other.domain, self.codomain, self.entries @ other.entries)
 
 
 @dataclass(frozen=True)
@@ -117,47 +110,18 @@ def shift_matrix(grade: Grade, axis: int) -> OperatorMatrix:
     return OperatorMatrix(grade, grade, entries)
 
 
-def adjoint(op: OperatorMatrix) -> OperatorMatrix:
-    return OperatorMatrix(op.codomain, op.domain, op.entries.conj().T)
-
-
-def projection(basis) -> OperatorMatrix:
-    """Orthogonal projection onto the span of an orthonormal basis.
-
-    Accepts a SubspaceBasis or a raw column matrix paired with a grade via
-    ``basis.grade``/``basis.columns`` attributes.
-    """
-    grade = basis.grade
-    cols = np.asarray(basis.columns, dtype=complex)
-    gram = cols.conj().T @ cols
-    if np.linalg.norm(gram - np.eye(cols.shape[1]), 2) > _GRAM_TOL:
-        raise GradeError("projection requires an orthonormal basis")
-    return OperatorMatrix(grade, grade, cols @ cols.conj().T)
-
-
-def defect_operator(ops: Sequence[OperatorMatrix]) -> OperatorMatrix:
-    """Alternating sum over 0/1 multi-indices of ``T^k T^{*k}``."""
-    if not ops:
-        raise GradeError("defect of an empty tuple")
-    grade = ops[0].domain
-    for op in ops:
-        if op.domain != grade or op.codomain != grade:
-            raise GradeError("defect tuple must share one grade")
-    total = np.zeros((grade.dim, grade.dim), dtype=complex)
-    for picks in itertools.product((0, 1), repeat=len(ops)):
-        word = np.eye(grade.dim, dtype=complex)
-        for op, take in zip(ops, picks):
+def defect_sum(mats: Sequence[np.ndarray]) -> np.ndarray:
+    """Alternating sum over 0/1 multi-indices k of ``T^k T^{*k}`` for the
+    square matrices ``T = mats``."""
+    dim = mats[0].shape[0]
+    total = np.zeros((dim, dim), dtype=complex)
+    for picks in itertools.product((0, 1), repeat=len(mats)):
+        word = np.eye(dim, dtype=complex)
+        for mat, take in zip(mats, picks):
             if take:
-                word = word @ op.entries
+                word = word @ mat
         total += (-1) ** sum(picks) * (word @ word.conj().T)
-    return OperatorMatrix(grade, grade, total)
-
-
-def compress_to_safe(op: OperatorMatrix) -> np.ndarray:
-    if op.domain != op.codomain:
-        raise GradeError("safe-band compression needs an endomorphism")
-    mask = op.domain.safe_mask
-    return op.entries[np.ix_(mask, mask)]
+    return total
 
 
 def spectral_norm(a: np.ndarray) -> float:
@@ -167,37 +131,20 @@ def spectral_norm(a: np.ndarray) -> float:
 
 
 def defect_rank(ops: Sequence[OperatorMatrix], tolerance: float = 1e-8) -> DefectReport:
+    """Singular values and rank of the tuple's defect on the safe band."""
     if tolerance <= 0:
         raise GradeError("tolerance must be positive")
-    defect = compress_to_safe(defect_operator(ops))
-    svals = np.linalg.svd(defect, compute_uv=False) if defect.size else np.zeros(0)
-    rank = int(np.sum(svals > tolerance))
-    return DefectReport(tuple(float(s) for s in svals), rank, tolerance)
-
-
-def commutation_residuals(ops: Sequence[OperatorMatrix]) -> dict:
-    """Pairwise commutator and adjoint-commutator norms on the safe band."""
     if not ops:
-        raise GradeError("empty tuple")
+        raise GradeError("defect of an empty tuple")
     grade = ops[0].domain
     for op in ops:
         if op.domain != grade or op.codomain != grade:
-            raise GradeError("tuple must share one grade")
+            raise GradeError("defect tuple must share one grade")
     mask = grade.safe_mask
-    plain: dict[tuple[int, int], float] = {}
-    adjointed: dict[tuple[int, int], float] = {}
-    for i, j in itertools.combinations(range(len(ops)), 2):
-        a, b = ops[i].entries, ops[j].entries
-        plain[(i, j)] = spectral_norm((a @ b - b @ a)[np.ix_(mask, mask)])
-        adjointed[(i, j)] = spectral_norm(
-            (a.conj().T @ b - b @ a.conj().T)[np.ix_(mask, mask)]
-        )
-    doubly = all(r < 1e-10 for r in adjointed.values())
-    return {
-        "commutators": plain,
-        "adjoint_commutators": adjointed,
-        "doubly_commuting": doubly and all(r < 1e-10 for r in plain.values()),
-    }
+    defect = defect_sum([op.entries for op in ops])[np.ix_(mask, mask)]
+    svals = np.linalg.svd(defect, compute_uv=False) if defect.size else np.zeros(0)
+    rank = int(np.sum(svals > tolerance))
+    return DefectReport(tuple(float(s) for s in svals), rank, tolerance)
 
 
 def model_tuple(grade: Grade) -> list[OperatorMatrix]:

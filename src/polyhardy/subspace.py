@@ -9,7 +9,7 @@ comes first, each block ordered by ascending outer degree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.sparse import coo_array, csr_array, hstack, issparse, vstack
@@ -18,12 +18,10 @@ from scipy.sparse.csgraph import connected_components
 from .errors import DegenerateInputError, GradeError, NotInvariantError
 from .grading import Grade, HardyVector
 from .operators import (
-    OperatorMatrix,
     coo_to_dense,
     monomial_multiples,
     shift,
     sparse_monomial_multiples,
-    shift_matrix,
     spectral_norm,
 )
 
@@ -337,11 +335,11 @@ def _inside_caps(grade: Grade, big: Grade) -> np.ndarray:
     return keep
 
 
-def _capped_slice(grade: Grade, big: Grade, basis: np.ndarray) -> np.ndarray:
-    """The part of span(basis) that lies inside the caps of ``grade``, in
-    ``grade``'s coordinates."""
-    keep = _inside_caps(grade, big)
-    return restrict_dense(grade, big, coordinate_slice(basis, keep))
+def _capped_basis(grade: Grade, big: Grade, span: np.ndarray) -> tuple[np.ndarray, int]:
+    """:func:`organize_basis` of the part of span(span) that lies inside the
+    caps of ``grade``, in ``grade``'s coordinates."""
+    sliced = coordinate_slice(span, _inside_caps(grade, big))
+    return organize_basis(grade, orthonormal_columns(restrict_dense(grade, big, sliced)))
 
 
 def _monomial_orbit_columns(gw: Grade, generators: Sequence[HardyVector]) -> coo_array:
@@ -385,8 +383,7 @@ def orbit_span(
     gw = working_grade(grade, working_margin)
     working = orthonormal_columns(coo_to_dense(_monomial_orbit_columns(gw, cleaned)))
     working.flags.writeable = False
-    sliced = _capped_slice(grade, gw, working)
-    organized, n_safe = organize_basis(grade, orthonormal_columns(sliced))
+    organized, n_safe = _capped_basis(grade, gw, working)
     if organized.shape[1] == 0:
         raise DegenerateInputError("generators produce an empty capped slice")
     prov = Provenance(
@@ -440,7 +437,7 @@ def wandering_subspace(s: SubspaceBasis) -> SubspaceBasis:
     grade.
     """
     grade = s.grade
-    report = check_invariant(s, [shift_matrix(grade, 0)])
+    report = check_invariant(s, [0])
     if not report.verdict:
         raise NotInvariantError(
             f"subspace is not invariant under the outer shift "
@@ -450,10 +447,10 @@ def wandering_subspace(s: SubspaceBasis) -> SubspaceBasis:
     if prov.working_basis is not None:
         gw = working_grade(grade, prov.margin)
         ww = _wandering(gw, prov.working_basis, orthonormal_columns, null_columns)
-        wt = orthonormal_columns(_capped_slice(grade, gw, ww))
+        organized, n_cert = _capped_basis(grade, gw, ww)
     else:
         wt = _wandering(grade, s.columns, orthonormal_columns, null_columns)
-    organized, n_cert = organize_basis(grade, wt)
+        organized, n_cert = organize_basis(grade, wt)
     if organized.shape[1] == 0:
         raise DegenerateInputError(
             "the subspace has no wandering vector inside the caps"
@@ -486,18 +483,16 @@ def safe_column_mask(s: SubspaceBasis) -> np.ndarray:
 
 def check_invariant(
     s: SubspaceBasis,
-    operators: Sequence[OperatorMatrix],
+    axes: Iterable[int],
     tolerance: float = INVARIANCE_TOL,
 ) -> InvarianceReport:
-    """Per-operator residual ``‖(I − P_S)·T·B_safe‖`` over safe-supported columns."""
-    for op in operators:
-        if op.domain != s.grade or op.codomain != s.grade:
-            raise GradeError("operator grade does not match the subspace grade")
+    """Per-shift residual ``‖(I − P_S)·T·B_safe‖`` over safe-supported columns,
+    for ``T`` the shift along each of ``axes`` (0 is ``z``, ``i`` is ``z_i``)."""
     mask = safe_column_mask(s)
     b_safe = s.columns[:, mask]
     residuals = []
-    for op in operators:
-        image = op.entries @ b_safe
+    for axis in axes:
+        image = shift(s.grade, axis, b_safe)
         residuals.append(
             spectral_norm(image - s.columns @ (s.columns.conj().T @ image))
         )
@@ -536,9 +531,7 @@ def build_from_theta(theta, grade: Grade) -> SubspaceBasis:
         monomial_multiples(gw, lifted[:, j], outer_powers[: gw.outer_cap - deg + 1])
         for j, deg in enumerate(degrees)
     ]
-    span = orthonormal_columns(np.hstack(cols))
-    sliced = _capped_slice(grade, gw, span)
-    organized, n_safe = organize_basis(grade, orthonormal_columns(sliced))
+    organized, n_safe = _capped_basis(grade, gw, orthonormal_columns(np.hstack(cols)))
     prov = Provenance(kind="theta-image", working_caps=(gw.outer_cap, gw.inner_cap))
     return SubspaceBasis(grade, organized, prov, n_certified=n_safe)
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from polyhardy import Grade, Scenario, dump_scenario, load_scenario
+from polyhardy import Grade, Scenario, dump_scenario, load_scenario, operators
 from polyhardy.cli import build_parser, main, run_pipeline
 from polyhardy.reporting import canonical_json, stable_part, strip_timing
 
@@ -124,6 +124,25 @@ def test_wold_verdict_independent_of_blas_threads(tmp_path):
         wold = json.loads(canonical_json(report["steps"]["verify"]["wold"]))
         assert wold["verdict"] is True
         assert wold["residual"] < 1e-12
+
+
+def test_no_dense_shift_above_inner_slot(monkeypatch):
+    # pipeline shifts are gathers; a dense shift is built only for the
+    # inner-slot symbol κ
+    original = operators.shift_matrix
+    dims = []
+
+    def recording(grade, axis):
+        dims.append(grade.dim)
+        return original(grade, axis)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("polyhardy") and vars(module).get("shift_matrix") is original:
+            monkeypatch.setattr(module, "shift_matrix", recording)
+    scenario = load_scenario(SCENARIOS / "pair-n2.json")
+    run_pipeline(scenario)
+    assert dims
+    assert max(dims) <= scenario.grade.inner_slot_dim
 
 
 def test_report_deterministic():
@@ -275,3 +294,18 @@ def test_parser_rejects_unknown_command():
     parser = build_parser()
     with pytest.raises(SystemExit):
         parser.parse_args(["frobnicate"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compare", "a.json", "b.json", "--tolerance", "1e-3"],
+        ["selftest", "--margin", "3"],
+        ["selftest", "--output", "report.json"],
+        ["run", "a.json", "--no-stability"],
+    ],
+    ids=["compare-tolerance", "selftest-margin", "selftest-output", "run-no-stability"],
+)
+def test_parser_rejects_flags_the_command_ignores(argv):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(argv)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -57,25 +59,17 @@ def test_axis_validation(g1):
         ph.shift_matrix(g1, 2)
 
 
-def test_adjoint_pairing(g1):
-    rng = np.random.default_rng(3)
-    f = rng.normal(size=36) + 1j * rng.normal(size=36)
-    g = rng.normal(size=36) + 1j * rng.normal(size=36)
-    mz = ph.shift_matrix(g1, 0)
-    lhs = np.vdot(g, mz.entries @ f)
-    rhs = np.vdot(ph.adjoint(mz).entries @ g, f)
-    assert abs(lhs - rhs) < 1e-12
-
-
-def test_model_tuple_commutes(g1):
-    res = ph.commutation_residuals(ph.model_tuple(g1))
-    assert max(res["commutators"].values()) == 0.0
-    g2 = ph.Grade(2, 3, 3, 1)
-    res2 = ph.commutation_residuals(ph.model_tuple(g2))
-    assert max(res2["commutators"].values()) == 0.0
-    # distinct-variable shifts on the ambient space are doubly commuting
-    assert res2["doubly_commuting"] is True
-    assert max(res2["adjoint_commutators"].values()) < 1e-12
+def test_model_tuple_commutes():
+    # distinct-variable shifts commute and doubly commute exactly, truncation
+    # included: both orders drop the same entries
+    grade = ph.Grade(2, 3, 3, 1)
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=(grade.dim, 3)) + 1j * rng.normal(size=(grade.dim, 3))
+    for a, b in itertools.permutations(range(grade.n + 1), 2):
+        ab = ph.shift(grade, a, ph.shift(grade, b, x))
+        assert np.array_equal(ab, ph.shift(grade, b, ph.shift(grade, a, x)))
+        adj = ph.shift_adjoint(grade, a, ph.shift(grade, b, x))
+        assert np.array_equal(adj, ph.shift(grade, b, ph.shift_adjoint(grade, a, x)))
 
 
 def test_defect_rank_matches_coeff_dim():
@@ -88,29 +82,9 @@ def test_defect_rank_matches_coeff_dim():
 
 
 def test_defect_operator_shape(g1):
-    d = ph.defect_operator(ph.model_tuple(g1))
-    assert d.entries.shape == (36, 36)
-    assert np.linalg.norm(d.entries - d.entries.conj().T, 2) < 1e-12
-
-
-def test_compress_to_safe(g1):
-    mz = ph.shift_matrix(g1, 0)
-    c = ph.compress_to_safe(mz)
-    assert c.shape == (25, 25)
-
-
-def test_projection_idempotent(g1):
-    s = ph.orbit_span([ph.parse_polynomial("z - z1", g1)], g1, 2)
-    p = ph.projection(s)
-    assert np.linalg.norm(p.entries @ p.entries - p.entries, 2) < 1e-12
-    assert np.linalg.norm(p.entries - p.entries.conj().T, 2) < 1e-12
-
-
-def test_operator_matmul_grade_check(g1):
-    mz = ph.shift_matrix(g1, 0)
-    other = ph.shift_matrix(ph.Grade(1, 4, 4, 1), 0)
-    with pytest.raises(GradeError):
-        _ = mz @ other
+    d = ph.defect_sum([op.entries for op in ph.model_tuple(g1)])
+    assert d.shape == (36, 36)
+    assert np.linalg.norm(d - d.conj().T, 2) < 1e-12
 
 
 @settings(max_examples=30, deadline=None)

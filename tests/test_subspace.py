@@ -99,7 +99,7 @@ def test_safe_columns_lead(corpus_artifacts):
 
 def test_check_invariant_positive(corpus_artifacts):
     art = corpus_artifacts["z-minus-z1"]
-    report = ph.check_invariant(art["s"], ph.model_tuple(art["grade"]))
+    report = ph.check_invariant(art["s"], range(art["grade"].n + 1))
     assert report.verdict
     assert report.n_safe_columns == art["s"].n_certified
     assert max(report.residuals) < 1e-10
@@ -108,17 +108,19 @@ def test_check_invariant_positive(corpus_artifacts):
 def test_check_invariant_negative(g1):
     vec = ph.parse_polynomial("z", g1).to_dense()[:, None]
     loose = ph.subspace_from_columns(g1, vec)
-    report = ph.check_invariant(loose, [ph.shift_matrix(g1, 0)])
+    report = ph.check_invariant(loose, [0])
     assert not report.verdict
     assert report.residuals[0] > 0.9
     with pytest.raises(NotInvariantError):
         ph.wandering_subspace(loose)
 
 
-def test_check_invariant_grade_mismatch(g1, corpus_artifacts):
+def test_check_invariant_grade_mismatch(corpus_artifacts):
+    # the grade has shift axes 0..n only
     art = corpus_artifacts["z-minus-z1"]
-    with pytest.raises(GradeError):
-        ph.check_invariant(art["s"], [ph.shift_matrix(ph.Grade(1, 4, 4, 1), 0)])
+    for axis in (-1, art["grade"].n + 1):
+        with pytest.raises(GradeError):
+            ph.check_invariant(art["s"], [axis])
 
 
 def test_subspace_basis_requires_orthonormal(g1):
@@ -134,7 +136,7 @@ def test_build_from_theta_round_trip(corpus_artifacts):
     rebuilt = ph.build_from_theta(art["theta"], art["grade"])
     assert rebuilt.dim == art["s"].dim
     assert ph.max_principal_angle_sine(rebuilt, art["s"]) < 1e-10
-    joint = ph.check_invariant(rebuilt, ph.model_tuple(art["grade"]))
+    joint = ph.check_invariant(rebuilt, range(art["grade"].n + 1))
     assert joint.verdict
 
 
@@ -143,7 +145,7 @@ def test_build_from_theta_incomplete_is_contained(corpus_artifacts):
     rebuilt = ph.build_from_theta(art["theta"], art["grade"])
     assert rebuilt.dim == 16  # four box directions need out-of-cap wandering data
     assert ph.max_principal_angle_sine(rebuilt, art["s"]) < 1e-10
-    outer = ph.check_invariant(rebuilt, [ph.shift_matrix(art["grade"], 0)])
+    outer = ph.check_invariant(rebuilt, [0])
     assert outer.verdict
 
 
