@@ -63,7 +63,6 @@ from .grading import (
 )
 from .operators import (
     DefectReport,
-    OperatorMatrix,
     defect_rank,
     defect_sum,
     model_tuple,
@@ -90,14 +89,11 @@ from .subspace import (
     SubspaceBasis,
     WoldReport,
     build_from_theta,
+    canonical_basis,
     check_invariant,
-    coordinate_slice,
-    graded_basis,
     max_principal_angle_sine,
     orbit_span,
     orbit_stability,
-    organize_basis,
-    orthonormal_columns,
     principal_angle_sines,
     subspace_from_columns,
     wandering_subspace,

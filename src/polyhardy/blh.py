@@ -136,7 +136,7 @@ def inner_slot_shift(grade: Grade, axis: int) -> np.ndarray:
     """Inner-variable shift acting on the degree-zero outer slot."""
     if not 0 <= axis < grade.n:
         raise GradeError("inner axis out of range")
-    return shift_matrix(replace(grade, outer_cap=0), 1 + axis).entries
+    return shift_matrix(replace(grade, outer_cap=0), 1 + axis)
 
 
 def kappa_polynomial(grade: Grade, axis: int) -> MatrixPolynomial:
@@ -344,24 +344,18 @@ def wold_multiplication_consistency(
         shifted = shift(grade, 0, shifted)
     pi = np.vstack(blocks)
     compressed = s.columns.conj().T @ shift(grade, 1 + axis, s.columns)
-    lhs = pi @ compressed @ pi.conj().T
-    worst = 0.0
-    worst_super = 0.0
-    for m in range(cap + 1):
-        for mp in range(cap + 1):
-            block = lhs[m * r : (m + 1) * r, mp * r : (mp + 1) * r]
-            target = phi.coeff(m - mp)
-            for j in range(min(r, nc)):
-                if m + degrees[j] > cap:
-                    continue
-                for l in range(min(r, nc)):
-                    if mp + degrees[l] > cap:
-                        continue
-                    err = abs(block[j, l] - target[j, l])
-                    if mp == m + 1:
-                        worst_super = max(worst_super, err)
-                    else:
-                        worst = max(worst, err)
+    lhs = (pi @ compressed @ pi.conj().T).reshape(cap + 1, r, cap + 1, r)
+    # entry (m, j, m', l) against Φ_{m−m'}[j, l], read where both row and
+    # column are cap-exact: m + deg_j ≤ cap and m' + deg_l ≤ cap
+    k = min(r, nc)
+    lag = np.arange(cap + 1)[:, None] - np.arange(cap + 1)[None, :]
+    target = np.array([[phi.coeff(d) for d in row] for row in lag]).transpose(0, 2, 1, 3)
+    err = np.abs(lhs[:, :k, :, :k] - target[:, :k, :, :k])
+    fits = np.arange(cap + 1)[:, None] + degrees[None, :k] <= cap
+    pairs = fits[:, :, None, None] & fits[None, None, :, :]
+    superdiagonal = (lag == -1)[:, None, :, None]
+    worst = float(err[pairs & ~superdiagonal].max(initial=0.0))
+    worst_super = float(err[pairs & superdiagonal].max(initial=0.0))
     return ConsistencyReport(
         worst, worst_super, max(worst, worst_super) < tolerance, tolerance
     )

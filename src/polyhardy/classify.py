@@ -23,7 +23,7 @@ from .blh import (
 from .errors import GradeError, NotIsometricError
 from .grading import Grade
 from .operators import defect_sum, shift, spectral_norm
-from .subspace import SubspaceBasis, coordinate_slice
+from .subspace import SubspaceBasis
 
 CLASSIFY_TOL = 1e-8
 CONSTANT_TOL = 1e-10
@@ -313,11 +313,6 @@ def _restricted_tuple(s: SubspaceBasis) -> list[np.ndarray]:
     ]
 
 
-def _safe_frame(s: SubspaceBasis) -> np.ndarray:
-    safe_block = coordinate_slice(s.columns, s.grade.safe_mask)
-    return s.columns.conj().T @ safe_block
-
-
 def doubly_commuting_classification(
     s: SubspaceBasis,
     phis: Sequence[MatrixPolynomial],
@@ -328,17 +323,21 @@ def doubly_commuting_classification(
     """Both sides of the dichotomy, computed on safe-band compressions:
     adjoint commutation of the restricted tuple versus constancy of every
     inner symbol, together with the defect rank (the dimension of the
-    wandering coefficient space when the subspace is doubly commuting)."""
+    wandering coefficient space when the subspace is doubly commuting).
+
+    The safe-band compression reads the leading ``s.n_certified`` rows and
+    columns: in the canonical layout those basis columns span the part of S
+    supported on the safe band."""
     ops = _restricted_tuple(s)
-    frame = _safe_frame(s)
+    safe = slice(0, s.n_certified)
     adj = 0.0
     for i, vi in enumerate(ops):
         for j, vj in enumerate(ops):
             if i == j:
                 continue
             comm = vi.conj().T @ vj - vj @ vi.conj().T
-            adj = max(adj, spectral_norm(frame.conj().T @ comm @ frame))
-    sv = np.linalg.svd(frame.conj().T @ defect_sum(ops) @ frame, compute_uv=False)
+            adj = max(adj, spectral_norm(comm[safe, safe]))
+    sv = np.linalg.svd(defect_sum(ops)[safe, safe], compute_uv=False)
     rank = int((sv > rank_tolerance).sum())
     if 0 < rank < len(sv) and sv[rank] > 0:
         gap = float(sv[rank - 1] / sv[rank])

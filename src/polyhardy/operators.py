@@ -2,8 +2,9 @@
 
 A shift is a partial permutation of the monomial basis, so it is applied as
 a gather over :meth:`Grade.shift_map` and never formed as a matrix.
-:func:`shift_matrix` builds the same map densely, as the test reference for
-the gathers and for the model tuple's defect rank.
+:func:`shift_matrix` builds the same map as a dense array, for the
+inner-slot symbol, the model tuple's defect rank and the tests' reference
+for the gathers.
 
 Truncated shifts overflow to zero past the caps, so every isometry or
 commutation claim is read on the safe band only.
@@ -19,25 +20,6 @@ from scipy.sparse import coo_array, csr_array, issparse
 
 from .errors import GradeError
 from .grading import Grade
-
-
-@dataclass(frozen=True)
-class OperatorMatrix:
-    """Matrix of a linear map between two graded truncations."""
-
-    domain: Grade
-    codomain: Grade
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        expected = (self.codomain.dim, self.domain.dim)
-        if self.entries.shape != expected:
-            raise GradeError(
-                f"entries shape {self.entries.shape} does not match grades {expected}"
-            )
-        arr = np.asarray(self.entries, dtype=complex)
-        arr.flags.writeable = False
-        object.__setattr__(self, "entries", arr)
 
 
 @dataclass(frozen=True)
@@ -72,25 +54,10 @@ def shift_adjoint(grade: Grade, axis: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def coo_to_dense(a: coo_array) -> np.ndarray:
-    """``a`` as a dense complex array, each stored entry copied bit for bit;
-    ``a`` has no duplicate entries. (``toarray`` adds entries into zeros,
-    which turns a -0.0 imaginary part into +0.0.)"""
-    out = np.zeros(a.shape, dtype=complex)
-    out[a.row, a.col] = a.data
-    return out
-
-
-def monomial_multiples(grade: Grade, x: np.ndarray, monomials: np.ndarray) -> np.ndarray:
+def monomial_multiples(grade: Grade, x: np.ndarray, monomials: np.ndarray) -> coo_array:
     """Columns ``z^a z1^b1.. x``, one per row ``(a, b1..bn)`` of
-    ``monomials``; entries pushed past a cap are dropped."""
-    return coo_to_dense(sparse_monomial_multiples(grade, x, monomials))
-
-
-def sparse_monomial_multiples(
-    grade: Grade, x: np.ndarray, monomials: np.ndarray
-) -> coo_array:
-    """:func:`monomial_multiples` as a sparse array."""
+    ``monomials``, as a sparse array; entries pushed past a cap are
+    dropped."""
     rows = np.flatnonzero(x)
     degrees = grade.exponents[rows, None, :-1] + monomials[None, :, :]
     fits = np.all(degrees <= grade.degree_caps, axis=2)
@@ -102,12 +69,12 @@ def sparse_monomial_multiples(
     )
 
 
-def shift_matrix(grade: Grade, axis: int) -> OperatorMatrix:
+def shift_matrix(grade: Grade, axis: int) -> np.ndarray:
     """Dense matrix of :func:`shift`."""
     src, dst = grade.shift_map(axis)
     entries = np.zeros((grade.dim, grade.dim), dtype=complex)
     entries[dst, src] = 1.0
-    return OperatorMatrix(grade, grade, entries)
+    return entries
 
 
 def defect_sum(mats: Sequence[np.ndarray]) -> np.ndarray:
@@ -130,23 +97,25 @@ def spectral_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a, 2))
 
 
-def defect_rank(ops: Sequence[OperatorMatrix], tolerance: float = 1e-8) -> DefectReport:
-    """Singular values and rank of the tuple's defect on the safe band."""
+def defect_rank(
+    grade: Grade, ops: Sequence[np.ndarray], tolerance: float = 1e-8
+) -> DefectReport:
+    """Singular values and rank of the defect of the tuple ``ops`` of
+    ``grade.dim``-square matrices on the safe band of ``grade``."""
     if tolerance <= 0:
         raise GradeError("tolerance must be positive")
     if not ops:
         raise GradeError("defect of an empty tuple")
-    grade = ops[0].domain
     for op in ops:
-        if op.domain != grade or op.codomain != grade:
-            raise GradeError("defect tuple must share one grade")
+        if np.shape(op) != (grade.dim, grade.dim):
+            raise GradeError(f"operator shape {np.shape(op)} does not match the grade")
     mask = grade.safe_mask
-    defect = defect_sum([op.entries for op in ops])[np.ix_(mask, mask)]
+    defect = defect_sum(ops)[np.ix_(mask, mask)]
     svals = np.linalg.svd(defect, compute_uv=False) if defect.size else np.zeros(0)
     rank = int(np.sum(svals > tolerance))
     return DefectReport(tuple(float(s) for s in svals), rank, tolerance)
 
 
-def model_tuple(grade: Grade) -> list[OperatorMatrix]:
+def model_tuple(grade: Grade) -> list[np.ndarray]:
     """The ambient tuple (M_z, M_{z_1}, .., M_{z_n})."""
     return [shift_matrix(grade, axis) for axis in range(grade.n + 1)]

@@ -13,13 +13,13 @@ What is byte-stable, and where:
   arithmetic, and ``defect_gap``, a ratio over a round-off singular value.
   Their digits are round-off, and a different BLAS thread split reorders the
   floating-point work behind them. Dims, flags, verdicts, tolerances, caps
-  and every symbol coefficient stay. For the named n=1, d_E=1 scenarios the
-  stable part is identical at 1 and 2 OpenBLAS threads.
-- Not promised: for ``full-rank2`` (d_E=2) the last bits of round-off Phi
-  entries and of ``adjoint_commutation_residual`` follow the thread count.
-  At n=2 the symbols of ``pair-n2`` change by up to 1.7 per entry between
-  1 and 2 threads: the orthonormal basis of the wandering space is fixed
-  only up to a unitary, as is the symbol Theta.
+  and every symbol coefficient stay. For the named n=1 scenarios,
+  ``full-rank2`` included, the stable part is identical at 1 and 2 OpenBLAS
+  threads.
+- Not promised: at n=2 the last bits of the stable part follow the thread
+  count. The Phi entries of ``pair-n2`` move by up to 6e-16 between 1 and 2
+  threads. Theta does not: the wandering basis is in the canonical layout
+  of ``subspace.canonical_basis``, a function of the subspace alone.
 """
 from __future__ import annotations
 

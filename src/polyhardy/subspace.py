@@ -2,9 +2,11 @@
 
 All spans are computed in an enlarged working grade and intersected with the
 target caps by linear algebra, so that linear combinations of high-degree
-orbit elements that cancel back inside the caps are not lost.  Bases are
-stored in a canonical organization: the block supported on the safe band
-comes first, each block ordered by ascending outer degree.
+orbit elements that cancel back inside the caps are not lost.  Every span,
+null space and slice runs block by block (:func:`block_span`,
+:func:`block_null`).  A basis that leaves this module is put in the
+canonical layout of :func:`canonical_basis`, which depends on the subspace
+alone, not on the basis it was computed from.
 """
 from __future__ import annotations
 
@@ -17,17 +19,11 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import DegenerateInputError, GradeError, NotInvariantError
 from .grading import Grade, HardyVector
-from .operators import (
-    coo_to_dense,
-    monomial_multiples,
-    shift,
-    sparse_monomial_multiples,
-    spectral_norm,
-)
+from .operators import monomial_multiples, shift, spectral_norm
 
 SVD_CUTOFF = 1e-10
 _SUPPORT_TOL = 1e-12
-_RESIDUAL_ORTH_TOL = 1e-8
+_PIVOT_TOL = 1e-8
 
 DEFAULT_MARGIN = 2
 INVARIANCE_TOL = 1e-10
@@ -38,7 +34,8 @@ class Provenance:
     """How a basis was produced; enough to re-derive working-grade data.
 
     An orbit basis also carries the orthonormal orbit basis at its working
-    grade, so the wandering step does not span the same orbit again.
+    grade, as a sparse array, so the wandering step does not span the same
+    orbit again.
     """
 
     kind: str
@@ -46,7 +43,7 @@ class Provenance:
     labels: tuple[str, ...] = ()
     margin: int = 0
     working_caps: tuple[int, int] = (0, 0)
-    working_basis: np.ndarray | None = field(default=None, compare=False, repr=False)
+    working_basis: csr_array | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -94,22 +91,6 @@ class WoldReport:
     tolerance: float
     reconstruction_caps: int
     safe_band_dim: int
-
-
-def orthonormal_columns(a: np.ndarray, tol: float = SVD_CUTOFF) -> np.ndarray:
-    """SVD basis of the column span with a relative singular-value cutoff."""
-    if a.size == 0 or a.shape[1] == 0:
-        return np.zeros((a.shape[0], 0), dtype=complex)
-    u, s, _ = np.linalg.svd(a, full_matrices=False)
-    if len(s) == 0:
-        return np.zeros((a.shape[0], 0), dtype=complex)
-    return u[:, s > tol * max(1.0, s[0])]
-
-
-def null_columns(a: np.ndarray) -> np.ndarray:
-    """SVD basis of the null space with the absolute cutoff ``SVD_CUTOFF``."""
-    _, s, vh = np.linalg.svd(a, full_matrices=True)
-    return vh.conj().T[:, int((s > SVD_CUTOFF).sum()):]
 
 
 def _grouped(labels: np.ndarray, count: int):
@@ -217,9 +198,10 @@ def _place(length: int, pieces) -> csr_array:
 
 
 def block_span(a) -> csr_array:
-    """:func:`orthonormal_columns` with one SVD per block of the nonzero
-    pattern of the dense or sparse ``a``; the cut ``SVD_CUTOFF·max(1, s₀)``
-    takes s₀ over all blocks. The basis is returned sparse."""
+    """Orthonormal basis of the column span of the dense or sparse ``a``,
+    with one SVD per block of its nonzero pattern. Singular values at or
+    below ``SVD_CUTOFF·max(1, s₀)``, s₀ taken over all blocks, are cut. The
+    basis is returned sparse."""
     svds = [
         (rows, *np.linalg.svd(blocks, full_matrices=False)[:2])
         for rows, _, blocks in _pattern_blocks(a)
@@ -229,9 +211,10 @@ def block_span(a) -> csr_array:
 
 
 def block_null(a) -> csr_array:
-    """:func:`null_columns` with one SVD per block of the nonzero pattern of
-    the dense or sparse ``a``; zero columns of ``a`` are null. The basis is
-    returned sparse."""
+    """Orthonormal basis of the null space of the dense or sparse ``a``, with
+    one SVD per block of its nonzero pattern and the absolute cut
+    ``SVD_CUTOFF``; zero columns of ``a`` are null. The basis is returned
+    sparse."""
     free = np.ones(a.shape[1], dtype=bool)
     pieces = []
     for _, cols, blocks in _pattern_blocks(a):
@@ -246,44 +229,85 @@ def block_null(a) -> csr_array:
     return _place(a.shape[1], pieces)
 
 
-def _slice(basis, keep: np.ndarray, span, null):
-    """:func:`coordinate_slice` of the dense or sparse ``basis`` with the
-    given span and null kernels."""
+def _slice(basis: csr_array, keep: np.ndarray) -> csr_array:
+    """Orthonormal basis of span(basis) ∩ {x : x vanishes off ``keep``} for
+    the orthonormal ``basis``: ``basis · null(basis[~keep])``, orthonormal
+    as it stands."""
     outside = basis[~keep, :]
     if basis.shape[1] == 0 or outside.shape[0] == 0:
         return basis
-    return span(_matmul(basis, null(outside)))
+    return _matmul(basis, block_null(outside))
 
 
-def coordinate_slice(basis: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of span(basis) ∩ {x : x vanishes off ``keep``}."""
-    return _slice(basis, keep, orthonormal_columns, null_columns)
+def _split(x: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One SVD of ``x[rows]`` splits the orthonormal ``x`` into the part
+    ``x·V_rank`` that reaches those rows and the part ``x·V_null`` that
+    vanishes on them (cut ``SVD_CUTOFF``); also the kept singular values."""
+    _, s, vh = np.linalg.svd(x[rows], full_matrices=True)
+    s = s[s > SVD_CUTOFF]
+    v = vh.conj().T
+    return x @ v[:, : s.size], x @ v[:, s.size :], s
 
 
-def graded_basis(grade: Grade, basis: np.ndarray) -> np.ndarray:
-    """Re-basis a span so columns have minimal max outer degree, ascending."""
-    if basis.shape[1] == 0:
-        return basis
-    done = np.zeros((grade.dim, 0), dtype=complex)
-    for d in range(grade.outer_cap + 1):
-        part = coordinate_slice(basis, grade.exponents[:, 0] <= d)
-        fresh = orthonormal_columns(
-            part - done @ (done.conj().T @ part), tol=_RESIDUAL_ORTH_TOL
-        )
-        done = np.hstack([done, fresh])
-        if done.shape[1] == basis.shape[1]:
+def _gauge(stratum: np.ndarray, rows: np.ndarray, cut: float) -> np.ndarray:
+    """``stratum·U`` for the unitary U that makes the stratum's pivot rows
+    among ``rows`` lower triangular with a positive real diagonal.
+
+    The conjugated rows are Gram–Schmidt-ed in monomial order, twice per row
+    so that U stays unitary to round-off; a row whose residual is at or
+    below ``cut`` is no pivot. U depends only on span(stratum).
+    """
+    r = stratum.shape[1]
+    u = np.zeros((r, r), dtype=complex)
+    k = 0
+    for row in stratum[rows].conj():
+        v = row - u[:, :k] @ (u[:, :k].conj().T @ row)
+        v -= u[:, :k] @ (u[:, :k].conj().T @ v)
+        norm = np.linalg.norm(v)
+        if norm > cut:
+            u[:, k] = v / norm
+            k += 1
+            if k == r:
+                break
+    return stratum @ u
+
+
+def _strata(grade: Grade, x: np.ndarray) -> list[np.ndarray]:
+    """The orthonormal ``x`` re-based stratum by stratum, in ascending outer
+    degree: stratum d is the part of span(x) of outer degree ≤ d orthogonal
+    to the part of degree ≤ d − 1, peeled off from d = D down by one SVD of
+    the degree-d rows, and put in the gauge of :func:`_gauge`."""
+    degree = grade.exponents[:, 0]
+    strata = []
+    for d in range(grade.outer_cap, -1, -1):
+        if x.shape[1] == 0:
             break
-    return done
+        rows = degree == d
+        reach, x, s = _split(x, rows)
+        if s.size:
+            # the cut is relative to the smallest kept singular value of the
+            # degree-d rows, so the Gram–Schmidt finds a full set of pivots
+            strata.append(_gauge(reach, rows, _PIVOT_TOL * s[-1]))
+    return strata[::-1]
 
 
-def organize_basis(grade: Grade, basis: np.ndarray) -> tuple[np.ndarray, int]:
-    """Canonical layout: [safe-supported block | remainder], each graded."""
-    safe_part = graded_basis(grade, coordinate_slice(basis, grade.safe_mask))
-    rest = orthonormal_columns(
-        basis - safe_part @ (safe_part.conj().T @ basis), tol=_RESIDUAL_ORTH_TOL
-    )
-    rest = graded_basis(grade, rest)
-    return np.hstack([safe_part, rest]), safe_part.shape[1]
+def canonical_basis(grade: Grade, basis: np.ndarray) -> tuple[np.ndarray, int]:
+    """Canonical orthonormal basis of span(basis), for the orthonormal dense
+    ``basis``, and the number of its safe-supported columns.
+
+    Layout: [safe-supported | rest], each part by ascending outer degree
+    (:func:`_strata`). The safe-supported part spans span(basis) ∩ {x : x
+    vanishes off the safe band}, the rest its orthogonal complement in
+    span(basis); one SVD of the unsafe rows splits them. Inside a stratum
+    the unitary is fixed by :func:`_gauge`, so the result is a function of
+    the subspace alone.
+    """
+    if basis.shape[1] == 0:
+        return basis, 0
+    rest, safe, _ = _split(basis, ~grade.safe_mask)
+    safe_part = _strata(grade, safe)
+    columns = np.hstack(safe_part + _strata(grade, rest))
+    return columns, sum(b.shape[1] for b in safe_part)
 
 
 def embedding_positions(small: Grade, big: Grade) -> np.ndarray:
@@ -303,10 +327,6 @@ def lift_dense(small: Grade, big: Grade, vectors: np.ndarray) -> np.ndarray:
     lifted = np.zeros((big.dim, vectors.shape[1]), dtype=complex)
     lifted[idx, :] = vectors
     return lifted
-
-
-def restrict_dense(small: Grade, big: Grade, vectors: np.ndarray) -> np.ndarray:
-    return vectors[embedding_positions(small, big), :]
 
 
 def working_grade(grade: Grade, margin: int) -> Grade:
@@ -335,11 +355,12 @@ def _inside_caps(grade: Grade, big: Grade) -> np.ndarray:
     return keep
 
 
-def _capped_basis(grade: Grade, big: Grade, span: np.ndarray) -> tuple[np.ndarray, int]:
-    """:func:`organize_basis` of the part of span(span) that lies inside the
-    caps of ``grade``, in ``grade``'s coordinates."""
-    sliced = coordinate_slice(span, _inside_caps(grade, big))
-    return organize_basis(grade, orthonormal_columns(restrict_dense(grade, big, sliced)))
+def _capped_basis(grade: Grade, big: Grade, basis: csr_array) -> tuple[np.ndarray, int]:
+    """:func:`canonical_basis` of the part of span(basis) that lies inside the
+    caps of ``grade``, in ``grade``'s coordinates, for the orthonormal
+    ``basis`` at the grade ``big``."""
+    sliced = _slice(basis, _inside_caps(grade, big))
+    return canonical_basis(grade, sliced[embedding_positions(grade, big)].toarray())
 
 
 def _monomial_orbit_columns(gw: Grade, generators: Sequence[HardyVector]) -> coo_array:
@@ -350,7 +371,7 @@ def _monomial_orbit_columns(gw: Grade, generators: Sequence[HardyVector]) -> coo
         room = gw.degree_caps - (g.outer_degree(), *g.inner_degrees()) + 1
         monomials = np.stack(np.unravel_index(np.arange(np.prod(room)), room), axis=1)
         vec = lift_dense(g.grade, gw, g.to_dense()[:, None])[:, 0]
-        cols.append(sparse_monomial_multiples(gw, vec, monomials))
+        cols.append(monomial_multiples(gw, vec, monomials))
     return hstack(cols, format="coo")
 
 
@@ -381,8 +402,7 @@ def orbit_span(
         ):
             raise GradeError("generator degree too high for the grade")
     gw = working_grade(grade, working_margin)
-    working = orthonormal_columns(coo_to_dense(_monomial_orbit_columns(gw, cleaned)))
-    working.flags.writeable = False
+    working = block_span(_monomial_orbit_columns(gw, cleaned))
     organized, n_safe = _capped_basis(grade, gw, working)
     if organized.shape[1] == 0:
         raise DegenerateInputError("generators produce an empty capped slice")
@@ -417,14 +437,12 @@ def orbit_stability(
     return base, block_null(outside).shape[1] == base.dim
 
 
-def _wandering(grade: Grade, basis, span, null):
-    """Orthonormal basis of span(basis) ⊖ z·span(basis) for the orthonormal,
-    dense or sparse ``basis``, with the given span and null kernels."""
-    shifted = span(shift(grade, 0, basis))
-    if shifted.shape[1] == 0:
-        return basis
-    overlap = _matmul(shifted.conj().T, basis)
-    return span(_matmul(basis, null(overlap)))
+def _wandering(grade: Grade, basis: csr_array) -> csr_array:
+    """Orthonormal basis of span(basis) ⊖ z·span(basis) for the orthonormal
+    ``basis``: ``basis · null((M_z basis)ᴴ basis)``, orthonormal as it
+    stands."""
+    overlap = _matmul(shift(grade, 0, basis).conj().T, basis)
+    return _matmul(basis, block_null(overlap))
 
 
 def wandering_subspace(s: SubspaceBasis) -> SubspaceBasis:
@@ -446,11 +464,10 @@ def wandering_subspace(s: SubspaceBasis) -> SubspaceBasis:
     prov = s.provenance
     if prov.working_basis is not None:
         gw = working_grade(grade, prov.margin)
-        ww = _wandering(gw, prov.working_basis, orthonormal_columns, null_columns)
-        organized, n_cert = _capped_basis(grade, gw, ww)
+        organized, n_cert = _capped_basis(grade, gw, _wandering(gw, prov.working_basis))
     else:
-        wt = _wandering(grade, s.columns, orthonormal_columns, null_columns)
-        organized, n_cert = organize_basis(grade, wt)
+        wt = _wandering(grade, csr_array(s.columns))
+        organized, n_cert = canonical_basis(grade, wt.toarray())
     if organized.shape[1] == 0:
         raise DegenerateInputError(
             "the subspace has no wandering vector inside the caps"
@@ -531,27 +548,23 @@ def build_from_theta(theta, grade: Grade) -> SubspaceBasis:
         monomial_multiples(gw, lifted[:, j], outer_powers[: gw.outer_cap - deg + 1])
         for j, deg in enumerate(degrees)
     ]
-    organized, n_safe = _capped_basis(grade, gw, orthonormal_columns(np.hstack(cols)))
+    organized, n_safe = _capped_basis(grade, gw, block_span(hstack(cols)))
     prov = Provenance(kind="theta-image", working_caps=(gw.outer_cap, gw.inner_cap))
     return SubspaceBasis(grade, organized, prov, n_certified=n_safe)
 
 
 def wold_reconstruction(s: SubspaceBasis, tolerance: float = INVARIANCE_TOL) -> WoldReport:
     """Residual of ``P_S − Σ_m M_z^m P_W M_z^{*m}`` on the target safe band,
-    computed at :func:`wold_grade`.
-
-    Only the residual leaves this function, not a basis, so every span, null
-    space and slice here is computed block by block.
-    """
+    computed at :func:`wold_grade`."""
     prov = s.provenance
     if prov.kind != "orbit" or not prov.generators:
         raise GradeError("wold reconstruction needs orbit provenance")
     grade = s.grade
     gb = wold_grade(grade)
     sb = block_span(_monomial_orbit_columns(gb, prov.generators))
-    wb = _wandering(gb, sb, block_span, block_null)
+    wb = _wandering(gb, sb)
     inside_caps = np.all(gb.exponents[:, :-1] < gb.degree_caps, axis=1)
-    wc = _slice(wb, inside_caps, block_span, block_null).toarray()
+    wc = _slice(wb, inside_caps).toarray()
     # Only the rows on the target safe band E are read: the residual is
     # ‖B_E B_Eᴴ − K Kᴴ‖ with B_E = sb[E] and K = [(M_z^m wc)[E]]_m.
     band = embedding_positions(grade, gb)[grade.safe_mask]
@@ -596,5 +609,5 @@ def max_principal_angle_sine(b1, b2) -> float:
 def subspace_from_columns(
     grade: Grade, columns: np.ndarray, kind: str = "adhoc"
 ) -> SubspaceBasis:
-    organized, n_safe = organize_basis(grade, orthonormal_columns(columns))
+    organized, n_safe = canonical_basis(grade, block_span(columns).toarray())
     return SubspaceBasis(grade, organized, Provenance(kind=kind), n_certified=n_safe)

@@ -6,7 +6,10 @@ multiplication and intersected with the cap box via scipy nullspaces, and
 wandering spaces come from the adjoint nullspace of the restricted shift.
 Used to pin derived values.  The Wold reference is the dense formula the
 gather-based check replaces: every shift is a dense ``shift_matrix`` and the
-reconstruction is formed over the whole Wold grade.
+reconstruction is formed over the whole Wold grade.  Its spans, null spaces
+and slices are the dense SVD routines below, which are also the reference
+the block kernels (``subspace.block_span``, ``subspace.block_null``) are
+tested against.
 """
 from __future__ import annotations
 
@@ -16,15 +19,39 @@ import numpy as np
 import scipy.linalg
 
 from polyhardy.grading import Grade, HardyVector
-from polyhardy.operators import shift_matrix
+from polyhardy.operators import shift, shift_matrix
 from polyhardy.subspace import (
+    SVD_CUTOFF,
     SubspaceBasis,
-    coordinate_slice,
     embedding_positions,
+    outer_degrees,
     lift_dense,
-    orthonormal_columns,
     wold_grade,
 )
+
+
+def orthonormal_columns(a: np.ndarray, tol: float = SVD_CUTOFF) -> np.ndarray:
+    """SVD basis of the column span with a relative singular-value cutoff."""
+    if a.size == 0 or a.shape[1] == 0:
+        return np.zeros((a.shape[0], 0), dtype=complex)
+    u, s, _ = np.linalg.svd(a, full_matrices=False)
+    if len(s) == 0:
+        return np.zeros((a.shape[0], 0), dtype=complex)
+    return u[:, s > tol * max(1.0, s[0])]
+
+
+def null_columns(a: np.ndarray) -> np.ndarray:
+    """SVD basis of the null space with the absolute cutoff ``SVD_CUTOFF``."""
+    _, s, vh = np.linalg.svd(a, full_matrices=True)
+    return vh.conj().T[:, int((s > SVD_CUTOFF).sum()):]
+
+
+def coordinate_slice(basis: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of span(basis) ∩ {x : x vanishes off ``keep``}."""
+    outside = basis[~keep, :]
+    if basis.shape[1] == 0 or outside.shape[0] == 0:
+        return basis
+    return orthonormal_columns(basis @ null_columns(outside))
 
 
 def _product_support(coeffs: dict, mono: tuple[int, ...]) -> dict:
@@ -91,7 +118,7 @@ def wandering_reference(s_columns: np.ndarray, outer_shift: np.ndarray) -> np.nd
 
 def _dense_orbit_columns(gw: Grade, generators: list[HardyVector]) -> np.ndarray:
     """Monomial multiples of the generators in ``gw`` by dense shift mat-vecs."""
-    shifts = [shift_matrix(gw, axis).entries for axis in range(gw.n + 1)]
+    shifts = [shift_matrix(gw, axis) for axis in range(gw.n + 1)]
     cols = []
     for g in generators:
         vec = lift_dense(g.grade, gw, g.to_dense()[:, None])[:, 0]
@@ -117,7 +144,7 @@ def wold_residual_dense(s: SubspaceBasis) -> float:
     grade = s.grade
     gb = wold_grade(grade)
     caps = gb.outer_cap
-    mz = shift_matrix(gb, 0).entries
+    mz = shift_matrix(gb, 0)
     sb = orthonormal_columns(_dense_orbit_columns(gb, list(s.provenance.generators)))
     shifted = orthonormal_columns(mz @ sb)
     _, sv, vh = np.linalg.svd(shifted.conj().T @ sb, full_matrices=True)
@@ -132,3 +159,36 @@ def wold_residual_dense(s: SubspaceBasis) -> float:
     defect = sb @ sb.conj().T - reconstruction
     band = embedding_positions(grade, gb)[grade.safe_mask]
     return float(np.linalg.norm(defect[np.ix_(band, band)], 2))
+
+
+def wold_multiplication_reference(s: SubspaceBasis, w: SubspaceBasis, phi, axis: int):
+    """``(worst, worst_super)`` of ``blh.wold_multiplication_consistency``,
+    entry by entry in nested loops over the cap-exact pairs."""
+    grade = s.grade
+    cap, r, nc = grade.outer_cap, w.dim, w.n_certified
+    degrees = outer_degrees(grade, w.columns, 1e-12)
+    blocks = []
+    shifted = w.columns
+    for _ in range(cap + 1):
+        blocks.append(shifted.conj().T @ s.columns)
+        shifted = shift(grade, 0, shifted)
+    pi = np.vstack(blocks)
+    compressed = s.columns.conj().T @ shift(grade, 1 + axis, s.columns)
+    lhs = pi @ compressed @ pi.conj().T
+    worst = worst_super = 0.0
+    for m in range(cap + 1):
+        for mp in range(cap + 1):
+            block = lhs[m * r : (m + 1) * r, mp * r : (mp + 1) * r]
+            target = phi.coeff(m - mp)
+            for j in range(min(r, nc)):
+                if m + degrees[j] > cap:
+                    continue
+                for l in range(min(r, nc)):
+                    if mp + degrees[l] > cap:
+                        continue
+                    err = abs(block[j, l] - target[j, l])
+                    if mp == m + 1:
+                        worst_super = max(worst_super, err)
+                    else:
+                        worst = max(worst, err)
+    return worst, worst_super

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from polyhardy import Grade, Scenario, dump_scenario, load_scenario, operators
@@ -96,13 +97,29 @@ def _run_in_subprocess(
     return json.loads(out)
 
 
+def _at_one_and_two_threads(label: str) -> list[dict]:
+    path = SCENARIOS / f"{label}.json"
+    return [_run_in_subprocess({"OPENBLAS_NUM_THREADS": t}, path) for t in ("1", "2")]
+
+
+def _theta(report: dict) -> np.ndarray:
+    coeffs = report["steps"]["extract"]["theta"]["coeffs"]
+    pairs = np.array([c["rows"] for c in coeffs])
+    return pairs[..., 0] + 1j * pairs[..., 1]
+
+
 def test_stable_part_independent_of_blas_threads():
     # The Wold residual of z-minus-z1 is formed at ambient dim 100, where a
     # multi-threaded OpenBLAS splits the work and so moves its last bits.
-    single = _run_in_subprocess({"OPENBLAS_NUM_THREADS": "1"})
-    ambient = _run_in_subprocess({})
-    assert single["verdicts"] == ambient["verdicts"]
-    assert canonical_json(stable_part(single)) == canonical_json(stable_part(ambient))
+    for label in ("z-minus-z1", "full-rank2"):
+        single, double = _at_one_and_two_threads(label)
+        assert single["verdicts"] == double["verdicts"], label
+        assert canonical_json(stable_part(single)) == canonical_json(stable_part(double)), label
+    # At n=2 the products behind Φ are large enough to be split across
+    # threads, but Θ is read off the canonical wandering basis.
+    single, double = _at_one_and_two_threads("pair-n2")
+    assert single["verdicts"] == double["verdicts"]
+    assert np.abs(_theta(single) - _theta(double)).max() < 1e-12
 
 
 def test_wold_verdict_independent_of_blas_threads(tmp_path):
@@ -257,6 +274,36 @@ def test_compare_distinct_exit_two(capsys):
     result = json.loads(out)
     assert result["certificate"]["verdict"] == "distinct"
     assert result["certified_dims"] == [4, 5]
+
+
+@pytest.mark.parametrize(
+    "generators",
+    [
+        (
+            "(0.513+0.559i)*z2 + (-0.288-0.479i)*z1 + (0.79+1.265i)*z",
+            "(1.058-0.983i)*z2 + (-0.474+0.407i)*z1 + (0.77-0.057i)*z",
+        ),
+        (
+            "(0.596-0.252i)*z2 + (0.806-0.536i)*z1 + (-0.977+0.494i)*z",
+            "(0.195+0.475i)*z2 + (-0.356-1.036i)*z1 + (-0.159-0.9i)*z",
+        ),
+    ],
+    ids=["n2-cmp-05", "n2-cmp-10"],
+)
+def test_compare_reordered_linear_forms_coincide(capsys, tmp_path, generators):
+    # Two linear forms at n=2, D=N=5. A wandering basis that leaks about
+    # 2e-10 onto unsafe rows fails the inner-shift check or the Sylvester
+    # search; the block kernels keep those rows at round-off.
+    paths = []
+    for label, gens in (("forms", generators), ("forms-reordered", generators[::-1])):
+        path = tmp_path / f"{label}.json"
+        dump_scenario(Scenario(label, Grade(2, 5, 5, 1), gens, options=(("force", True),)), path)
+        paths.append(path)
+    code, out, _ = run_cli(["compare", *paths, "--quiet"], capsys)
+    assert code == 0
+    result = json.loads(out)
+    assert result["certificate"]["verdict"] == "coincide"
+    assert result["certified_dims"] == [20, 20]
 
 
 def test_compare_indeterminate_exit_three(capsys):

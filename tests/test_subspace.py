@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.sparse import csr_array
@@ -11,8 +13,14 @@ from polyhardy.errors import (
     NotInvariantError,
     NotIsometricError,
 )
-from polyhardy.subspace import _matmul, block_null, block_span, null_columns
-from .oracles import orbit_reference, wandering_reference, wold_residual_dense
+from polyhardy.subspace import _matmul, block_null, block_span, outer_degrees
+from .oracles import (
+    null_columns,
+    orbit_reference,
+    orthonormal_columns,
+    wandering_reference,
+    wold_residual_dense,
+)
 
 GOLDEN_DIMS = {
     # label: (orbit dim, orbit safe columns, wandering dim, certified)
@@ -45,7 +53,7 @@ def test_orbit_matches_reference(corpus_artifacts):
 def test_wandering_matches_reference(corpus_artifacts):
     for label in ["z", "z-minus-z1", "z2-minus-zz1"]:
         art = corpus_artifacts[label]
-        mz = ph.shift_matrix(art["grade"], 0).entries
+        mz = ph.shift_matrix(art["grade"], 0)
         ref = wandering_reference(art["s"].columns, mz)
         assert ref.shape[1] == art["w"].dim, label
         assert ph.max_principal_angle_sine(art["w"].columns, ref) < 1e-10, label
@@ -61,7 +69,7 @@ def test_wandering_inside_subspace(corpus_artifacts):
 
 def test_wandering_orthogonal_to_shifted(corpus_artifacts):
     art = corpus_artifacts["z-minus-z1"]
-    mz = ph.shift_matrix(art["grade"], 0).entries
+    mz = ph.shift_matrix(art["grade"], 0)
     shifted = mz @ art["s"].columns
     overlap = np.linalg.norm(shifted.conj().T @ art["w"].columns, 2)
     assert overlap < 1e-10
@@ -231,7 +239,7 @@ def test_block_kernels_span_what_dense_spans(seed):
     blocks = [(4, 3, 3, 1.0), (5, 6, 2, 10.0), (1, 1, 1, 0.5), (3, 5, 3, 1.0)]
     blocks.append((6, 2, 1, 1e-12))
     a = _scattered_blocks(rng, blocks, zero_rows=3, zero_cols=2)
-    pairs = [(block_span(a), ph.orthonormal_columns(a)), (block_null(a), null_columns(a))]
+    pairs = [(block_span(a), orthonormal_columns(a)), (block_null(a), null_columns(a))]
     for sparse, dense in pairs:
         block = sparse.toarray()
         assert block.shape == dense.shape
@@ -275,7 +283,7 @@ def test_block_kernels_equal_dense_on_connected_pattern():
     full = rng.normal(size=(6, 4)) + 1j * rng.normal(size=(6, 4))
     low_rank = rng.normal(size=(6, 2)) @ rng.normal(size=(2, 5))
     for a in (full, full.T, low_rank, low_rank.T):
-        assert np.array_equal(block_span(a).toarray(), ph.orthonormal_columns(a))
+        assert np.array_equal(block_span(a).toarray(), orthonormal_columns(a))
         assert np.array_equal(block_null(a).toarray(), null_columns(a))
 
 
@@ -300,22 +308,26 @@ def test_principal_angles():
     assert ph.principal_angle_sines(np.zeros((10, 0)), b).size == 0
 
 
-def test_organize_preserves_span(g1, corpus_artifacts):
-    art = corpus_artifacts["z-minus-z1"]
-    rng = np.random.default_rng(5)
-    mix = np.linalg.qr(rng.normal(size=(art["s"].dim,) * 2) + 1j * rng.normal(size=(art["s"].dim,) * 2))[0]
-    scrambled = art["s"].columns @ mix
-    organized, n_safe = ph.organize_basis(g1, scrambled)
-    assert organized.shape[1] == art["s"].dim
-    assert n_safe == art["s"].n_certified
-    assert ph.max_principal_angle_sine(organized, art["s"].columns) < 1e-10
+NAMED = sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*.json"))
 
 
-def test_graded_basis_degree_order(g1, corpus_artifacts):
-    cols = corpus_artifacts["z-minus-z1"]["s"].columns
-    graded = ph.graded_basis(g1, cols)
-    degrees = []
-    for j in range(graded.shape[1]):
-        support = [t[0] for t, c in zip(g1.indices, graded[:, j]) if abs(c) > 1e-9]
-        degrees.append(max(support))
-    assert degrees == sorted(degrees)
+@pytest.mark.parametrize("path", NAMED, ids=lambda p: p.stem)
+def test_canonical_basis_depends_on_the_span_alone(path):
+    # S and W are already in the canonical layout, and a unitary change of
+    # basis does not move the layout: it fixes the unitary inside each stratum.
+    # Each part of the layout, safe-supported and rest, ascends in outer degree.
+    scenario = ph.load_scenario(path)
+    grade = scenario.grade
+    gens = [ph.parse_polynomial(text, grade) for text in scenario.generators]
+    s = ph.orbit_span(gens, grade, int(scenario.option("margin", 2)))
+    rng = np.random.default_rng(6)
+    for basis in (s, ph.wandering_subspace(s)):
+        k = basis.dim
+        mix = np.linalg.qr(rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)))[0]
+        for q in (basis.columns, basis.columns @ mix):
+            layout, n_safe = ph.canonical_basis(grade, q)
+            assert n_safe == basis.n_certified
+            assert np.abs(layout - basis.columns).max() < 1e-12
+        degrees = outer_degrees(grade, basis.columns, 1e-9)
+        for part in (degrees[: basis.n_certified], degrees[basis.n_certified :]):
+            assert np.all(np.diff(part) >= 0)
