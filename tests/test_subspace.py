@@ -308,6 +308,30 @@ def test_principal_angles():
     assert ph.principal_angle_sines(np.zeros((10, 0)), b).size == 0
 
 
+def test_organize_preserves_span(g1, corpus_artifacts):
+    art = corpus_artifacts["z-minus-z1"]
+    rng = np.random.default_rng(5)
+    mix = np.linalg.qr(rng.normal(size=(art["s"].dim,) * 2) + 1j * rng.normal(size=(art["s"].dim,) * 2))[0]
+    scrambled = art["s"].columns @ mix
+    organized, n_safe = ph.canonical_basis(g1, scrambled)
+    assert organized.shape[1] == art["s"].dim
+    assert n_safe == art["s"].n_certified
+    assert ph.max_principal_angle_sine(organized, art["s"].columns) < 1e-10
+
+
+def test_graded_basis_degree_order(g1, corpus_artifacts):
+    # The canonical layout puts the safe-supported columns first; each of the
+    # two parts ascends in outer degree.
+    cols = corpus_artifacts["z-minus-z1"]["s"].columns
+    graded, n_safe = ph.canonical_basis(g1, cols)
+    degrees = []
+    for j in range(graded.shape[1]):
+        support = [t[0] for t, c in zip(g1.indices, graded[:, j]) if abs(c) > 1e-9]
+        degrees.append(max(support))
+    for part in (degrees[:n_safe], degrees[n_safe:]):
+        assert part == sorted(part)
+
+
 NAMED = sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*.json"))
 
 
