@@ -282,11 +282,14 @@ def run_pipeline(
     report["verdicts"] = verdicts
     # ru_maxrss is in KiB on Linux; it is the peak of the whole process
     peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    dims = _grade_dims(grade, used_margin)
+    if "verify" in steps:
+        dims["wold_kept"] = wold.kept_dim
     report["timing"] = {
         "seconds": round(time.monotonic() - start, 3),
         "steps": step_s,
         "verify_checks": check_s,
-        "grade_dims": _grade_dims(grade, used_margin),
+        "grade_dims": dims,
         "peak_rss_mb": round(peak_kib / 1024, 1),
     }
     return report

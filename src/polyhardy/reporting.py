@@ -1,8 +1,9 @@
 """Deterministic JSON encoding for reports.
 
 Complex scalars become [re, im] pairs, matrices become row-major nested
-lists under a shape header, dataclasses become plain dicts, and the final
-document is serialized with sorted keys.
+lists under a shape header, dataclasses become plain dicts (without the
+fields whose metadata sets ``encode`` to false), and the final document is
+serialized with sorted keys.
 
 What is byte-stable, and where:
 
@@ -56,7 +57,9 @@ def encode(obj: Any) -> Any:
         raise TypeError("only 1-d and 2-d arrays are encodable")
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {
-            f.name: encode(getattr(obj, f.name)) for f in dataclasses.fields(obj)
+            f.name: encode(getattr(obj, f.name))
+            for f in dataclasses.fields(obj)
+            if f.metadata.get("encode", True)
         }
     if isinstance(obj, dict):
         return {str(k): encode(v) for k, v in obj.items()}

@@ -10,6 +10,7 @@ alone, not on the basis it was computed from.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
@@ -86,11 +87,16 @@ class InvarianceReport:
 
 @dataclass(frozen=True)
 class WoldReport:
+    """``kept_dim`` is the number of Wold-grade positions the check factored
+    (see :func:`_readable_columns`); it is a cost, not an answer, so it is
+    left out of the encoded report."""
+
     residual: float
     verdict: bool
     tolerance: float
     reconstruction_caps: int
     safe_band_dim: int
+    kept_dim: int = field(metadata={"encode": False})
 
 
 def _grouped(labels: np.ndarray, count: int):
@@ -102,6 +108,15 @@ def _grouped(labels: np.ndarray, count: int):
     place = np.empty(labels.size, dtype=int)
     place[order] = np.arange(labels.size) - start[labels[order]]
     return order, start, sizes, place
+
+
+def _components(r: np.ndarray, c: np.ndarray, m: int, n: int) -> tuple[int, np.ndarray]:
+    """Connected components of the pattern of the entries at rows ``r``
+    (sorted) and columns ``c`` of an m × n matrix, as one bipartite graph:
+    their count and the labels of rows 0..m-1 then columns 0..n-1."""
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(r, minlength=m + n))])
+    graph = csr_array((np.ones(c.size), c + m, indptr), shape=(m + n, m + n))
+    return connected_components(graph, directed=False)
 
 
 def _pattern_blocks(a) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -126,10 +141,7 @@ def _pattern_blocks(a) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         v = a[r, c]
     if v.size == 0:
         return []
-    # rows are nodes 0..m-1 and columns m..m+n-1; r is sorted
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(r, minlength=m + n))])
-    graph = csr_array((np.ones(v.size), c + m, indptr), shape=(m + n, m + n))
-    count, labels = connected_components(graph, directed=False)
+    count, labels = _components(r, c, m, n)
     row_order, row_start, n_rows, row_place = _grouped(labels[:m], count)
     col_order, col_start, n_cols, col_place = _grouped(labels[m:], count)
     live = np.flatnonzero((n_rows > 0) & (n_cols > 0))
@@ -393,7 +405,14 @@ def orbit_span(
         if g.grade != grade:
             raise GradeError("generator grade does not match the target grade")
         if g.coeffs:
-            cleaned.append(g)
+            # the power of two 2^−⌊log₂ max|c|⌋ changes the span and no
+            # mantissa, and keeps the span's cuts from reading the scale
+            e = 1 - math.frexp(max(abs(c) for c in g.coeffs.values()))[1]
+            scaled = {
+                k: complex(math.ldexp(c.real, e), math.ldexp(c.imag, e))
+                for k, c in g.coeffs.items()
+            }
+            cleaned.append(HardyVector(grade, scaled))
     if not cleaned:
         raise DegenerateInputError("generators span {0} after cleanup")
     for g in cleaned:
@@ -553,21 +572,62 @@ def build_from_theta(theta, grade: Grade) -> SubspaceBasis:
     return SubspaceBasis(grade, organized, prov, n_certified=n_safe)
 
 
+def _readable_columns(gb: Grade, a, band: np.ndarray) -> tuple[csr_array, int]:
+    """The columns of the orbit columns ``a`` at the grade ``gb`` whose
+    pattern components a residual read on the rows ``band`` depends on, and
+    the number of rows of those components.
+
+    A component is kept if it touches ``band``, if z shifts it into a kept
+    component (the kept one's wandering space needs it), or if it shares such
+    a preimage with a kept component (the two share a wandering null space);
+    closed until nothing changes. The span, wandering space and slice of the
+    kept columns are those of all columns, restricted to the kept
+    components. z only raises degrees and ``band`` is closed under lowering
+    the outer degree, so no other component reaches it. For homogeneous
+    generators a component is one total degree, and the kept ones are those
+    up to the largest total degree on ``band``.
+    """
+    m, n = a.shape
+    a = a.tocsr()
+    occupied = np.diff(a.indptr) > 0
+    rows = np.repeat(np.arange(m), np.diff(a.indptr))
+    count, labels = _components(rows, a.indices, m, n)
+    src, dst = gb.shift_map(0)
+    live = occupied[src] & occupied[dst]
+    # preimage[p, c] > 0: z shifts component p into component c
+    edges = (labels[src[live]], labels[dst[live]])
+    preimage = csr_array((np.ones(live.sum()), edges), shape=(count, count))
+    keep = np.zeros(count, dtype=bool)
+    keep[labels[band[occupied[band]]]] = True
+    while True:
+        pre = preimage @ keep > 0
+        grown = keep | pre | (preimage.T @ pre > 0)
+        if np.array_equal(grown, keep):
+            break
+        keep = grown
+    kept_rows = int((keep[labels[:m]] & occupied).sum())
+    return a[:, keep[labels[m:]]], kept_rows
+
+
 def wold_reconstruction(s: SubspaceBasis, tolerance: float = INVARIANCE_TOL) -> WoldReport:
     """Residual of ``P_S − Σ_m M_z^m P_W M_z^{*m}`` on the target safe band,
-    computed at :func:`wold_grade`."""
+    computed at :func:`wold_grade` on the orbit's pattern components that the
+    residual reads (:func:`_readable_columns`)."""
     prov = s.provenance
     if prov.kind != "orbit" or not prov.generators:
         raise GradeError("wold reconstruction needs orbit provenance")
     grade = s.grade
     gb = wold_grade(grade)
-    sb = block_span(_monomial_orbit_columns(gb, prov.generators))
-    wb = _wandering(gb, sb)
-    inside_caps = np.all(gb.exponents[:, :-1] < gb.degree_caps, axis=1)
-    wc = _slice(wb, inside_caps).toarray()
     # Only the rows on the target safe band E are read: the residual is
     # ‖B_E B_Eᴴ − K Kᴴ‖ with B_E = sb[E] and K = [(M_z^m wc)[E]]_m.
     band = embedding_positions(grade, gb)[grade.safe_mask]
+    orbit, kept_dim = _readable_columns(
+        gb, _monomial_orbit_columns(gb, prov.generators), band
+    )
+    sb = block_span(orbit)
+    wb = _wandering(gb, sb)
+    inside_caps = np.all(gb.exponents[:, :-1] < gb.degree_caps, axis=1)
+    wc = _slice(wb, inside_caps).toarray()
     blocks = []
     cur = wc
     for _ in range(gb.outer_cap + 1):
@@ -582,6 +642,7 @@ def wold_reconstruction(s: SubspaceBasis, tolerance: float = INVARIANCE_TOL) -> 
         tolerance=tolerance,
         reconstruction_caps=gb.outer_cap,
         safe_band_dim=int(grade.safe_mask.sum()),
+        kept_dim=kept_dim,
     )
 
 

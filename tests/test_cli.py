@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -55,7 +56,7 @@ def test_run_exit_zero_and_report_shape(capsys, tmp_path):
     }
     seconds = [*timing["steps"].values(), *timing["verify_checks"].values()]
     assert all(v >= 0 for v in seconds)
-    dims = {"target": 36, "working": 64, "wold": 100, "rebuild": 66}
+    dims = {"target": 36, "working": 64, "wold": 100, "rebuild": 66, "wold_kept": 20}
     assert timing["grade_dims"] == dims
     assert timing["peak_rss_mb"] > 0
 
@@ -209,14 +210,38 @@ def _cli_subprocess(argv: list[str]) -> subprocess.CompletedProcess:
     )
 
 
-def test_tiny_generator_exit_one_without_traceback(tmp_path):
-    sc = Scenario(label="tiny", grade=Grade(1, 5, 5, 1), generators=("1e-15*z - 1e-15*z1",))
+def _dims_and_verdicts(report: dict) -> tuple:
+    steps = report["steps"]
+    dims = (steps["orbit"]["dim"], steps["orbit"]["n_safe_columns"])
+    dims += (steps["wandering"]["dim"], steps["wandering"]["certified"])
+    return dims, report["verdicts"]
+
+
+def test_tiny_generator_runs_like_unit_scale(tmp_path):
+    # 1e-15·(z − z1) spans what z − z1 spans
+    unit_path = SCENARIOS / "z-minus-z1.json"
+    unit = load_scenario(unit_path)
+    sc = dataclasses.replace(unit, label="tiny", generators=("1e-15*z - 1e-15*z1",))
     path = tmp_path / "tiny.json"
     dump_scenario(sc, path)
-    proc = _cli_subprocess(["run", str(path)])
-    assert proc.returncode == 1
-    assert proc.stderr.startswith("error:")
-    assert "Traceback" not in proc.stderr
+    procs = [_cli_subprocess(["run", str(p)]) for p in (unit_path, path)]
+    assert [proc.returncode for proc in procs] == [0, 0]
+    assert "Traceback" not in procs[1].stderr
+    unit_report, tiny_report = (json.loads(proc.stdout) for proc in procs)
+    assert _dims_and_verdicts(tiny_report) == _dims_and_verdicts(unit_report)
+
+
+@pytest.mark.parametrize("scale", ["1e-15", "1e-11", "1e6"])
+@pytest.mark.parametrize("generators", [("z - z1",), ("z", "z1")])
+def test_generator_scale_changes_no_dim_or_verdict(generators, scale):
+    # scaling a generator does not change the subspace: the last generator
+    # is multiplied by the scale, term by term
+    unit = load_scenario(SCENARIOS / "z-minus-z1.json")
+    *rest, last = generators
+    scaled = last.replace("z", f"{scale}*z")
+    cases = [generators, (*rest, scaled)]
+    reports = [run_pipeline(dataclasses.replace(unit, generators=g)) for g in cases]
+    assert _dims_and_verdicts(reports[1]) == _dims_and_verdicts(reports[0])
 
 
 @pytest.mark.parametrize("command", ["run", "compare"])

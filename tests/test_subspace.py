@@ -180,7 +180,13 @@ def test_wold_reconstruction(corpus_artifacts):
 
 @pytest.mark.parametrize(
     "grade, texts",
-    [(ph.Grade(1, 5, 5, 1), ["z - z1"]), (ph.Grade(2, 3, 3, 1), ["z - z1", "z - z2"])],
+    [
+        (ph.Grade(1, 5, 5, 1), ["z - z1"]),
+        (ph.Grade(2, 3, 3, 1), ["z - z1", "z - z2"]),
+        # generators of two total degrees, and two coefficient coordinates
+        (ph.Grade(2, 3, 3, 1), ["z - z1", "z^2 - z1*z2"]),
+        (ph.Grade(2, 3, 3, 2), ["z*e_1 - z1", "z2*e_1 + z1"]),
+    ],
 )
 def test_wold_safe_band_residual_matches_dense(grade, texts):
     s = ph.orbit_span([ph.parse_polynomial(t, grade) for t in texts], grade)
@@ -216,6 +222,23 @@ def test_wold_factors_only_pattern_blocks(corpus_artifacts, monkeypatch):
     report = ph.wold_reconstruction(corpus_artifacts["pair-n2"]["s"])
     assert report.verdict
     assert rows and max(rows) <= 91
+
+
+def test_wold_factors_only_blocks_the_safe_band_reads(corpus_artifacts, monkeypatch):
+    # pair-n2's safe band has total degree at most 9, so the Wold check
+    # factors the blocks up to there; the degree-10 block has 66 rows, and
+    # the cube-shaped Wold grade holds blocks of up to 91.
+    rows = []
+    svd = np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        rows.append(a.shape[-2])
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    report = ph.wold_reconstruction(corpus_artifacts["pair-n2"]["s"])
+    assert report.verdict
+    assert rows and max(rows) <= 66
 
 
 def _scattered_blocks(rng, blocks, zero_rows, zero_cols):
