@@ -218,16 +218,13 @@ def verify_intertwining(
     tolerance: float = VERIFY_TOL,
 ) -> IntertwineReport:
     """Degree-by-degree residuals of κ·Θ = Θ·Φ on the certified columns."""
-    k0 = kappa.coeffs[0]
     nc = theta.shape[1] if n_certified is None else n_certified
-    residuals = []
-    for m in range(trusted_degree + 1):
-        lhs = k0 @ theta.coeff(m)
-        rhs = np.zeros_like(lhs)
-        for k in range(m + 1):
-            if k <= theta.degree and m - k <= phi.degree:
-                rhs += theta.coeffs[k] @ phi.coeffs[m - k]
-        residuals.append(spectral_norm((lhs - rhs)[:, :nc]))
+    lhs = convolve(kappa, theta)
+    rhs = convolve(theta, phi)
+    residuals = [
+        spectral_norm((lhs.coeff(m) - rhs.coeff(m))[:, :nc])
+        for m in range(trusted_degree + 1)
+    ]
     max_residual = max(residuals) if residuals else 0.0
     return IntertwineReport(
         tuple(residuals), max_residual, max_residual < tolerance, trusted_degree, tolerance
@@ -241,15 +238,10 @@ def is_isometric_multiplier(
 ) -> MultiplierReport:
     """Coefficient criterion Σ_m Θ_m^* Θ_{m+k} = δ_{k0} I on certified columns."""
     nc = theta.shape[1] if n_certified is None else n_certified
-    blocks = [c[:, :nc] for c in theta.coeffs]
-    residuals = []
-    for k in range(theta.degree + 1):
-        acc = np.zeros((nc, nc), dtype=complex)
-        for m in range(theta.degree + 1 - k):
-            acc += blocks[m].conj().T @ blocks[m + k]
-        if k == 0:
-            acc -= np.eye(nc)
-        residuals.append(spectral_norm(acc))
+    block = MatrixPolynomial(tuple(c[:, :nc] for c in theta.coeffs))
+    gram = adjoint_convolution(block, block).coeffs
+    residuals = [spectral_norm(gram[0] - np.eye(nc))]
+    residuals += [spectral_norm(c) for c in gram[1:]]
     max_residual = max(residuals) if residuals else 0.0
     return MultiplierReport(
         "isometry", tuple(residuals), max_residual, max_residual < tolerance, tolerance

@@ -243,9 +243,10 @@ def uniqueness_tau(
     verdict ''coincide'' when τ is unitary and Θ = Θ̃·τ on the trusted block."""
     nca = theta.shape[1] if n_certified is None else n_certified
     ncb = theta_tilde.shape[1] if n_certified is None else n_certified
-    tau = np.zeros((ncb, nca), dtype=complex)
-    for k in range(min(theta.degree, theta_tilde.degree) + 1):
-        tau += theta_tilde.coeffs[k][:, :ncb].conj().T @ theta.coeffs[k][:, :nca]
+    tau = adjoint_convolution(
+        MatrixPolynomial(tuple(c[:, :ncb] for c in theta_tilde.coeffs)),
+        MatrixPolynomial(tuple(c[:, :nca] for c in theta.coeffs)),
+    ).coeffs[0]
     ures = spectral_norm(tau.conj().T @ tau - np.eye(nca))
     factor = 0.0
     for m in range(theta.degree + 1):

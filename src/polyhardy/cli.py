@@ -161,13 +161,12 @@ def run_pipeline(
     s = w = theta = None
     phis: list = []
     if "orbit" in steps:
-        s, stable = orbit_stability(
-            generators, grade, used_margin, labels=(scenario.label,)
-        )
+        s, stable = orbit_stability(generators, grade, used_margin)
+        gw = working_grade(grade, used_margin)
         report["steps"]["orbit"] = {
             "dim": s.dim,
             "n_safe_columns": s.n_certified,
-            "working_caps": list(s.provenance.working_caps),
+            "working_caps": [gw.outer_cap, gw.inner_cap],
             "stable": stable,
             "probe_margin": used_margin + 1,
         }

@@ -24,6 +24,14 @@ from .parsing import polynomial_to_string
 
 DEFAULT_PIPELINE = ("orbit", "wandering", "extract", "verify", "classify")
 RANDOM_SCENARIO_MARGIN = 5
+_OPTION_TYPES = {"margin": int, "force": bool, "purity": bool}
+_TYPE_NAMES = {
+    int: "an integer",
+    bool: "true or false",
+    str: "a string",
+    list: "a list",
+    dict: "an object",
+}
 
 
 @dataclass(frozen=True)
@@ -51,17 +59,28 @@ def _grade_to_json(grade: Grade) -> dict:
     }
 
 
-def _grade_from_json(data: dict) -> Grade:
-    try:
-        return Grade(
-            int(data["n"]),
-            int(data["D"]),
-            int(data["N"]),
-            int(data.get("d_E", 1)),
-            int(data.get("safe_margin", 1)),
+def _typed(value, kind: type, what: str):
+    """``value`` if its type is exactly ``kind``, so that a JSON ``true`` is no
+    integer and ``1.5`` no integer either; else a parse error naming ``what``."""
+    if type(value) is not kind:
+        raise PolynomialParseError(
+            f"scenario {what} must be {_TYPE_NAMES[kind]}, not {value!r}"
         )
+    return value
+
+
+def _strings(value, what: str) -> tuple[str, ...]:
+    return tuple(_typed(v, str, f"{what} entry") for v in _typed(value, list, what))
+
+
+def _grade_from_json(data: dict) -> Grade:
+    _typed(data, dict, "grade")
+    try:
+        fields = {key: data[key] for key in ("n", "D", "N")}
     except KeyError as exc:
         raise PolynomialParseError(f"grade JSON missing key {exc}") from exc
+    fields.update(d_E=data.get("d_E", 1), safe_margin=data.get("safe_margin", 1))
+    return Grade(*(_typed(v, int, f"grade field '{k}'") for k, v in fields.items()))
 
 
 def scenario_to_json(s: Scenario) -> dict:
@@ -75,14 +94,21 @@ def scenario_to_json(s: Scenario) -> dict:
 
 
 def scenario_from_json(data: dict) -> Scenario:
+    """The scenario a parsed JSON object describes; a parse error for a
+    missing key or a value of the wrong type."""
+    _typed(data, dict, "JSON")
     if "grade" not in data or "generators" not in data:
         raise PolynomialParseError("scenario JSON needs 'grade' and 'generators'")
+    options = _typed(data.get("options", {}), dict, "options")
+    for key, kind in _OPTION_TYPES.items():
+        if key in options:
+            _typed(options[key], kind, f"option '{key}'")
     return Scenario(
         label=str(data.get("label", "unnamed")),
         grade=_grade_from_json(data["grade"]),
-        generators=tuple(str(g) for g in data["generators"]),
-        pipeline=tuple(data.get("pipeline", DEFAULT_PIPELINE)),
-        options=tuple(sorted(dict(data.get("options", {})).items())),
+        generators=_strings(data["generators"], "generators"),
+        pipeline=_strings(data.get("pipeline", list(DEFAULT_PIPELINE)), "pipeline"),
+        options=tuple(sorted(options.items())),
     )
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.sparse import coo_array, csr_array, hstack, issparse, vstack
+from scipy.sparse import coo_array, csr_array, hstack, vstack
 from scipy.sparse.csgraph import connected_components
 
 from .errors import DegenerateInputError, GradeError, NotInvariantError
@@ -41,9 +41,7 @@ class Provenance:
 
     kind: str
     generators: tuple[HardyVector, ...] = ()
-    labels: tuple[str, ...] = ()
     margin: int = 0
-    working_caps: tuple[int, int] = (0, 0)
     working_basis: csr_array | None = field(default=None, compare=False, repr=False)
 
 
@@ -129,16 +127,12 @@ def _pattern_blocks(a) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     ``a`` is the direct sum of its blocks, so the union of their SVDs is the
     SVD of ``a``. Zero rows and zero columns lie in no block.
     """
+    a = csr_array(a)
+    a.sum_duplicates()
     m, n = a.shape
-    if issparse(a):
-        a = a.tocsr()
-        a.sum_duplicates()
-        r = np.repeat(np.arange(m), np.diff(a.indptr))
-        nonzero = a.data != 0
-        r, c, v = r[nonzero], a.indices[nonzero], a.data[nonzero]
-    else:
-        r, c = np.nonzero(a)
-        v = a[r, c]
+    r = np.repeat(np.arange(m), np.diff(a.indptr))
+    nonzero = a.data != 0
+    r, c, v = r[nonzero], a.indices[nonzero], a.data[nonzero]
     if v.size == 0:
         return []
     count, labels = _components(r, c, m, n)
@@ -169,10 +163,8 @@ def _pattern_blocks(a) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
 
 
 def _matmul(a, b):
-    """``a @ b``; for sparse operands, one dense product per connected
+    """``a @ b`` for sparse ``a`` and ``b``: one dense product per connected
     component of the nonzero pattern of ``[a; bᵀ]``, as a sparse array."""
-    if not issparse(b):
-        return a @ b
     m = a.shape[0]
     rows, cols, values = [], [], []
     for index, _, blocks in _pattern_blocks(vstack([a, b.T])):
@@ -245,10 +237,7 @@ def _slice(basis: csr_array, keep: np.ndarray) -> csr_array:
     """Orthonormal basis of span(basis) ∩ {x : x vanishes off ``keep``} for
     the orthonormal ``basis``: ``basis · null(basis[~keep])``, orthonormal
     as it stands."""
-    outside = basis[~keep, :]
-    if basis.shape[1] == 0 or outside.shape[0] == 0:
-        return basis
-    return _matmul(basis, block_null(outside))
+    return _matmul(basis, block_null(basis[~keep, :]))
 
 
 def _split(x: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -391,7 +380,6 @@ def orbit_span(
     generators: Sequence[HardyVector],
     grade: Grade,
     working_margin: int = DEFAULT_MARGIN,
-    labels: Sequence[str] = (),
 ) -> SubspaceBasis:
     """Capped slice of the smallest joint invariant subspace containing the
     generators, spanned in an enlarged working grade and intersected with the
@@ -428,9 +416,7 @@ def orbit_span(
     prov = Provenance(
         kind="orbit",
         generators=tuple(cleaned),
-        labels=tuple(labels),
         margin=working_margin,
-        working_caps=(gw.outer_cap, gw.inner_cap),
         working_basis=working,
     )
     return SubspaceBasis(grade, organized, prov, n_certified=n_safe)
@@ -440,7 +426,6 @@ def orbit_stability(
     generators: Sequence[HardyVector],
     grade: Grade,
     working_margin: int = DEFAULT_MARGIN,
-    labels: Sequence[str] = (),
 ) -> tuple[SubspaceBasis, bool]:
     """Orbit plus the margin-stability flag: whether the capped slice keeps
     its dimension when spanned at margin + 1.
@@ -449,7 +434,7 @@ def orbit_stability(
     basis's rows outside the caps, so it builds no organized basis and runs
     block by block.
     """
-    base = orbit_span(generators, grade, working_margin, labels)
+    base = orbit_span(generators, grade, working_margin)
     gp = working_grade(grade, working_margin + 1)
     probe = block_span(_monomial_orbit_columns(gp, base.provenance.generators))
     outside = probe[~_inside_caps(grade, gp)]
@@ -467,11 +452,10 @@ def _wandering(grade: Grade, basis: csr_array) -> csr_array:
 def wandering_subspace(s: SubspaceBasis) -> SubspaceBasis:
     """Basis of S ⊖ zS; certified block first, truncation-suspect block after.
 
-    When the input carries a working-grade orbit basis (every basis from
-    :func:`orbit_span` does), the wandering space is computed at that working
-    grade and sliced to the target caps so that every returned vector is
-    genuinely wandering; otherwise it is computed directly at the target
-    grade.
+    The wandering space is computed at the working grade of the orbit basis
+    that ``s`` carries (every basis from :func:`orbit_span` does) and sliced
+    to the target caps, so that every returned vector is genuinely
+    wandering. A basis without one raises :class:`GradeError`.
     """
     grade = s.grade
     report = check_invariant(s, [0])
@@ -481,28 +465,15 @@ def wandering_subspace(s: SubspaceBasis) -> SubspaceBasis:
             f"(residual {max(report.residuals):.2e})"
         )
     prov = s.provenance
-    if prov.working_basis is not None:
-        gw = working_grade(grade, prov.margin)
-        organized, n_cert = _capped_basis(grade, gw, _wandering(gw, prov.working_basis))
-    else:
-        wt = _wandering(grade, csr_array(s.columns))
-        organized, n_cert = canonical_basis(grade, wt.toarray())
+    if prov.working_basis is None:
+        raise GradeError("the wandering subspace needs orbit provenance")
+    gw = working_grade(grade, prov.margin)
+    organized, n_cert = _capped_basis(grade, gw, _wandering(gw, prov.working_basis))
     if organized.shape[1] == 0:
         raise DegenerateInputError(
             "the subspace has no wandering vector inside the caps"
         )
-    return SubspaceBasis(
-        grade,
-        organized,
-        Provenance(
-            kind="wandering",
-            generators=prov.generators,
-            labels=prov.labels,
-            margin=prov.margin,
-            working_caps=prov.working_caps,
-        ),
-        n_certified=n_cert,
-    )
+    return SubspaceBasis(grade, organized, Provenance("wandering"), n_certified=n_cert)
 
 
 def outer_degrees(grade: Grade, columns: np.ndarray, tol: float) -> np.ndarray:
@@ -511,21 +482,16 @@ def outer_degrees(grade: Grade, columns: np.ndarray, tol: float) -> np.ndarray:
     return np.where(np.abs(columns) > tol, grade.exponents[:, :1], 0).max(axis=0)
 
 
-def safe_column_mask(s: SubspaceBasis) -> np.ndarray:
-    """Columns of the stored basis fully supported on the safe band."""
-    unsafe = ~s.grade.safe_mask
-    return np.all(np.abs(s.columns[unsafe]) < _SUPPORT_TOL, axis=0)
-
-
 def check_invariant(
     s: SubspaceBasis,
     axes: Iterable[int],
     tolerance: float = INVARIANCE_TOL,
 ) -> InvarianceReport:
     """Per-shift residual ``‖(I − P_S)·T·B_safe‖`` over safe-supported columns,
-    for ``T`` the shift along each of ``axes`` (0 is ``z``, ``i`` is ``z_i``)."""
-    mask = safe_column_mask(s)
-    b_safe = s.columns[:, mask]
+    for ``T`` the shift along each of ``axes`` (0 is ``z``, ``i`` is ``z_i``).
+    The safe-supported columns are the leading ``s.n_certified`` of the
+    canonical layout."""
+    b_safe = s.columns[:, : s.n_certified]
     residuals = []
     for axis in axes:
         image = shift(s.grade, axis, b_safe)
@@ -533,7 +499,7 @@ def check_invariant(
             spectral_norm(image - s.columns @ (s.columns.conj().T @ image))
         )
     verdict = all(r < tolerance for r in residuals)
-    return InvarianceReport(tuple(residuals), verdict, tolerance, int(mask.sum()))
+    return InvarianceReport(tuple(residuals), verdict, tolerance, s.n_certified)
 
 
 def build_from_theta(theta, grade: Grade) -> SubspaceBasis:
@@ -568,7 +534,7 @@ def build_from_theta(theta, grade: Grade) -> SubspaceBasis:
         for j, deg in enumerate(degrees)
     ]
     organized, n_safe = _capped_basis(grade, gw, block_span(hstack(cols)))
-    prov = Provenance(kind="theta-image", working_caps=(gw.outer_cap, gw.inner_cap))
+    prov = Provenance("theta-image")
     return SubspaceBasis(grade, organized, prov, n_certified=n_safe)
 
 

@@ -199,6 +199,41 @@ def test_capacity_guard_exit_one(capsys):
     assert "limit" in err
 
 
+MALFORMED = [
+    (("grade", "n"), "two"),
+    (("grade", "n"), 1.5),
+    (("grade", "D"), True),
+    (("grade",), [1, 5, 5]),
+    (("options", "margin"), "big"),
+    (("options",), [1]),
+    (("options", "force"), "no"),
+    (("options", "purity"), 1),
+    (("pipeline",), "orbit"),
+    (("generators",), "z - z1"),
+    (("generators",), [1]),
+]
+
+
+@pytest.mark.parametrize(
+    "keys, value", MALFORMED, ids=[f"{'.'.join(k)}={json.dumps(v)}" for k, v in MALFORMED]
+)
+def test_malformed_scenario_exit_one_without_traceback(capsys, tmp_path, keys, value):
+    data = json.loads((SCENARIOS / "z-minus-z1.json").read_text())
+    *parents, last = keys
+    target = data
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(["run", path], capsys)
+    assert code == 1
+    assert err.startswith("error: scenario")
+    assert "must be" in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
 def _cli_subprocess(argv: list[str]) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))

@@ -96,13 +96,17 @@ def test_orbit_stability_flag(g1):
 
 
 def test_safe_columns_lead(corpus_artifacts):
-    from polyhardy.subspace import safe_column_mask
-
-    for label in ["z-minus-z1", "random-11"]:
+    # check_invariant reads the leading n_certified columns as the safe ones:
+    # exactly those vanish off the safe band
+    for label in [sc.label for sc in ph.named_corpus()] + ["random-11"]:
         art = corpus_artifacts[label]
-        mask = safe_column_mask(art["s"])
-        n = art["s"].n_certified
-        assert mask[:n].all() and not mask[n:].any(), label
+        rebuilt = ph.build_from_theta(art["theta"], art["grade"])
+        for basis in (art["s"], art["w"], rebuilt):
+            unsafe = ~basis.grade.safe_mask
+            mask = np.all(np.abs(basis.columns[unsafe]) < 1e-12, axis=0)
+            n = basis.n_certified
+            assert mask[:n].all() and not mask[n:].any(), label
+            assert ph.check_invariant(basis, [0]).n_safe_columns == n, label
 
 
 def test_check_invariant_positive(corpus_artifacts):
@@ -121,6 +125,15 @@ def test_check_invariant_negative(g1):
     assert report.residuals[0] > 0.9
     with pytest.raises(NotInvariantError):
         ph.wandering_subspace(loose)
+
+
+def test_wandering_needs_orbit_provenance(g1, corpus_artifacts):
+    # the same invariant span, without the orbit's working-grade basis
+    orbit = corpus_artifacts["z-minus-z1"]["s"]
+    adhoc = ph.subspace_from_columns(g1, orbit.columns)
+    assert ph.check_invariant(adhoc, [0]).verdict
+    with pytest.raises(GradeError):
+        ph.wandering_subspace(adhoc)
 
 
 def test_check_invariant_grade_mismatch(corpus_artifacts):
