@@ -20,7 +20,7 @@ from .errors import (
 )
 from .grading import Grade
 from .operators import shift, shift_adjoint, shift_matrix, spectral_norm
-from .subspace import SubspaceBasis, outer_degrees
+from .subspace import SUPPORT_TOL, SubspaceBasis, outer_degrees
 
 VERIFY_TOL = 1e-10
 
@@ -328,7 +328,7 @@ def wold_multiplication_consistency(
     cap = grade.outer_cap
     r = w.dim
     nc = w.n_certified
-    degrees = outer_degrees(grade, w.columns, 1e-12)
+    degrees = outer_degrees(grade, w.columns, SUPPORT_TOL)
     blocks = []
     shifted = w.columns
     for _ in range(cap + 1):

@@ -228,7 +228,7 @@ def run_pipeline(
         check("wold")
         rebuilt = build_from_theta(theta, grade)
         angle = max_principal_angle_sine(rebuilt, s)
-        rebuilt_inv = check_invariant(rebuilt, [0], tolerance)
+        rebuilt_inv = check_invariant(rebuilt, range(grade.n + 1), tolerance)
         complete = rebuilt.dim == s.dim
         rebuild_info = {
             "original_dim": s.dim,
@@ -238,11 +238,10 @@ def run_pipeline(
             "complete": complete,
         }
         verdicts["rebuild_angles"] = angle < ANGLE_TOL
-        verdicts["rebuild_outer_invariant"] = rebuilt_inv.verdict
+        verdicts["rebuild_outer_invariant"] = rebuilt_inv.residuals[0] < tolerance
         if complete:
-            joint = check_invariant(rebuilt, range(grade.n + 1), tolerance)
-            rebuild_info["joint_invariance"] = max(joint.residuals)
-            verdicts["rebuild_joint_invariant"] = joint.verdict
+            rebuild_info["joint_invariance"] = max(rebuilt_inv.residuals)
+            verdicts["rebuild_joint_invariant"] = rebuilt_inv.verdict
         else:
             rebuild_info["joint_invariance"] = None
             rebuild_info["note"] = (

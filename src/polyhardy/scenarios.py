@@ -24,6 +24,8 @@ from .parsing import polynomial_to_string
 
 DEFAULT_PIPELINE = ("orbit", "wandering", "extract", "verify", "classify")
 RANDOM_SCENARIO_MARGIN = 5
+_SCENARIO_KEYS = ("label", "grade", "generators", "pipeline", "options")
+_GRADE_KEYS = ("n", "D", "N", "d_E", "safe_margin")
 _OPTION_TYPES = {"margin": int, "force": bool, "purity": bool}
 _TYPE_NAMES = {
     int: "an integer",
@@ -69,14 +71,25 @@ def _typed(value, kind: type, what: str):
     return value
 
 
+def _known(data: dict, keys, what: str) -> None:
+    """A parse error naming the first key of ``data`` that is not in ``keys``,
+    so that a misspelled key is not silently dropped."""
+    unknown = [key for key in data if key not in keys]
+    if unknown:
+        raise PolynomialParseError(
+            f"scenario {what} {unknown[0]!r} must be one of {', '.join(keys)}"
+        )
+
+
 def _strings(value, what: str) -> tuple[str, ...]:
     return tuple(_typed(v, str, f"{what} entry") for v in _typed(value, list, what))
 
 
 def _grade_from_json(data: dict) -> Grade:
     _typed(data, dict, "grade")
+    _known(data, _GRADE_KEYS, "grade key")
     try:
-        fields = {key: data[key] for key in ("n", "D", "N")}
+        fields = {key: data[key] for key in _GRADE_KEYS[:3]}
     except KeyError as exc:
         raise PolynomialParseError(f"grade JSON missing key {exc}") from exc
     fields.update(d_E=data.get("d_E", 1), safe_margin=data.get("safe_margin", 1))
@@ -95,11 +108,13 @@ def scenario_to_json(s: Scenario) -> dict:
 
 def scenario_from_json(data: dict) -> Scenario:
     """The scenario a parsed JSON object describes; a parse error for a
-    missing key or a value of the wrong type."""
+    missing or unknown key or a value of the wrong type."""
     _typed(data, dict, "JSON")
+    _known(data, _SCENARIO_KEYS, "key")
     if "grade" not in data or "generators" not in data:
         raise PolynomialParseError("scenario JSON needs 'grade' and 'generators'")
     options = _typed(data.get("options", {}), dict, "options")
+    _known(options, _OPTION_TYPES, "option")
     for key, kind in _OPTION_TYPES.items():
         if key in options:
             _typed(options[key], kind, f"option '{key}'")

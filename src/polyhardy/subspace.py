@@ -23,7 +23,7 @@ from .grading import Grade, HardyVector
 from .operators import monomial_multiples, shift, spectral_norm
 
 SVD_CUTOFF = 1e-10
-_SUPPORT_TOL = 1e-12
+SUPPORT_TOL = 1e-12
 _PIVOT_TOL = 1e-8
 
 DEFAULT_MARGIN = 2
@@ -120,12 +120,13 @@ def _components(r: np.ndarray, c: np.ndarray, m: int, n: int) -> tuple[int, np.n
 def _pattern_blocks(a) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The blocks of the nonzero pattern of the dense or sparse matrix ``a``:
     the connected components of its rows and columns, taken as one bipartite
-    graph, grouped by shape.
+    graph.
 
-    A group of k blocks of shape r × c is ``(rows, cols, blocks)`` with
-    ``rows`` k × r, ``cols`` k × c and ``blocks[i] = a[rows[i]][:, cols[i]]``.
-    ``a`` is the direct sum of its blocks, so the union of their SVDs is the
-    SVD of ``a``. Zero rows and zero columns lie in no block.
+    A block is ``(rows, cols, block)`` with ``block = a[rows][:, cols]`` and
+    ``rows``, ``cols`` ascending. Blocks come by row count, then column
+    count, then component, so the bases built from them keep one column
+    order. ``a`` is the direct sum of its blocks, so the union of their SVDs
+    is the SVD of ``a``. Zero rows and zero columns lie in no block.
     """
     a = csr_array(a)
     a.sum_duplicates()
@@ -139,27 +140,22 @@ def _pattern_blocks(a) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     row_order, row_start, n_rows, row_place = _grouped(labels[:m], count)
     col_order, col_start, n_cols, col_place = _grouped(labels[m:], count)
     live = np.flatnonzero((n_rows > 0) & (n_cols > 0))
-    key, group, counts = np.unique(
-        n_rows[live] * (n + 1) + n_cols[live], return_inverse=True, return_counts=True
-    )
-    shapes = np.stack(np.divmod(key, n + 1), axis=1)
-    # lay the blocks out one after another, grouped by shape, and scatter
-    # every entry to its place
-    live = live[np.argsort(group, kind="stable")]
-    size = n_rows[live] * n_cols[live]
+    live = live[np.argsort(n_rows[live] * (n + 1) + n_cols[live], kind="stable")]
+    # lay the blocks out one after another and scatter every entry to its place
+    size = n_rows * n_cols
     offset = np.zeros(count, dtype=int)
-    offset[live] = np.cumsum(size) - size
+    offset[live] = np.cumsum(size[live]) - size[live]
     flat = np.zeros(size.sum(), dtype=v.dtype)
     lab = labels[r]
     flat[offset[lab] + row_place[r] * n_cols[lab] + col_place[c]] = v
-    out = []
-    for (nr, nc), members in zip(shapes, np.split(live, np.cumsum(counts)[:-1])):
-        start = offset[members[0]]
-        blocks = flat[start : start + members.size * nr * nc].reshape(-1, nr, nc)
-        rows = row_order[row_start[members, None] + np.arange(nr)]
-        cols = col_order[col_start[members, None] + np.arange(nc)]
-        out.append((rows, cols, blocks))
-    return out
+    return [
+        (
+            row_order[row_start[k] : row_start[k] + n_rows[k]],
+            col_order[col_start[k] : col_start[k] + n_cols[k]],
+            flat[offset[k] : offset[k] + size[k]].reshape(n_rows[k], n_cols[k]),
+        )
+        for k in live
+    ]
 
 
 def _matmul(a, b):
@@ -167,16 +163,13 @@ def _matmul(a, b):
     component of the nonzero pattern of ``[a; bᵀ]``, as a sparse array."""
     m = a.shape[0]
     rows, cols, values = [], [], []
-    for index, _, blocks in _pattern_blocks(vstack([a, b.T])):
-        # a's rows come first in each block's sorted index
-        n_top = (index < m).sum(axis=1)
-        for h in np.unique(n_top):
-            same = n_top == h
-            part, t = index[same], blocks[same]
-            product = t[:, :h] @ t[:, h:].transpose(0, 2, 1)
-            rows.append(np.broadcast_to(part[:, :h, None], product.shape).ravel())
-            cols.append(np.broadcast_to(part[:, None, h:] - m, product.shape).ravel())
-            values.append(product.ravel())
+    for index, _, block in _pattern_blocks(vstack([a, b.T])):
+        # a's rows come first in each block's ascending index
+        h = np.searchsorted(index, m)
+        product = block[:h] @ block[h:].T
+        rows.append(np.repeat(index[:h], product.shape[1]))
+        cols.append(np.tile(index[h:] - m, h))
+        values.append(product.ravel())
     if not values:
         return csr_array((m, b.shape[1]), dtype=complex)
     coords = (np.concatenate(rows), np.concatenate(cols))
@@ -184,21 +177,16 @@ def _matmul(a, b):
 
 
 def _place(length: int, pieces) -> csr_array:
-    """Sparse matrix of ``length`` rows whose columns are the kept vectors:
-    a piece ``(index, vectors, keep)`` contributes ``vectors[i, :, j]`` at
-    rows ``index[i]`` for each true ``keep[i, j]``."""
+    """Sparse matrix of ``length`` rows with one column per row j of each
+    piece ``(index, vectors)``, holding ``vectors[j]`` at the rows
+    ``index[j]``; ``index`` is broadcast to the shape of ``vectors``."""
     if not pieces:
         return csr_array((length, 0), dtype=complex)
-    values, rows, widths = [], [], []
-    for index, vectors, keep in pieces:
-        i, j = np.nonzero(keep)
-        values.append(vectors[i, :, j].ravel())
-        rows.append(index[i].ravel())
-        widths.append(np.full(i.size, index.shape[1]))
-    widths = np.concatenate(widths)
+    data = np.concatenate([v.ravel() for _, v in pieces], dtype=complex)
+    rows = np.concatenate([np.broadcast_to(i, v.shape).ravel() for i, v in pieces])
+    widths = np.concatenate([np.full(v.shape[0], v.shape[1]) for _, v in pieces])
     cols = np.repeat(np.arange(widths.size), widths)
-    data = np.concatenate(values, dtype=complex)
-    return csr_array((data, (np.concatenate(rows), cols)), shape=(length, widths.size))
+    return csr_array((data, (rows, cols)), shape=(length, widths.size))
 
 
 def block_span(a) -> csr_array:
@@ -207,11 +195,11 @@ def block_span(a) -> csr_array:
     below ``SVD_CUTOFF·max(1, s₀)``, s₀ taken over all blocks, are cut. The
     basis is returned sparse."""
     svds = [
-        (rows, *np.linalg.svd(blocks, full_matrices=False)[:2])
-        for rows, _, blocks in _pattern_blocks(a)
+        (rows, *np.linalg.svd(block, full_matrices=False)[:2])
+        for rows, _, block in _pattern_blocks(a)
     ]
     cut = SVD_CUTOFF * max(1.0, max((s.max() for _, _, s in svds), default=0.0))
-    return _place(a.shape[0], [(rows, u, s > cut) for rows, u, s in svds])
+    return _place(a.shape[0], [(rows, u[:, s > cut].T) for rows, u, s in svds])
 
 
 def block_null(a) -> csr_array:
@@ -221,15 +209,12 @@ def block_null(a) -> csr_array:
     sparse."""
     free = np.ones(a.shape[1], dtype=bool)
     pieces = []
-    for _, cols, blocks in _pattern_blocks(a):
+    for _, cols, block in _pattern_blocks(a):
         free[cols] = False
-        _, s, vh = np.linalg.svd(blocks, full_matrices=True)
-        rank = (s > SVD_CUTOFF).sum(axis=1)
-        null = np.arange(cols.shape[1]) >= rank[:, None]
-        pieces.append((cols, vh.conj().transpose(0, 2, 1), null))
-    zero = np.flatnonzero(free)[:, None]
-    unit = np.ones((zero.size, 1, 1))
-    pieces.append((zero, unit, np.ones((zero.size, 1), dtype=bool)))
+        _, s, vh = np.linalg.svd(block, full_matrices=True)
+        pieces.append((cols, vh[(s > SVD_CUTOFF).sum() :].conj()))
+    zero = np.flatnonzero(free)
+    pieces.append((zero[:, None], np.ones((zero.size, 1))))
     return _place(a.shape[1], pieces)
 
 
@@ -403,11 +388,6 @@ def orbit_span(
             cleaned.append(HardyVector(grade, scaled))
     if not cleaned:
         raise DegenerateInputError("generators span {0} after cleanup")
-    for g in cleaned:
-        if g.outer_degree() > grade.outer_cap or any(
-            b > grade.inner_cap for b in g.inner_degrees()
-        ):
-            raise GradeError("generator degree too high for the grade")
     gw = working_grade(grade, working_margin)
     working = block_span(_monomial_orbit_columns(gw, cleaned))
     organized, n_safe = _capped_basis(grade, gw, working)
@@ -524,7 +504,7 @@ def build_from_theta(theta, grade: Grade) -> SubspaceBasis:
     # coefficient m fills the outer-degree-m stratum
     w_cols = np.zeros((grade.dim, theta.shape[1]), dtype=complex)
     w_cols[: len(theta.coeffs) * slot] = np.vstack(theta.coeffs)
-    degrees = outer_degrees(grade, w_cols, _SUPPORT_TOL)
+    degrees = outer_degrees(grade, w_cols, SUPPORT_TOL)
     # image columns generated in an outer-enlarged working grade, then sliced
     gw = rebuild_grade(grade)
     lifted = lift_dense(grade, gw, w_cols)

@@ -211,6 +211,9 @@ MALFORMED = [
     (("pipeline",), "orbit"),
     (("generators",), "z - z1"),
     (("generators",), [1]),
+    (("pipline",), ["orbit"]),
+    (("options", "margn"), 7),
+    (("grade", "d_e"), 1),
 ]
 
 

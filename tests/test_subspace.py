@@ -13,7 +13,13 @@ from polyhardy.errors import (
     NotInvariantError,
     NotIsometricError,
 )
-from polyhardy.subspace import _matmul, block_null, block_span, outer_degrees
+from polyhardy.subspace import (
+    _matmul,
+    _pattern_blocks,
+    block_null,
+    block_span,
+    outer_degrees,
+)
 from .oracles import (
     null_columns,
     orbit_reference,
@@ -287,11 +293,31 @@ def test_block_kernels_span_what_dense_spans(seed):
 
 
 @pytest.mark.parametrize("seed", range(4))
+def test_pattern_blocks_partition_in_shape_order(seed):
+    rng = np.random.default_rng(seed)
+    # two blocks of shape 3 × 2
+    blocks = [(3, 2, 2, 1.0), (1, 3, 1, 1.0), (3, 2, 1, 1.0), (2, 2, 2, 1.0)]
+    a = _scattered_blocks(rng, blocks, zero_rows=2, zero_cols=3)
+    layout = _pattern_blocks(csr_array(a))
+    rows = np.concatenate([r for r, _, _ in layout])
+    cols = np.concatenate([c for _, c, _ in layout])
+    assert np.array_equal(np.sort(rows), np.flatnonzero(np.any(a != 0, axis=1)))
+    assert np.array_equal(np.sort(cols), np.flatnonzero(np.any(a != 0, axis=0)))
+    for r, c, block in layout:
+        assert np.array_equal(block, a[r][:, c])
+    assert sum(np.count_nonzero(block) for _, _, block in layout) == np.count_nonzero(a)
+    # by row count, then column count, then component; components are
+    # numbered in the order of their first rows
+    keys = [(len(r), len(c), r[0]) for r, c, _ in layout]
+    assert keys == sorted(keys)
+    assert [k[:2] for k in keys] == [(1, 3), (2, 2), (3, 2), (3, 2)]
+
+
+@pytest.mark.parametrize("seed", range(4))
 def test_block_product_equals_dense_product(seed):
     rng = np.random.default_rng(seed)
     a = _scattered_blocks(rng, [(3, 2, 2, 1.0), (2, 2, 2, 1.0), (1, 3, 1, 1.0)], 2, 1)
     b = _scattered_blocks(rng, [(3, 2, 2, 1.0), (4, 3, 2, 1.0), (1, 1, 1, 1.0)], 0, 2)
-    # two components of [a; bᵀ] with one shape, 3 × 2, split 2 + 1 and 1 + 2
     c = np.zeros((3, 4), dtype=complex)
     d = np.zeros((4, 3), dtype=complex)
     c[:2, :2], c[2, 2:] = rng.normal(size=(2, 2)), rng.normal(size=2)
