@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.linalg import qr
 from scipy.optimize import minimize
 
 from .blh import (
@@ -27,7 +28,6 @@ from .subspace import SubspaceBasis
 
 CLASSIFY_TOL = 1e-8
 CONSTANT_TOL = 1e-10
-MAX_SEARCH_NULLSPACE = 8
 
 
 @dataclass(frozen=True)
@@ -37,6 +37,7 @@ class EquivalenceCertificate:
     unitarity_residual: float
     intertwining_residual: float
     nullspace_dim: int
+    sigma_ratio: float  # σ_min/σ_max of the solution τ comes from; 0 if none
     tolerance: float
 
 
@@ -89,12 +90,8 @@ class LowerBoundReport:
     seeds: int
 
 
-def _vec(mat: np.ndarray) -> np.ndarray:
-    return mat.T.reshape(-1)  # column-major stacking
-
-
 def _unvec(x: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    return x.reshape(cols, rows).T
+    return x.reshape(cols, rows).T  # inverse of column-major stacking
 
 
 def sylvester_nullspace(
@@ -102,25 +99,30 @@ def sylvester_nullspace(
     phis_b: Sequence[MatrixPolynomial],
     trusted_degree: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Joint nullspace of τ·Φ_a^{(m)} − Φ_b^{(m)}·τ over axes and degrees."""
-    if len(phis_a) != len(phis_b):
-        raise GradeError("axis counts differ")
+    """Joint nullspace of τ·Φ_a^{(m)} − Φ_b^{(m)}·τ and of the adjoint
+    equation τ·Φ_a^{(m)ᴴ} − Φ_b^{(m)ᴴ}·τ over axes and degrees, as
+    column-major vec(τ) columns, with the stack's singular values.
+
+    The stack has ra·rb columns and at least as many rows, so its R factor
+    is square. The stack is factored in place and the null space is read
+    from R's SVD: the stack's left singular vectors are never formed."""
     ra = phis_a[0].shape[0]
     rb = phis_b[0].shape[0]
-    rows = []
+    size = ra * rb
+    pairs = []
     for pa, pb in zip(phis_a, phis_b):
         for m in range(trusted_degree + 1):
             a, b = pa.coeff(m), pb.coeff(m)
-            rows.append(np.kron(a.T, np.eye(rb)) - np.kron(np.eye(ra), b))
-    stack = np.vstack(rows)
-    _, s, vh = np.linalg.svd(stack, full_matrices=False)
-    tol = CLASSIFY_TOL * max(1.0, s[0] if len(s) else 1.0)
-    k = int((s < tol).sum())
-    if len(s) < ra * rb:
-        k += ra * rb - len(s)
-    if k == 0:
-        return np.zeros((ra * rb, 0), dtype=complex), s
-    return vh.conj().T[:, stack.shape[1] - k :], s
+            pairs += [(a, b), (a.conj().T, b.conj().T)]
+    eye_a, eye_b = np.eye(ra), np.eye(rb)
+    stack = np.empty((len(pairs) * size, size), dtype=complex, order="F")
+    for i, (a, b) in enumerate(pairs):
+        stack[i * size : (i + 1) * size] = np.kron(a.T, eye_b) - np.kron(eye_a, b)
+    # raw mode returns R as (size, size) without copying the stack
+    _, r = qr(stack, overwrite_a=True, mode="raw", check_finite=False)
+    _, s, vh = np.linalg.svd(r)
+    k = int((s < CLASSIFY_TOL * max(1.0, s[0])).sum())
+    return vh[size - k :].conj().T, s
 
 
 def _intertwining_residual(
@@ -142,56 +144,41 @@ def coincide(
     trusted_degree: int,
     tolerance: float = CLASSIFY_TOL,
 ) -> EquivalenceCertificate:
-    """Search for a constant unitary τ with τ·Φ_a,i = Φ_b,i·τ on the trusted
-    degree range.  Nullspace dimension 1 decides; small dimensions are
-    searched by polar-projection iteration; larger ones are indeterminate."""
-    ra = phis_a[0].shape[0]
-    rb = phis_b[0].shape[0]
-    if ra != rb:
-        return EquivalenceCertificate(
-            "distinct", None, np.inf, np.inf, 0, tolerance
-        )
-    null, _ = sylvester_nullspace(phis_a, phis_b, trusted_degree)
-    k = null.shape[1]
+    """Decide whether a constant unitary τ with τ·Φ_a,i = Φ_b,i·τ exists on
+    the trusted degree range.
+
+    A unitary τ that intertwines the tuples also intertwines their
+    adjoints, so ``sylvester_nullspace`` solves the *-closed equations. If
+    that solution space holds an invertible X, then XᴴX commutes with the
+    *-closed tuple and the polar factor of X is a unitary solution; the
+    invertible solutions are then dense, so one seeded random element X of
+    the null space decides. Different ranks or an empty null space are
+    ``distinct``. A σ_min/σ_max ratio of X at or below ``CLASSIFY_TOL``
+    means every solution is singular: ``distinct``. Otherwise τ = UVᴴ, the
+    polar factor of X, is ``coincide`` when its unitarity and intertwining
+    residuals are below ``tolerance``, and ``indeterminate`` when they are
+    not: the null-space cut kept a near-solution that does not intertwine
+    to the tolerance."""
+    if len(phis_a) != len(phis_b):
+        raise GradeError("axis counts differ")
+    r = phis_a[0].shape[0]
+    k = 0
+    if r == phis_b[0].shape[0]:
+        null, _ = sylvester_nullspace(phis_a, phis_b, trusted_degree)
+        k = null.shape[1]
     if k == 0:
-        return EquivalenceCertificate("distinct", None, np.inf, np.inf, 0, tolerance)
-    if k == 1:
-        tau = _unvec(null[:, 0], rb, ra)
-        tau = tau * (np.sqrt(ra) / np.linalg.norm(tau, "fro"))
-        ures = spectral_norm(tau.conj().T @ tau - np.eye(ra))
-        ires = _intertwining_residual(tau, phis_a, phis_b, trusted_degree)
-        # a 1-d solution space that is not unitary after Frobenius
-        # normalization contains no unitary at all
-        verdict = "coincide" if ures < tolerance and ires < tolerance else "distinct"
-        return EquivalenceCertificate(verdict, tau, ures, ires, k, tolerance)
-    if k > MAX_SEARCH_NULLSPACE:
-        return EquivalenceCertificate("indeterminate", None, np.inf, np.inf, k, tolerance)
-    best_tau = None
-    best_ures = np.inf
-    for seed in range(6):
-        rng = np.random.default_rng(seed)
-        x = null @ (rng.normal(size=k) + 1j * rng.normal(size=k))
-        cand = _unvec(x, rb, ra)
-        for _ in range(100):
-            u, _, vh = np.linalg.svd(cand)
-            projected = null @ (null.conj().T @ _vec(u @ vh))
-            cand = _unvec(projected, rb, ra)
-        u, _, vh = np.linalg.svd(cand)
-        projected = null @ (null.conj().T @ _vec(u @ vh))
-        cand = _unvec(projected, rb, ra)
-        ures = spectral_norm(cand.conj().T @ cand - np.eye(ra))
-        if ures < best_ures:
-            best_ures = ures
-            best_tau = cand
-    if best_tau is not None and best_ures < tolerance:
-        ires = _intertwining_residual(best_tau, phis_a, phis_b, trusted_degree)
-        if ires < tolerance:
-            return EquivalenceCertificate(
-                "coincide", best_tau, best_ures, ires, k, tolerance
-            )
-    return EquivalenceCertificate(
-        "indeterminate", best_tau, best_ures, np.inf, k, tolerance
-    )
+        return EquivalenceCertificate("distinct", None, np.inf, np.inf, 0, 0.0, tolerance)
+    rng = np.random.default_rng(0)
+    x = _unvec(null @ (rng.standard_normal(k) + 1j * rng.standard_normal(k)), r, r)
+    u, sv, vh = np.linalg.svd(x)
+    ratio = float(sv[-1] / sv[0])
+    if ratio <= CLASSIFY_TOL:  # every solution is singular
+        return EquivalenceCertificate("distinct", None, np.inf, np.inf, k, ratio, tolerance)
+    tau = u @ vh
+    ures = spectral_norm(tau.conj().T @ tau - np.eye(r))
+    ires = _intertwining_residual(tau, phis_a, phis_b, trusted_degree)
+    verdict = "coincide" if ures < tolerance and ires < tolerance else "indeterminate"
+    return EquivalenceCertificate(verdict, tau, ures, ires, k, ratio, tolerance)
 
 
 def nested_factor(
@@ -255,7 +242,9 @@ def uniqueness_tau(
             factor, spectral_norm(theta.coeffs[m][:, :nca] - tilde @ tau)
         )
     verdict = "coincide" if ures < tolerance and factor < tolerance else "distinct"
-    return EquivalenceCertificate(verdict, tau, ures, factor, 1, tolerance)
+    sv = np.linalg.svd(tau, compute_uv=False)
+    ratio = float(sv[-1] / sv[0]) if sv[0] else 0.0
+    return EquivalenceCertificate(verdict, tau, ures, factor, 1, ratio, tolerance)
 
 
 def module_map_check(

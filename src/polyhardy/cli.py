@@ -337,9 +337,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         for path in (args.scenario_a, args.scenario_b)
     ]
     (label_a, phis_a, trusted_a, nc_a), (label_b, phis_b, trusted_b, nc_b) = results
-    if len(phis_a) != len(phis_b):
-        print("scenarios have different inner-variable counts", file=sys.stderr)
-        return 1
     cert = coincide(phis_a, phis_b, min(trusted_a, trusted_b))
     out = {
         "scenario_a": label_a,

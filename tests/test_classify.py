@@ -45,18 +45,56 @@ def test_coincide_genuinely_different(corpus_artifacts):
 
 
 def test_coincide_large_commutant(corpus_artifacts):
-    cert = _cert_phi(corpus_artifacts["z"])[0]  # constant shift: 5-d commutant
+    # the constant shift commutes with 5 matrices, but only the scalars
+    # commute with it and its adjoint
+    cert = _cert_phi(corpus_artifacts["z"])[0]
     out = ph.coincide([cert], [cert], 4)
     assert out.verdict == "coincide"
-    assert out.nullspace_dim == 5
+    assert out.nullspace_dim == 1
     assert out.unitarity_residual < 1e-8
 
 
-def test_coincide_indeterminate():
+def test_coincide_equal_zero_tuples():
+    # every 4×4 matrix intertwines the zero tuples; a random one is invertible
     zero = ph.MatrixPolynomial((np.zeros((4, 4)),))
     out = ph.coincide([zero], [zero], 2)
-    assert out.verdict == "indeterminate"
+    assert out.verdict == "coincide"
     assert out.nullspace_dim == 16
+    assert out.sigma_ratio > 1e-8
+    assert out.unitarity_residual < 1e-8
+    assert out.intertwining_residual < 1e-8
+
+
+def _diagonal(*entries):
+    return [ph.MatrixPolynomial((np.diag(entries).astype(complex),))]
+
+
+def test_coincide_singular_solutions_distinct():
+    # τ·diag(1, 0) = 0 leaves τ's second column free: every solution is singular
+    out = ph.coincide(_diagonal(1.0, 0.0), _diagonal(0.0, 0.0), 0)
+    assert out.verdict == "distinct"
+    assert out.nullspace_dim == 2
+    assert out.sigma_ratio == 0.0
+
+
+def test_coincide_indeterminate():
+    # the relative cut keeps the 1e-6 entry's equation in the null space,
+    # so the diagonal polar factor misses it by 1e-6
+    out = ph.coincide(_diagonal(1000.0, 0.0), _diagonal(1000.0, 1e-6), 0)
+    assert out.verdict == "indeterminate"
+    assert out.nullspace_dim == 2
+    assert out.sigma_ratio > 1e-8
+    assert out.unitarity_residual < 1e-8
+    assert out.intertwining_residual >= 1e-8
+
+
+def test_coincide_rejects_different_axis_counts(corpus_artifacts):
+    # checked before the ranks, which differ here too
+    one_axis = _cert_phi(corpus_artifacts["z-minus-z1"])
+    two_axes = _cert_phi(corpus_artifacts["pair-n2"])
+    assert one_axis[0].shape != two_axes[0].shape
+    with pytest.raises(GradeError, match="axis counts differ"):
+        ph.coincide(one_axis, two_axes, 3)
 
 
 def test_sylvester_contains_identity(corpus_artifacts):

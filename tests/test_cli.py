@@ -369,7 +369,9 @@ def test_compare_reordered_linear_forms_coincide(capsys, tmp_path, generators):
     assert result["certified_dims"] == [20, 20]
 
 
-def test_compare_indeterminate_exit_three(capsys):
+def test_compare_full_rank2_self_coincides(capsys):
+    # the matrices commuting with full-rank2's Φ span 20 dimensions, those
+    # commuting with Φ and Φᴴ span 4, and a random one of those is invertible
     code, out, _ = run_cli(
         [
             "compare",
@@ -379,10 +381,60 @@ def test_compare_indeterminate_exit_three(capsys):
         ],
         capsys,
     )
-    assert code == 3
-    result = json.loads(out)
-    assert result["certificate"]["verdict"] == "indeterminate"
-    assert result["certificate"]["nullspace_dim"] > 8
+    assert code == 0
+    certificate = json.loads(out)["certificate"]
+    assert certificate["verdict"] == "coincide"
+    assert certificate["nullspace_dim"] == 4
+    assert certificate["sigma_ratio"] > 1e-8
+    assert certificate["unitarity_residual"] < 1e-8
+    assert certificate["intertwining_residual"] < 1e-8
+
+
+# n=1, D=N=5, d_E=2 generators and their images under a unitary of C²:
+# the rotation e_0 -> 0.6e_0 + 0.8e_1, e_1 -> -0.8e_0 + 0.6e_1, and the swap
+BASE = ("z + z1*e_1", "z^2")
+ROTATED = ("0.6*z + 0.8*z*e_1 - 0.8*z1 + 0.6*z1*e_1", "0.6*z^2 + 0.8*z^2*e_1")
+SWAPPED = ("z*e_1 + z1", "z^2*e_1")
+DIFFERENCE = ("z - z1", "z*e_1")
+DIFFERENCE_ROTATED = ("0.6*z - 0.6*z1 + 0.8*z*e_1 - 0.8*z1*e_1", "-0.8*z + 0.6*z*e_1")
+
+
+@pytest.mark.parametrize(
+    "first, second, code, verdict, nullspace_dim",
+    [
+        (BASE, ROTATED, 0, "coincide", 4),
+        (BASE, SWAPPED, 0, "coincide", 4),
+        (DIFFERENCE, DIFFERENCE_ROTATED, 0, "coincide", 2),
+        (BASE, DIFFERENCE, 2, "distinct", 0),
+    ],
+    ids=["rotation", "swap", "difference-rotation", "base-vs-difference"],
+)
+def test_compare_unitary_change_of_coefficient_basis(
+    capsys, tmp_path, first, second, code, verdict, nullspace_dim
+):
+    paths = []
+    for label, gens in (("first", first), ("second", second)):
+        path = tmp_path / f"{label}.json"
+        dump_scenario(Scenario(label, Grade(1, 5, 5, 2), gens), path)
+        paths.append(path)
+    exit_code, out, _ = run_cli(["compare", *paths, "--quiet"], capsys)
+    assert exit_code == code
+    certificate = json.loads(out)["certificate"]
+    assert certificate["verdict"] == verdict
+    assert certificate["nullspace_dim"] == nullspace_dim
+    if verdict == "coincide":
+        assert certificate["intertwining_residual"] < 1e-8
+
+
+def test_compare_different_axis_counts_exit_one():
+    proc = _cli_subprocess(
+        ["compare", str(SCENARIOS / "z-minus-z1.json"), str(SCENARIOS / "pair-n2.json")]
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:")
+    assert "axis counts differ" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_selftest_named_corpus(capsys):

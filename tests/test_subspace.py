@@ -227,22 +227,6 @@ def test_wold_block_residual_matches_dense_when_verdict_fails():
     assert report.verdict == (dense < report.tolerance)
 
 
-def test_wold_factors_only_pattern_blocks(corpus_artifacts, monkeypatch):
-    # pair-n2's Wold-grade matrices split by total degree; the largest block
-    # has 91 rows where the Wold grade has 1331.
-    rows = []
-    svd = np.linalg.svd
-
-    def recording_svd(a, *args, **kwargs):
-        rows.append(a.shape[-2])
-        return svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", recording_svd)
-    report = ph.wold_reconstruction(corpus_artifacts["pair-n2"]["s"])
-    assert report.verdict
-    assert rows and max(rows) <= 91
-
-
 def test_wold_factors_only_blocks_the_safe_band_reads(corpus_artifacts, monkeypatch):
     # pair-n2's safe band has total degree at most 9, so the Wold check
     # factors the blocks up to there; the degree-10 block has 66 rows, and

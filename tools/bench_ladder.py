@@ -1,0 +1,107 @@
+"""Write BENCH_<TAG>.json: the report timing of a fixed ladder of grades.
+
+    python3 tools/bench_ladder.py TAG [--case LABEL ...] [--out DIR]
+
+Run from the root of a source checkout. Each ladder case runs in a fresh
+``python -m polyhardy.cli run`` process, so every peak RSS is that case's
+own. Each row holds the case's grade and generators, the exit code, and the
+report's ``timing`` block: seconds, per-step and per-verify-check seconds,
+``grade_dims`` (``wold_kept`` included) and ``peak_rss_mb``. The file also
+records the environment as perfbench records it: nproc, Python, numpy and
+scipy versions, and the OpenBLAS thread count, read without changing it.
+
+The ladder: every scenario file in ``scenarios/``, then generated cases
+whose generators are ``z - z1, ..., z - zn``. ``--case`` keeps only the
+named cases; ``--out`` sets the directory the file is written to (default:
+the checkout root).
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+from run import environment  # noqa: E402  the env record perfbench prints
+
+# (label, n, D = N, d_E); n=3 D=N=4 waits until the capacity guard counts
+# the Wold check's kept positions, not the cube-shaped Wold grade
+GENERATED = [
+    ("n1-D10", 1, 10, 1),
+    ("n1-D6-dE2", 1, 6, 2),
+    ("n2-D5", 2, 5, 1),
+    ("n2-D6", 2, 6, 1),
+    ("n2-D8", 2, 8, 1),
+    ("n3-D3", 3, 3, 1),
+]
+
+
+def ladder() -> list[dict]:
+    cases = [json.loads(p.read_text()) for p in sorted((ROOT / "scenarios").glob("*.json"))]
+    for label, n, cap, d_e in GENERATED:
+        cases.append({
+            "label": label,
+            "grade": {"n": n, "D": cap, "N": cap, "d_E": d_e},
+            "generators": [f"z - z{i}" for i in range(1, n + 1)],
+            "options": {"force": True, "margin": 2},
+        })
+    return cases
+
+
+def run_case(case: dict, tmp: Path) -> dict:
+    scenario = tmp / f"{case['label']}.json"
+    scenario.write_text(json.dumps(case))
+    report = tmp / f"{case['label']}-report.json"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "polyhardy.cli", "run", str(scenario), "--quiet",
+         "--output", str(report)],
+        env=env, capture_output=True, text=True,
+    )
+    row = {
+        "label": case["label"],
+        "grade": case["grade"],
+        "generators": case["generators"],
+        "exit_code": proc.returncode,
+    }
+    if report.exists():
+        row["timing"] = json.loads(report.read_text())["timing"]
+    else:
+        row["error"] = proc.stderr.strip()
+    return row
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("tag")
+    parser.add_argument("--case", action="append", help="run only this case (repeatable)")
+    parser.add_argument("--out", type=Path, default=ROOT)
+    args = parser.parse_args()
+    cases = ladder()
+    if args.case:
+        unknown = set(args.case) - {c["label"] for c in cases}
+        if unknown:
+            parser.error(f"unknown case(s): {', '.join(sorted(unknown))}")
+        cases = [c for c in cases if c["label"] in args.case]
+    rows = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for case in cases:
+            rows.append(run_case(case, Path(tmp)))
+            timing = rows[-1].get("timing", {})
+            print(f"{case['label']}: exit {rows[-1]['exit_code']}, "
+                  f"{timing.get('seconds', '-')} s, {timing.get('peak_rss_mb', '-')} MB",
+                  file=sys.stderr)
+    path = args.out / f"BENCH_{args.tag}.json"
+    path.write_text(json.dumps({"env": environment(), "cases": rows}, indent=2, sort_keys=True) + "\n")
+    print(path)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
