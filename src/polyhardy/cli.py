@@ -92,6 +92,7 @@ def _grade_dims(grade: Grade, margin: int) -> dict[str, int]:
     return {
         "target": grade.dim,
         "working": working_grade(grade, margin).dim,
+        "probe": working_grade(grade, margin + 1).dim,
         "wold": wold_grade(grade).dim,
         "rebuild": rebuild_grade(grade).dim,
     }
@@ -332,10 +333,10 @@ def _certified_phis(
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    results = [
-        _certified_phis(load_scenario(path), args.margin, args.max_dim)
-        for path in (args.scenario_a, args.scenario_b)
-    ]
+    scenarios = [load_scenario(path) for path in (args.scenario_a, args.scenario_b)]
+    if scenarios[0].grade.n != scenarios[1].grade.n:
+        raise GradeError("axis counts differ")
+    results = [_certified_phis(sc, args.margin, args.max_dim) for sc in scenarios]
     (label_a, phis_a, trusted_a, nc_a), (label_b, phis_b, trusted_b, nc_b) = results
     cert = coincide(phis_a, phis_b, min(trusted_a, trusted_b))
     out = {

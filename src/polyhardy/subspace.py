@@ -18,7 +18,7 @@ import numpy as np
 from scipy.sparse import coo_array, csr_array, hstack, vstack
 from scipy.sparse.csgraph import connected_components
 
-from .errors import DegenerateInputError, GradeError, NotInvariantError
+from .errors import DegenerateInputError, GradeError, NotInvariantError, NotIsometricError
 from .grading import Grade, HardyVector
 from .operators import monomial_multiples, shift, spectral_norm
 
@@ -485,13 +485,14 @@ def check_invariant(
 def build_from_theta(theta, grade: Grade) -> SubspaceBasis:
     """Orthonormal basis of the image of multiplication by Θ on the capped
     one-variable Hardy space with wandering coefficients, intersected with
-    the target caps."""
+    the target caps. The image columns z^k·Θe_j fit the rebuild grade
+    untruncated, so their Gram matrix is the block-Toeplitz matrix of the
+    Σ_m Θ_mᴴΘ_{m+k} that the isometry check bounds: they are sliced as they
+    stand, with no span, and :class:`SubspaceBasis` checks the result."""
     from .blh import is_isometric_multiplier  # local import to avoid a cycle
 
     iso = is_isometric_multiplier(theta)
     if not iso.verdict:
-        from .errors import NotIsometricError
-
         raise NotIsometricError(
             f"theta is not an isometric multiplier (residual {iso.max_residual:.2e})"
         )
@@ -505,7 +506,6 @@ def build_from_theta(theta, grade: Grade) -> SubspaceBasis:
     w_cols = np.zeros((grade.dim, theta.shape[1]), dtype=complex)
     w_cols[: len(theta.coeffs) * slot] = np.vstack(theta.coeffs)
     degrees = outer_degrees(grade, w_cols, SUPPORT_TOL)
-    # image columns generated in an outer-enlarged working grade, then sliced
     gw = rebuild_grade(grade)
     lifted = lift_dense(grade, gw, w_cols)
     outer_powers = np.arange(gw.outer_cap + 1)[:, None] * np.eye(1, gw.n + 1, dtype=int)
@@ -513,7 +513,7 @@ def build_from_theta(theta, grade: Grade) -> SubspaceBasis:
         monomial_multiples(gw, lifted[:, j], outer_powers[: gw.outer_cap - deg + 1])
         for j, deg in enumerate(degrees)
     ]
-    organized, n_safe = _capped_basis(grade, gw, block_span(hstack(cols)))
+    organized, n_safe = _capped_basis(grade, gw, hstack(cols, format="csr"))
     prov = Provenance("theta-image")
     return SubspaceBasis(grade, organized, prov, n_certified=n_safe)
 

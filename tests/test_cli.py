@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polyhardy import Grade, Scenario, dump_scenario, load_scenario, operators
+from polyhardy import Grade, Scenario, cli, dump_scenario, load_scenario, operators
 from polyhardy.cli import build_parser, main, run_pipeline
 from polyhardy.reporting import canonical_json, stable_part, strip_timing
 
@@ -56,8 +56,8 @@ def test_run_exit_zero_and_report_shape(capsys, tmp_path):
     }
     seconds = [*timing["steps"].values(), *timing["verify_checks"].values()]
     assert all(v >= 0 for v in seconds)
-    dims = {"target": 36, "working": 64, "wold": 100, "rebuild": 66, "wold_kept": 20}
-    assert timing["grade_dims"] == dims
+    dims = {"target": 36, "working": 64, "probe": 81, "wold": 100, "rebuild": 66}
+    assert timing["grade_dims"] == {**dims, "wold_kept": 20}
     assert timing["peak_rss_mb"] > 0
 
 
@@ -197,6 +197,16 @@ def test_capacity_guard_exit_one(capsys):
     code, _, err = run_cli(["run", SCENARIOS / "z.json", "--max-dim", "50"], capsys)
     assert code == 1
     assert "limit" in err
+
+
+def test_capacity_guard_counts_probe_grade(capsys):
+    # working grade 27^3 = 19683 fits the default limit; the stability probe
+    # spans at margin + 1, 28^3 = 21952
+    argv = ["run", SCENARIOS / "pair-n2.json", "--margin", "22"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: probe grade needs ambient dimension 21952 > limit 20000\n"
 
 
 MALFORMED = [
@@ -435,6 +445,21 @@ def test_compare_different_axis_counts_exit_one():
     assert proc.stderr.startswith("error:")
     assert "axis counts differ" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_compare_checks_axis_counts_before_any_orbit(capsys, monkeypatch):
+    calls = []
+    orbit_span = cli.orbit_span
+
+    def counting_orbit_span(*args, **kwargs):
+        calls.append(args)
+        return orbit_span(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "orbit_span", counting_orbit_span)
+    paths = [SCENARIOS / "z-minus-z1.json", SCENARIOS / "pair-n2.json"]
+    code, out, err = run_cli(["compare", *paths], capsys)
+    assert (code, out, err) == (1, "", "error: axis counts differ\n")
+    assert calls == []
 
 
 def test_selftest_named_corpus(capsys):

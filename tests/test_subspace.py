@@ -28,6 +28,8 @@ from .oracles import (
     wold_residual_dense,
 )
 
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
 GOLDEN_DIMS = {
     # label: (orbit dim, orbit safe columns, wandering dim, certified)
     "one": (36, 25, 6, 5),
@@ -165,6 +167,31 @@ def test_build_from_theta_round_trip(corpus_artifacts):
     assert ph.max_principal_angle_sine(rebuilt, art["s"]) < 1e-10
     joint = ph.check_invariant(rebuilt, range(art["grade"].n + 1))
     assert joint.verdict
+    # Θ·U is isometric with the same image, but not in the canonical layout
+    r = art["theta"].shape[1]
+    rng = np.random.default_rng(3)
+    u, _ = np.linalg.qr(rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r)))
+    turned = ph.MatrixPolynomial(tuple(c @ u for c in art["theta"].coeffs))
+    rebuilt_turned = ph.build_from_theta(turned, art["grade"])
+    assert rebuilt_turned.dim == rebuilt.dim
+    assert ph.max_principal_angle_sine(rebuilt_turned, rebuilt) < 1e-10
+
+
+@pytest.mark.parametrize("path", ["pair-n2.json", "full-rank2.json"])
+def test_build_from_theta_spans_nothing(path, monkeypatch):
+    # the isometry check makes the image columns orthonormal as they stand
+    scenario = ph.load_scenario(SCENARIOS / path)
+    grade = scenario.grade
+    s = ph.orbit_span([ph.parse_polynomial(t, grade) for t in scenario.generators], grade)
+    w = ph.wandering_subspace(s)
+    theta = ph.extract_theta(s, w, force=True)
+
+    def no_span(a):
+        raise AssertionError("build_from_theta spanned its image")
+
+    monkeypatch.setattr("polyhardy.subspace.block_span", no_span)
+    rebuilt = ph.build_from_theta(theta, grade)
+    assert ph.max_principal_angle_sine(rebuilt, s) < 1e-10
 
 
 def test_build_from_theta_incomplete_is_contained(corpus_artifacts):
@@ -378,7 +405,7 @@ def test_graded_basis_degree_order(g1, corpus_artifacts):
         assert part == sorted(part)
 
 
-NAMED = sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*.json"))
+NAMED = sorted(SCENARIOS.glob("*.json"))
 
 
 @pytest.mark.parametrize("path", NAMED, ids=lambda p: p.stem)

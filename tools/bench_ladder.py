@@ -6,9 +6,10 @@ Run from the root of a source checkout. Each ladder case runs in a fresh
 ``python -m polyhardy.cli run`` process, so every peak RSS is that case's
 own. Each row holds the case's grade and generators, the exit code, and the
 report's ``timing`` block: seconds, per-step and per-verify-check seconds,
-``grade_dims`` (``wold_kept`` included) and ``peak_rss_mb``. The file also
-records the environment as perfbench records it: nproc, Python, numpy and
-scipy versions, and the OpenBLAS thread count, read without changing it.
+``grade_dims`` (``probe`` and ``wold_kept`` included) and ``peak_rss_mb``.
+The file also records the environment as perfbench records it: nproc,
+Python, numpy and scipy versions, and the OpenBLAS thread count, read
+without changing it.
 
 The ladder: every scenario file in ``scenarios/``, then generated cases
 whose generators are ``z - z1, ..., z - zn``. ``--case`` keeps only the
