@@ -19,7 +19,7 @@ from .errors import (
     NotIsometricError,
 )
 from .grading import Grade
-from .operators import shift, shift_adjoint, shift_matrix, spectral_norm
+from .operators import outer_powers, shift, shift_adjoint, shift_matrix, spectral_norm
 from .subspace import SUPPORT_TOL, SubspaceBasis, outer_degrees
 
 VERIFY_TOL = 1e-10
@@ -201,12 +201,8 @@ def extract_phi_via_theta(
     _require_unflagged(w, force)
     grade = s.grade
     projected = s.columns @ (s.columns.conj().T @ shift(grade, 1 + axis, w.columns))
-    coeffs = []
-    shifted = w.columns
-    for _ in range(grade.outer_cap + 1):
-        coeffs.append(shifted.conj().T @ projected)
-        shifted = shift(grade, 0, shifted)
-    return MatrixPolynomial(tuple(coeffs))
+    stacked = outer_powers(grade, w.columns).conj().T @ projected
+    return MatrixPolynomial(tuple(np.vsplit(stacked, grade.outer_cap + 1)))
 
 
 def verify_intertwining(
@@ -325,16 +321,9 @@ def wold_multiplication_consistency(
     if s.grade != w.grade:
         raise GradeError("subspace and wandering grade differ")
     grade = s.grade
-    cap = grade.outer_cap
-    r = w.dim
-    nc = w.n_certified
+    cap, r, nc = grade.outer_cap, w.dim, w.n_certified
     degrees = outer_degrees(grade, w.columns, SUPPORT_TOL)
-    blocks = []
-    shifted = w.columns
-    for _ in range(cap + 1):
-        blocks.append(shifted.conj().T @ s.columns)
-        shifted = shift(grade, 0, shifted)
-    pi = np.vstack(blocks)
+    pi = outer_powers(grade, w.columns).conj().T @ s.columns
     compressed = s.columns.conj().T @ shift(grade, 1 + axis, s.columns)
     lhs = (pi @ compressed @ pi.conj().T).reshape(cap + 1, r, cap + 1, r)
     # entry (m, j, m', l) against Φ_{m−m'}[j, l], read where both row and

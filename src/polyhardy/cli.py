@@ -105,9 +105,9 @@ def _prepare(
     given) and the parsed generators, after the trusted-range check and the
     capacity guard."""
     grade = scenario.grade
-    if grade.outer_cap <= grade.safe_margin:
+    if grade.outer_cap <= grade.safe_margin or grade.inner_cap < grade.safe_margin:
         raise DegenerateInputError(
-            "outer cap does not exceed the safe margin; the trusted range is empty"
+            "the safe margin leaves the safe band or the trusted range empty"
         )
     margin = int(scenario.option("margin", DEFAULT_MARGIN) if margin is None else margin)
     for name, dim in _grade_dims(grade, margin).items():

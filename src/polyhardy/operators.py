@@ -46,6 +46,14 @@ def shift(grade: Grade, axis: int, x):
     return out
 
 
+def outer_powers(grade: Grade, x: np.ndarray) -> np.ndarray:
+    """``[x, z·x, .., z^D·x]`` side by side, D the grade's outer cap."""
+    powers = [x]
+    for _ in range(grade.outer_cap):
+        powers.append(shift(grade, 0, powers[-1]))
+    return np.hstack(powers)
+
+
 def shift_adjoint(grade: Grade, axis: int, x: np.ndarray) -> np.ndarray:
     """Adjoint of :func:`shift` applied to the rows of ``x``."""
     src, dst = grade.shift_map(axis)

@@ -20,7 +20,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import DegenerateInputError, GradeError, NotInvariantError, NotIsometricError
 from .grading import Grade, HardyVector
-from .operators import monomial_multiples, shift, spectral_norm
+from .operators import monomial_multiples, outer_powers, shift, spectral_norm
 
 SVD_CUTOFF = 1e-10
 SUPPORT_TOL = 1e-12
@@ -322,10 +322,17 @@ def working_grade(grade: Grade, margin: int) -> Grade:
     )
 
 
+def safe_band(grade: Grade) -> Grade:
+    """The safe band as a grade of its own: every cap lowered by the margin."""
+    m = grade.safe_margin
+    return replace(grade, outer_cap=grade.outer_cap - m, inner_cap=grade.inner_cap - m)
+
+
 def wold_grade(grade: Grade) -> Grade:
     """Grade of the Wold check: large enough to hold every wandering stratum
     the target safe band touches, plus one cleaning degree."""
-    caps = (grade.outer_cap - 1) + grade.n * (grade.inner_cap - 1) + 1
+    band = safe_band(grade)
+    caps = band.outer_cap + grade.n * band.inner_cap + 1
     return replace(grade, outer_cap=caps, inner_cap=caps)
 
 
@@ -508,9 +515,9 @@ def build_from_theta(theta, grade: Grade) -> SubspaceBasis:
     degrees = outer_degrees(grade, w_cols, SUPPORT_TOL)
     gw = rebuild_grade(grade)
     lifted = lift_dense(grade, gw, w_cols)
-    outer_powers = np.arange(gw.outer_cap + 1)[:, None] * np.eye(1, gw.n + 1, dtype=int)
+    z_powers = np.arange(gw.outer_cap + 1)[:, None] * np.eye(1, gw.n + 1, dtype=int)
     cols = [
-        monomial_multiples(gw, lifted[:, j], outer_powers[: gw.outer_cap - deg + 1])
+        monomial_multiples(gw, lifted[:, j], z_powers[: gw.outer_cap - deg + 1])
         for j, deg in enumerate(degrees)
     ]
     organized, n_safe = _capped_basis(grade, gw, hstack(cols, format="csr"))
@@ -562,24 +569,19 @@ def wold_reconstruction(s: SubspaceBasis, tolerance: float = INVARIANCE_TOL) -> 
     prov = s.provenance
     if prov.kind != "orbit" or not prov.generators:
         raise GradeError("wold reconstruction needs orbit provenance")
-    grade = s.grade
-    gb = wold_grade(grade)
-    # Only the rows on the target safe band E are read: the residual is
-    # ‖B_E B_Eᴴ − K Kᴴ‖ with B_E = sb[E] and K = [(M_z^m wc)[E]]_m.
-    band = embedding_positions(grade, gb)[grade.safe_mask]
+    e = safe_band(s.grade)
+    gb = wold_grade(s.grade)
+    # The residual reads the target safe band E only: ‖B_E B_Eᴴ − K Kᴴ‖ with
+    # B_E = sb[E] and K = [(M_z^m wc)[E]]_m. E is closed under lowering the
+    # outer degree, so M_z^m is taken at E's grade and applied to wc[E].
+    band = embedding_positions(e, gb)
     orbit, kept_dim = _readable_columns(
         gb, _monomial_orbit_columns(gb, prov.generators), band
     )
     sb = block_span(orbit)
     wb = _wandering(gb, sb)
     inside_caps = np.all(gb.exponents[:, :-1] < gb.degree_caps, axis=1)
-    wc = _slice(wb, inside_caps).toarray()
-    blocks = []
-    cur = wc
-    for _ in range(gb.outer_cap + 1):
-        blocks.append(cur[band])
-        cur = shift(gb, 0, cur)
-    k = np.hstack(blocks)
+    k = outer_powers(e, _slice(wb, inside_caps)[band].toarray())
     b = sb[band].toarray()
     residual = spectral_norm(b @ b.conj().T - k @ k.conj().T)
     return WoldReport(
@@ -587,7 +589,7 @@ def wold_reconstruction(s: SubspaceBasis, tolerance: float = INVARIANCE_TOL) -> 
         verdict=residual < tolerance,
         tolerance=tolerance,
         reconstruction_caps=gb.outer_cap,
-        safe_band_dim=int(grade.safe_mask.sum()),
+        safe_band_dim=e.dim,
         kept_dim=kept_dim,
     )
 

@@ -186,7 +186,7 @@ def wold_multiplication_reference(s: SubspaceBasis, w: SubspaceBasis, phi, axis:
                 for l in range(min(r, nc)):
                     if mp + degrees[l] > cap:
                         continue
-                    err = abs(block[j, l] - target[j, l])
+                    err = np.abs(block[j, l] - target[j, l])
                     if mp == m + 1:
                         worst_super = max(worst_super, err)
                     else:

@@ -193,6 +193,25 @@ def test_degenerate_grade_exit_one(capsys, tmp_path):
     assert "trusted range" in err
 
 
+@pytest.mark.parametrize(
+    "grade, generator",
+    [(Grade(1, 5, 1, 1, safe_margin=2), "z - z1"), (Grade(1, 5, 0, 1), "z")],
+)
+def test_safe_margin_above_inner_cap_exit_one(capsys, tmp_path, grade, generator):
+    # the safe band holds no inner degree, so nothing can be certified; with
+    # force set, the run would otherwise go on past the flagged wandering space
+    sc = Scenario(
+        label="no-band", grade=grade, generators=(generator,), options=(("force", True),)
+    )
+    path = tmp_path / "no-band.json"
+    dump_scenario(sc, path)
+    code, out, err = run_cli(["run", path], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "trusted range" in err
+
+
 def test_capacity_guard_exit_one(capsys):
     code, _, err = run_cli(["run", SCENARIOS / "z.json", "--max-dim", "50"], capsys)
     assert code == 1

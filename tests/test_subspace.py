@@ -4,9 +4,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.sparse import csr_array
+from scipy.sparse import csr_array, issparse
 
 import polyhardy as ph
+from polyhardy import operators, subspace
 from polyhardy.errors import (
     DegenerateInputError,
     GradeError,
@@ -232,6 +233,7 @@ def test_wold_reconstruction(corpus_artifacts):
         # generators of two total degrees, and two coefficient coordinates
         (ph.Grade(2, 3, 3, 1), ["z - z1", "z^2 - z1*z2"]),
         (ph.Grade(2, 3, 3, 2), ["z*e_1 - z1", "z2*e_1 + z1"]),
+        (ph.Grade(3, 2, 2, 1), ["z - z1 - z2 - z3"]),
     ],
 )
 def test_wold_safe_band_residual_matches_dense(grade, texts):
@@ -240,6 +242,42 @@ def test_wold_safe_band_residual_matches_dense(grade, texts):
     dense = wold_residual_dense(s)
     assert abs(report.residual - dense) < 1e-13
     assert report.verdict == (dense < report.tolerance)
+
+
+@pytest.mark.parametrize("margin, caps", [(0, 13), (1, 11), (2, 9), (3, 7)])
+def test_wold_grade_serves_the_safe_band(margin, caps):
+    # the Wold grade holds every stratum the safe band touches, whatever
+    # the safe margin: (D − m) + n(N − m) + 1
+    grade = ph.Grade(1, 6, 6, 1, safe_margin=margin)
+    s = ph.orbit_span([ph.parse_polynomial("z - z1", grade)], grade)
+    report = ph.wold_reconstruction(s)
+    assert report.reconstruction_caps == caps
+    assert report.safe_band_dim == (7 - margin) ** 2
+    assert report.verdict
+    assert abs(report.residual - wold_residual_dense(s)) < 1e-13
+
+
+def test_wold_check_shifts_nothing_dense_at_the_wold_grade(
+    corpus_artifacts, monkeypatch
+):
+    # K is built at the safe band's own grade: no dense array is shifted at
+    # the Wold grade (the sparse shift of the wandering step is allowed)
+    wold = []
+    original = operators.shift
+
+    def guarded(grade, axis, x):
+        if grade in wold and not issparse(x):
+            raise AssertionError(f"dense shift at the Wold grade {grade}")
+        return original(grade, axis, x)
+
+    monkeypatch.setattr(operators, "shift", guarded)
+    monkeypatch.setattr(subspace, "shift", guarded)
+    grade = ph.Grade(3, 3, 3, 1)
+    texts = ["z - z1", "z - z2", "z - z3"]
+    n3 = ph.orbit_span([ph.parse_polynomial(t, grade) for t in texts], grade)
+    for s in (corpus_artifacts["pair-n2"]["s"], n3):
+        wold[:] = [subspace.wold_grade(s.grade)]
+        assert ph.wold_reconstruction(s).verdict
 
 
 def test_wold_block_residual_matches_dense_when_verdict_fails():

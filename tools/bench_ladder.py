@@ -4,8 +4,9 @@
 
 Run from the root of a source checkout. Each ladder case runs in a fresh
 ``python -m polyhardy.cli run`` process, so every peak RSS is that case's
-own. Each row holds the case's grade and generators, the exit code, and the
-report's ``timing`` block: seconds, per-step and per-verify-check seconds,
+own; one untimed run of the first case goes before them. Each row holds
+the case's grade and generators, the exit code, and the report's
+``timing`` block: seconds, per-step and per-verify-check seconds,
 ``grade_dims`` (``probe`` and ``wold_kept`` included) and ``peak_rss_mb``.
 The file also records the environment as perfbench records it: nproc,
 Python, numpy and scipy versions, and the OpenBLAS thread count, read
@@ -92,6 +93,11 @@ def main() -> int:
         cases = [c for c in cases if c["label"] in args.case]
     rows = []
     with tempfile.TemporaryDirectory() as tmp:
+        # one untimed run first: the first process of a session starts cold
+        # and times every check several times slower than the next one
+        warm_up = Path(tmp) / "warm-up"
+        warm_up.mkdir()
+        run_case(cases[0], warm_up)
         for case in cases:
             rows.append(run_case(case, Path(tmp)))
             timing = rows[-1].get("timing", {})
