@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import qr
 from scipy.optimize import minimize
+from scipy.sparse import identity, kron, vstack
 
 from .blh import (
     MatrixPolynomial,
@@ -24,7 +24,7 @@ from .blh import (
 from .errors import GradeError, NotIsometricError
 from .grading import Grade
 from .operators import defect_sum, shift, spectral_norm
-from .subspace import SubspaceBasis
+from .subspace import SubspaceBasis, block_svds, null_basis
 
 CLASSIFY_TOL = 1e-8
 CONSTANT_TOL = 1e-10
@@ -103,26 +103,26 @@ def sylvester_nullspace(
     equation τ·Φ_a^{(m)ᴴ} − Φ_b^{(m)ᴴ}·τ over axes and degrees, as
     column-major vec(τ) columns, with the stack's singular values.
 
-    The stack has ra·rb columns and at least as many rows, so its R factor
-    is square. The stack is factored in place and the null space is read
-    from R's SVD: the stack's left singular vectors are never formed."""
+    The stack is built sparse, and it is the direct sum of the blocks of its
+    nonzero pattern: Φ's zeros are exact, and for homogeneous generators
+    each equation row reads only the τ entries of one degree difference.
+    Each block gets one SVD (:func:`block_svds`), and the null space is cut
+    at ``CLASSIFY_TOL·max(1, s₀)``, s₀ taken over all blocks. Columns in no
+    block are null."""
     ra = phis_a[0].shape[0]
     rb = phis_b[0].shape[0]
     size = ra * rb
-    pairs = []
+    eye_a, eye_b = identity(ra), identity(rb)
+    equations = []
     for pa, pb in zip(phis_a, phis_b):
         for m in range(trusted_degree + 1):
             a, b = pa.coeff(m), pb.coeff(m)
-            pairs += [(a, b), (a.conj().T, b.conj().T)]
-    eye_a, eye_b = np.eye(ra), np.eye(rb)
-    stack = np.empty((len(pairs) * size, size), dtype=complex, order="F")
-    for i, (a, b) in enumerate(pairs):
-        stack[i * size : (i + 1) * size] = np.kron(a.T, eye_b) - np.kron(eye_a, b)
-    # raw mode returns R as (size, size) without copying the stack
-    _, r = qr(stack, overwrite_a=True, mode="raw", check_finite=False)
-    _, s, vh = np.linalg.svd(r)
-    k = int((s < CLASSIFY_TOL * max(1.0, s[0])).sum())
-    return vh[size - k :].conj().T, s
+            for x, y in ((a, b), (a.conj().T, b.conj().T)):
+                equations.append(kron(x.T, eye_b) - kron(eye_a, y))
+    svds = block_svds(vstack(equations))
+    s = np.sort(np.concatenate([sv for _, sv, _ in svds] + [np.zeros(size)])[:size])[::-1]
+    cut = CLASSIFY_TOL * max(1.0, s[0] if size else 0.0)
+    return null_basis(size, svds, cut).toarray(), s
 
 
 def _intertwining_residual(
@@ -317,7 +317,9 @@ def doubly_commuting_classification(
 
     The safe-band compression reads the leading ``s.n_certified`` rows and
     columns: in the canonical layout those basis columns span the part of S
-    supported on the safe band."""
+    supported on the safe band. Only those rows and columns are formed: each
+    commutator block from ``v[:, safe]`` and ``v[safe]``, and the defect
+    from the safe rows of each word (:func:`defect_sum`)."""
     ops = _restricted_tuple(s)
     safe = slice(0, s.n_certified)
     adj = 0.0
@@ -325,9 +327,9 @@ def doubly_commuting_classification(
         for j, vj in enumerate(ops):
             if i == j:
                 continue
-            comm = vi.conj().T @ vj - vj @ vi.conj().T
-            adj = max(adj, spectral_norm(comm[safe, safe]))
-    sv = np.linalg.svd(defect_sum(ops)[safe, safe], compute_uv=False)
+            comm = vi[:, safe].conj().T @ vj[:, safe] - vj[safe] @ vi[safe].conj().T
+            adj = max(adj, spectral_norm(comm))
+    sv = np.linalg.svd(defect_sum(ops, safe), compute_uv=False)
     rank = int((sv > rank_tolerance).sum())
     if 0 < rank < len(sv) and sv[rank] > 0:
         gap = float(sv[rank - 1] / sv[rank])

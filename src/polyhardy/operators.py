@@ -11,7 +11,6 @@ commutation claim is read on the safe band only.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -85,18 +84,16 @@ def shift_matrix(grade: Grade, axis: int) -> np.ndarray:
     return entries
 
 
-def defect_sum(mats: Sequence[np.ndarray]) -> np.ndarray:
+def defect_sum(mats: Sequence[np.ndarray], rows) -> np.ndarray:
     """Alternating sum over 0/1 multi-indices k of ``T^k T^{*k}`` for the
-    square matrices ``T = mats``."""
-    dim = mats[0].shape[0]
-    total = np.zeros((dim, dim), dtype=complex)
-    for picks in itertools.product((0, 1), repeat=len(mats)):
-        word = np.eye(dim, dtype=complex)
-        for mat, take in zip(mats, picks):
-            if take:
-                word = word @ mat
-        total += (-1) ** sum(picks) * (word @ word.conj().T)
-    return total
+    square matrices ``T = mats``, on the rows and columns ``rows`` (any
+    numpy row index). Each word is formed from those rows only:
+    ``T^k[rows] = T_{i1}[rows]·T_{i2}⋯``, each longer word from a shorter
+    one."""
+    words = [(1, np.eye(mats[0].shape[0], dtype=complex)[rows])]
+    for mat in mats:
+        words += [(-sign, word @ mat) for sign, word in words]
+    return sum(sign * (word @ word.conj().T) for sign, word in words)
 
 
 def spectral_norm(a: np.ndarray) -> float:
@@ -118,7 +115,7 @@ def defect_rank(
         if np.shape(op) != (grade.dim, grade.dim):
             raise GradeError(f"operator shape {np.shape(op)} does not match the grade")
     mask = grade.safe_mask
-    defect = defect_sum(ops)[np.ix_(mask, mask)]
+    defect = defect_sum(ops, mask)
     svals = np.linalg.svd(defect, compute_uv=False) if defect.size else np.zeros(0)
     rank = int(np.sum(svals > tolerance))
     return DefectReport(tuple(float(s) for s in svals), rank, tolerance)

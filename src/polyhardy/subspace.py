@@ -202,20 +202,37 @@ def block_span(a) -> csr_array:
     return _place(a.shape[0], [(rows, u[:, s > cut].T) for rows, u, s in svds])
 
 
+def block_svds(a) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """``(cols, s, vh)`` for each block of the nonzero pattern of the dense or
+    sparse ``a``: one SVD per block, thin for a tall block and full for a
+    wide one, so that ``vh`` always holds the block's whole right space."""
+    return [
+        (cols, *np.linalg.svd(block, full_matrices=block.shape[0] < block.shape[1])[1:])
+        for _, cols, block in _pattern_blocks(a)
+    ]
+
+
+def null_basis(n: int, svds, cut: float) -> csr_array:
+    """Orthonormal basis of the null space of a matrix of ``n`` columns from
+    its :func:`block_svds`: each block's right singular vectors whose
+    singular values are at or below ``cut``, and every column in no block.
+    The basis is returned sparse."""
+    free = np.ones(n, dtype=bool)
+    pieces = []
+    for cols, s, vh in svds:
+        free[cols] = False
+        pieces.append((cols, vh[(s > cut).sum() :].conj()))
+    zero = np.flatnonzero(free)
+    pieces.append((zero[:, None], np.ones((zero.size, 1))))
+    return _place(n, pieces)
+
+
 def block_null(a) -> csr_array:
     """Orthonormal basis of the null space of the dense or sparse ``a``, with
     one SVD per block of its nonzero pattern and the absolute cut
     ``SVD_CUTOFF``; zero columns of ``a`` are null. The basis is returned
     sparse."""
-    free = np.ones(a.shape[1], dtype=bool)
-    pieces = []
-    for _, cols, block in _pattern_blocks(a):
-        free[cols] = False
-        _, s, vh = np.linalg.svd(block, full_matrices=True)
-        pieces.append((cols, vh[(s > SVD_CUTOFF).sum() :].conj()))
-    zero = np.flatnonzero(free)
-    pieces.append((zero[:, None], np.ones((zero.size, 1))))
-    return _place(a.shape[1], pieces)
+    return null_basis(a.shape[1], block_svds(a), SVD_CUTOFF)
 
 
 def _slice(basis: csr_array, keep: np.ndarray) -> csr_array:
@@ -228,16 +245,22 @@ def _slice(basis: csr_array, keep: np.ndarray) -> csr_array:
 def _split(x: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One SVD of ``x[rows]`` splits the orthonormal ``x`` into the part
     ``x·V_rank`` that reaches those rows and the part ``x·V_null`` that
-    vanishes on them (cut ``SVD_CUTOFF``); also the kept singular values."""
+    vanishes on them (cut ``SVD_CUTOFF``); also the kept singular values.
+    A split by no row or by every row needs no SVD."""
+    if not rows.any():
+        return x[:, :0], x, np.zeros(0)
+    if rows.all():
+        return x, x[:, :0], np.ones(x.shape[1])
     _, s, vh = np.linalg.svd(x[rows], full_matrices=True)
     s = s[s > SVD_CUTOFF]
     v = vh.conj().T
     return x @ v[:, : s.size], x @ v[:, s.size :], s
 
 
-def _gauge(stratum: np.ndarray, rows: np.ndarray, cut: float) -> np.ndarray:
+def _gauge(stratum: np.ndarray, rows: np.ndarray, cut: float) -> tuple[np.ndarray, list[int]]:
     """``stratum·U`` for the unitary U that makes the stratum's pivot rows
-    among ``rows`` lower triangular with a positive real diagonal.
+    among ``rows`` lower triangular with a positive real diagonal, and those
+    pivot rows, one per column.
 
     The conjugated rows are Gram–Schmidt-ed in monomial order, twice per row
     so that U stays unitary to round-off; a row whose residual is at or
@@ -245,55 +268,77 @@ def _gauge(stratum: np.ndarray, rows: np.ndarray, cut: float) -> np.ndarray:
     """
     r = stratum.shape[1]
     u = np.zeros((r, r), dtype=complex)
-    k = 0
-    for row in stratum[rows].conj():
+    pivots: list[int] = []
+    for i in np.flatnonzero(rows):
+        row = stratum[i].conj()
+        k = len(pivots)
         v = row - u[:, :k] @ (u[:, :k].conj().T @ row)
         v -= u[:, :k] @ (u[:, :k].conj().T @ v)
         norm = np.linalg.norm(v)
         if norm > cut:
             u[:, k] = v / norm
-            k += 1
-            if k == r:
+            pivots.append(i)
+            if k + 1 == r:
                 break
-    return stratum @ u
+    return stratum @ u, pivots
 
 
-def _strata(grade: Grade, x: np.ndarray) -> list[np.ndarray]:
-    """The orthonormal ``x`` re-based stratum by stratum, in ascending outer
-    degree: stratum d is the part of span(x) of outer degree ≤ d orthogonal
-    to the part of degree ≤ d − 1, peeled off from d = D down by one SVD of
-    the degree-d rows, and put in the gauge of :func:`_gauge`."""
-    degree = grade.exponents[:, 0]
-    strata = []
-    for d in range(grade.outer_cap, -1, -1):
+def _strata(degree: np.ndarray, x: np.ndarray):
+    """The strata of the orthonormal ``x`` whose rows have outer degrees
+    ``degree``: stratum d is the part of span(x) of outer degree ≤ d
+    orthogonal to the part of degree ≤ d − 1. They are peeled off from the
+    top degree down: what is left at d has outer degree ≤ d, so stratum d
+    is its part that reaches the rows of degree ≥ d, and at the lowest
+    degree that is all of it. Yields ``(d, stratum, rows, s)``: ``rows``
+    the degree-d rows, ``s`` the kept singular values."""
+    for d in np.unique(degree)[::-1]:
         if x.shape[1] == 0:
             break
-        rows = degree == d
-        reach, x, s = _split(x, rows)
+        reach, x, s = _split(x, degree >= d)
         if s.size:
-            # the cut is relative to the smallest kept singular value of the
-            # degree-d rows, so the Gram–Schmidt finds a full set of pivots
-            strata.append(_gauge(reach, rows, _PIVOT_TOL * s[-1]))
-    return strata[::-1]
+            yield d, reach, degree == d, s
 
 
-def canonical_basis(grade: Grade, basis: np.ndarray) -> tuple[np.ndarray, int]:
+def canonical_basis(grade: Grade, basis) -> tuple[np.ndarray, int]:
     """Canonical orthonormal basis of span(basis), for the orthonormal dense
-    ``basis``, and the number of its safe-supported columns.
+    or sparse ``basis``, and the number of its safe-supported columns.
 
-    Layout: [safe-supported | rest], each part by ascending outer degree
-    (:func:`_strata`). The safe-supported part spans span(basis) ∩ {x : x
-    vanishes off the safe band}, the rest its orthogonal complement in
-    span(basis); one SVD of the unsafe rows splits them. Inside a stratum
-    the unitary is fixed by :func:`_gauge`, so the result is a function of
-    the subspace alone.
+    Layout: [safe-supported | rest], each part by ascending outer degree,
+    each stratum by its columns' first pivot rows. The safe-supported part
+    spans span(basis) ∩ {x : x vanishes off the safe band}, the rest its
+    orthogonal complement in span(basis). The span is the direct sum of the
+    spans of the pattern blocks of ``basis``, and so are both parts and
+    every stratum, so each block is split (one SVD of its unsafe rows),
+    peeled (:func:`_strata`) and gauged (:func:`_gauge`) on its own rows:
+    every column lies in one block, and its entries off that block are
+    exact zeros. The gauge's cut is relative to the stratum's smallest
+    singular value over all blocks. Inside a stratum the unitary is fixed
+    by the gauge, so the result is a function of the subspace alone.
     """
-    if basis.shape[1] == 0:
-        return basis, 0
-    rest, safe, _ = _split(basis, ~grade.safe_mask)
-    safe_part = _strata(grade, safe)
-    columns = np.hstack(safe_part + _strata(grade, rest))
-    return columns, sum(b.shape[1] for b in safe_part)
+    degree = grade.exponents[:, 0]
+    unsafe = ~grade.safe_mask
+    peeled = []
+    for rows, _, block in _pattern_blocks(basis):
+        rest, safe, _ = _split(block, unsafe[rows])
+        for part, x in enumerate((safe, rest)):
+            peeled += [(part, rows, *stratum) for stratum in _strata(degree[rows], x)]
+    smallest: dict = {}
+    for part, _, d, _, _, s in peeled:
+        smallest[part, d] = min(smallest.get((part, d), np.inf), s[-1])
+    placed = []
+    for part, rows, d, stratum, at, _ in peeled:
+        # the cut is relative to the smallest kept singular value of the
+        # degree-d rows, so the Gram–Schmidt finds a full set of pivots
+        gauged, pivots = _gauge(stratum, at, _PIVOT_TOL * smallest[part, d])
+        placed += [
+            ((part, d, rows[i]), rows, column)
+            for i, column in zip(pivots, gauged.T, strict=True)
+        ]
+    placed.sort(key=lambda item: item[0])
+    columns = np.zeros((grade.dim, len(placed)), dtype=complex)
+    for j, (_, rows, column) in enumerate(placed):
+        columns[rows, j] = column
+    return columns, sum(1 for (part, _, _), _, _ in placed if part == 0)
 
 
 def embedding_positions(small: Grade, big: Grade) -> np.ndarray:
@@ -353,7 +398,7 @@ def _capped_basis(grade: Grade, big: Grade, basis: csr_array) -> tuple[np.ndarra
     caps of ``grade``, in ``grade``'s coordinates, for the orthonormal
     ``basis`` at the grade ``big``."""
     sliced = _slice(basis, _inside_caps(grade, big))
-    return canonical_basis(grade, sliced[embedding_positions(grade, big)].toarray())
+    return canonical_basis(grade, sliced[embedding_positions(grade, big)])
 
 
 def _monomial_orbit_columns(gw: Grade, generators: Sequence[HardyVector]) -> coo_array:
@@ -618,5 +663,5 @@ def max_principal_angle_sine(b1, b2) -> float:
 def subspace_from_columns(
     grade: Grade, columns: np.ndarray, kind: str = "adhoc"
 ) -> SubspaceBasis:
-    organized, n_safe = canonical_basis(grade, block_span(columns).toarray())
+    organized, n_safe = canonical_basis(grade, block_span(columns))
     return SubspaceBasis(grade, organized, Provenance(kind=kind), n_certified=n_safe)

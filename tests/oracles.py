@@ -9,7 +9,10 @@ gather-based check replaces: every shift is a dense ``shift_matrix`` and the
 reconstruction is formed over the whole Wold grade.  Its spans, null spaces
 and slices are the dense SVD routines below, which are also the reference
 the block kernels (``subspace.block_span``, ``subspace.block_null``) are
-tested against.
+tested against.  The classify references form every matrix in full: the
+*-closed Sylvester stack as one dense array factored by one QR, and the
+doubly-commuting words, defect and commutators as dim S × dim S matrices
+whose safe block is read afterwards.
 """
 from __future__ import annotations
 
@@ -18,6 +21,7 @@ import itertools
 import numpy as np
 import scipy.linalg
 
+from polyhardy.classify import CLASSIFY_TOL
 from polyhardy.grading import Grade, HardyVector
 from polyhardy.operators import shift, shift_matrix
 from polyhardy.subspace import (
@@ -192,3 +196,51 @@ def wold_multiplication_reference(s: SubspaceBasis, w: SubspaceBasis, phi, axis:
                     else:
                         worst = max(worst, err)
     return worst, worst_super
+
+
+def sylvester_stack(phis_a, phis_b, trusted_degree: int) -> np.ndarray:
+    """The *-closed Sylvester equations of ``classify.sylvester_nullspace``
+    as one dense array acting on column-major vec(τ)."""
+    eye_a, eye_b = np.eye(phis_a[0].shape[0]), np.eye(phis_b[0].shape[0])
+    rows = []
+    for pa, pb in zip(phis_a, phis_b):
+        for m in range(trusted_degree + 1):
+            a, b = pa.coeff(m), pb.coeff(m)
+            for x, y in ((a, b), (a.conj().T, b.conj().T)):
+                rows.append(np.kron(x.T, eye_b) - np.kron(eye_a, y))
+    return np.vstack(rows)
+
+
+def sylvester_nullspace_dense(phis_a, phis_b, trusted_degree: int):
+    """``(null, s)`` of ``classify.sylvester_nullspace`` from one QR of the
+    whole dense stack and the SVD of its square R factor."""
+    stack = sylvester_stack(phis_a, phis_b, trusted_degree)
+    size = stack.shape[1]
+    _, r = scipy.linalg.qr(stack, mode="raw")
+    _, s, vh = np.linalg.svd(r)
+    k = int((s < CLASSIFY_TOL * max(1.0, s[0])).sum())
+    return vh[size - k :].conj().T, s
+
+
+def doubly_commuting_dense(s: SubspaceBasis) -> tuple[float, np.ndarray]:
+    """The adjoint-commutation residual and the defect's singular values of
+    ``classify.doubly_commuting_classification``: every word T^k, every
+    T^k T^{*k} and every commutator is a dim S × dim S matrix, and the
+    leading ``s.n_certified`` rows and columns are read afterwards."""
+    cols = s.columns
+    ops = [cols.conj().T @ shift_matrix(s.grade, ax) @ cols for ax in range(1 + s.grade.n)]
+    safe = slice(0, s.n_certified)
+    adj = 0.0
+    for i, vi in enumerate(ops):
+        for j, vj in enumerate(ops):
+            if i != j:
+                comm = vi.conj().T @ vj - vj @ vi.conj().T
+                adj = max(adj, float(np.linalg.norm(comm[safe, safe], 2)))
+    total = np.zeros((s.dim, s.dim), dtype=complex)
+    for picks in itertools.product((0, 1), repeat=len(ops)):
+        word = np.eye(s.dim, dtype=complex)
+        for mat, take in zip(ops, picks):
+            if take:
+                word = word @ mat
+        total += (-1) ** sum(picks) * (word @ word.conj().T)
+    return adj, np.linalg.svd(total[safe, safe], compute_uv=False)

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 import polyhardy as ph
+from polyhardy.classify import CLASSIFY_TOL
 from polyhardy.errors import GradeError, NotIsometricError
+from polyhardy.subspace import _pattern_blocks
+
+from .oracles import doubly_commuting_dense, sylvester_nullspace_dense, sylvester_stack
 
 
 def _cert_phi(art):
@@ -103,6 +107,116 @@ def test_sylvester_contains_identity(corpus_artifacts):
     vec_eye = np.eye(4).T.reshape(-1)
     residual = vec_eye - null @ (null.conj().T @ vec_eye)
     assert np.linalg.norm(residual) < 1e-8
+
+
+def _random(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def _unitary(rng, size):
+    return np.linalg.qr(_random(rng, (size, size)))[0]
+
+
+def _tuples(rng, kind):
+    """Two-axis Φ tuples of degree 2: ``(phis_a, phis_b)``."""
+    if kind == "zero":
+        zero = [ph.MatrixPolynomial((np.zeros((4, 4)),))]
+        return zero, zero
+    if kind == "block-diagonal":
+        # a 2 + 3 block-diagonal tuple and its conjugate by a block-diagonal
+        # unitary: τ is one scalar per block
+        mask = np.zeros((5, 5), dtype=bool)
+        mask[:2, :2] = mask[2:, 2:] = True
+        q = np.zeros((5, 5), dtype=complex)
+        q[:2, :2], q[2:, 2:] = _unitary(rng, 2), _unitary(rng, 3)
+        coeffs = [[_random(rng, (5, 5)) * mask for _ in range(3)] for _ in range(2)]
+        conj = [[q @ c @ q.conj().T for c in axis] for axis in coeffs]
+    elif kind == "dense":
+        q = _unitary(rng, 5)
+        coeffs = [[_random(rng, (5, 5)) for _ in range(3)] for _ in range(2)]
+        conj = [[q @ c @ q.conj().T for c in axis] for axis in coeffs]
+    else:  # "unequal-rank": the 3 × 3 tuple is a summand of the 5 × 5 one
+        w = _unitary(rng, 5)
+        coeffs, conj = [], []
+        for _ in range(2):
+            a = [_random(rng, (3, 3)) for _ in range(3)]
+            b = [np.zeros((5, 5), dtype=complex) for _ in range(3)]
+            for m in range(3):
+                b[m][:3, :3], b[m][3:, 3:] = a[m], _random(rng, (2, 2))
+            coeffs.append(a)
+            conj.append([w @ c @ w.conj().T for c in b])
+    return (
+        [ph.MatrixPolynomial(tuple(axis)) for axis in coeffs],
+        [ph.MatrixPolynomial(tuple(axis)) for axis in conj],
+    )
+
+
+@pytest.mark.parametrize(
+    "kind, dim, blocks",
+    [("block-diagonal", 2, 4), ("dense", 1, 1), ("zero", 16, 0), ("unequal-rank", 1, 1)],
+)
+def test_sylvester_nullspace_matches_dense_oracle(kind, dim, blocks):
+    # τ of a 2 + 3 block-diagonal pair splits into its four blocks; the zero
+    # tuples' stack has no entries, so every column is null
+    phis_a, phis_b = _tuples(np.random.default_rng(3), kind)
+    assert len(_pattern_blocks(sylvester_stack(phis_a, phis_b, 2))) == blocks
+    null, s = ph.sylvester_nullspace(phis_a, phis_b, 2)
+    reference, s_reference = sylvester_nullspace_dense(phis_a, phis_b, 2)
+    assert null.shape[1] == reference.shape[1] == dim
+    projector = null @ null.conj().T - reference @ reference.conj().T
+    assert np.linalg.norm(projector, 2) < 1e-10
+    assert np.abs(s - s_reference).max() < 1e-10 * max(1.0, s_reference[0])
+
+
+def test_sylvester_factors_one_pattern_block_at_a_time(pool_member, monkeypatch):
+    # The *-closed stack of n2-cmp-00 against its reordered copy is 8000 × 400,
+    # and Φ's exact zeros split it into blocks of at most 68 columns: each is
+    # factored on its own, never the whole stack.
+    tuples = []
+    for reordered in (False, True):
+        member = pool_member("n2-cmp-00", reordered)
+        s, w = member["s"], member["w"]
+        phis = [ph.extract_phi(s, w, axis, force=True) for axis in range(2)]
+        tuples.append(_cert_phi({"w": w, "phis": phis}))
+    nc = w.n_certified
+    trusted = member["grade"].outer_cap - member["grade"].safe_margin
+    blocks = _pattern_blocks(sylvester_stack(*tuples, trusted))
+    largest = max(cols.size for _, cols, _ in blocks)
+    assert largest < nc * nc
+    factored = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        factored.append(a.shape[1])
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    assert ph.coincide(*tuples, trusted).verdict == "coincide"
+    assert max(factored) <= largest
+
+
+def _n3_artifacts():
+    grade = ph.Grade(3, 3, 3, 1)
+    gens = [ph.parse_polynomial(f"z - z{i}", grade) for i in (1, 2, 3)]
+    s = ph.orbit_span(gens, grade)
+    w = ph.wandering_subspace(s)
+    return {"s": s, "w": w, "phis": [ph.extract_phi(s, w, ax, force=True) for ax in range(3)]}
+
+
+@pytest.mark.parametrize("label", ["pair-n2", "n3-D3"])
+def test_doubly_commuting_reads_the_safe_rows_only(corpus_artifacts, label):
+    # the words, defect and commutators formed from the safe rows give what
+    # the full dim S × dim S products give on the safe block
+    art = _n3_artifacts() if label == "n3-D3" else corpus_artifacts[label]
+    report = ph.doubly_commuting_classification(art["s"], art["phis"], art["w"].n_certified)
+    adj, sv = doubly_commuting_dense(art["s"])
+    assert abs(report.adjoint_commutation_residual - adj) < 1e-12
+    assert report.doubly_commuting == (adj < report.tolerance)
+    assert report.defect_rank == int((sv > CLASSIFY_TOL).sum())
+    s = art["s"]
+    ops = [s.columns.conj().T @ ph.shift(s.grade, ax, s.columns) for ax in range(1 + s.grade.n)]
+    defect = ph.defect_sum(ops, slice(0, s.n_certified))
+    assert np.abs(np.linalg.svd(defect, compute_uv=False) - sv).max() < 1e-12
 
 
 def test_nested_factorization(corpus_artifacts):

@@ -84,7 +84,7 @@ def test_defect_rank_matches_coeff_dim():
 
 
 def test_defect_operator_shape(g1):
-    d = ph.defect_sum(ph.model_tuple(g1))
+    d = ph.defect_sum(ph.model_tuple(g1), slice(None))
     assert d.shape == (36, 36)
     assert np.linalg.norm(d - d.conj().T, 2) < 1e-12
 

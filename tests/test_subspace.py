@@ -466,3 +466,62 @@ def test_canonical_basis_depends_on_the_span_alone(path):
         degrees = outer_degrees(grade, basis.columns, 1e-9)
         for part in (degrees[: basis.n_certified], degrees[basis.n_certified :]):
             assert np.all(np.diff(part) >= 0)
+
+
+# pool members whose gauge, taken over the whole sliced basis, spread columns
+# over several total degrees
+GRADED = ["n2-cmp-02", "n2-cmp-08", "n2-cmp-10", "n2-cmp-11", "n2-lin-04", "n2-lin-11"]
+
+
+def _sliced(member: dict, key: str) -> csr_array:
+    """The sliced basis :func:`subspace.canonical_basis` receives for the
+    member's orbit (``key`` "s") or wandering (``key`` "w") basis."""
+    grade, prov = member["grade"], member["s"].provenance
+    gw = subspace.working_grade(grade, prov.margin)
+    basis = prov.working_basis
+    if key == "w":
+        basis = subspace._wandering(gw, basis)
+    sliced = subspace._slice(basis, subspace._inside_caps(grade, gw))
+    return sliced[subspace.embedding_positions(grade, gw)]
+
+
+@pytest.mark.parametrize("label", GRADED)
+def test_canonical_columns_lie_in_one_pattern_block(pool_member, label):
+    # the canonical form runs on each pattern block of the sliced basis, so
+    # a column's entries off its own block are exact zeros
+    member = pool_member(label)
+    for key in ("s", "w"):
+        block_of = np.full(member["grade"].dim, -1)
+        blocks = _pattern_blocks(_sliced(member, key))
+        for k, (rows, _, _) in enumerate(blocks):
+            block_of[rows] = k
+        assert len(blocks) > 1
+        for column in member[key].columns.T:
+            assert np.unique(block_of[np.flatnonzero(column)]).size == 1
+
+
+def _smallest_pivot(grade: ph.Grade, layout: np.ndarray) -> float:
+    """The smallest Gram–Schmidt pivot residual of a canonical layout. A
+    column of stratum d vanishes on the degree-d rows before its pivot row,
+    and its entry there is that row's residual."""
+    top = np.abs(layout) * (grade.exponents[:, :1] == outer_degrees(grade, layout, 1e-9))
+    first = np.argmax(top > 1e-9, axis=0)
+    return float(top[first, np.arange(layout.shape[1])].min())
+
+
+@pytest.mark.parametrize("label", GRADED)
+def test_canonical_basis_of_a_rotated_pool_basis(pool_member, label):
+    # A rotated basis B·U is one pattern block, so it takes the whole-basis
+    # gauge, whose layout is a function of the span with condition 1/ρ, ρ
+    # the smallest pivot residual: 3.1e-6 for n2-cmp-10's S, 2.9e-4 for
+    # n2-cmp-08's. The round-off of B·U moves the layout by at most that.
+    member = pool_member(label)
+    grade = member["grade"]
+    rng = np.random.default_rng(6)
+    for basis in (member["s"], member["w"]):
+        k = basis.dim
+        u = np.linalg.qr(rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)))[0]
+        layout, _ = ph.canonical_basis(grade, basis.columns)
+        rotated, n_safe = ph.canonical_basis(grade, basis.columns @ u)
+        assert n_safe == basis.n_certified
+        assert np.abs(rotated - layout).max() < 1e-13 / _smallest_pivot(grade, layout)

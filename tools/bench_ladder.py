@@ -2,12 +2,15 @@
 
     python3 tools/bench_ladder.py TAG [--case LABEL ...] [--out DIR]
 
-Run from the root of a source checkout. Each ladder case runs in a fresh
-``python -m polyhardy.cli run`` process, so every peak RSS is that case's
-own; one untimed run of the first case goes before them. Each row holds
-the case's grade and generators, the exit code, and the report's
-``timing`` block: seconds, per-step and per-verify-check seconds,
-``grade_dims`` (``probe`` and ``wold_kept`` included) and ``peak_rss_mb``.
+Run from the root of a source checkout. Each ladder case runs in three
+fresh ``python -m polyhardy.cli run`` processes, so every peak RSS is that
+case's own; one untimed run of the first case goes before them. Each row
+holds the case's grade and generators, the exit code, and the median over
+the three runs of each entry of the report's ``timing`` block: seconds,
+per-step and per-verify-check seconds, ``grade_dims`` (``probe`` and
+``wold_kept`` included) and ``peak_rss_mb``. One run of a case can read
+twice the seconds of the next on the same tree; the median of three does
+not follow one slow run.
 The file also records the environment as perfbench records it: nproc,
 Python, numpy and scipy versions, and the OpenBLAS thread count, read
 without changing it.
@@ -22,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -55,27 +59,41 @@ def ladder() -> list[dict]:
     return cases
 
 
-def run_case(case: dict, tmp: Path) -> dict:
+SAMPLES = 3  # fresh processes per case; each timing entry is their median
+
+
+def median_timing(timings: list):
+    """The entry-by-entry median of equally shaped ``timing`` blocks."""
+    if isinstance(timings[0], dict):
+        return {key: median_timing([t[key] for t in timings]) for key in timings[0]}
+    return statistics.median(timings)
+
+
+def run_case(case: dict, tmp: Path, samples: int = SAMPLES) -> dict:
     scenario = tmp / f"{case['label']}.json"
     scenario.write_text(json.dumps(case))
     report = tmp / f"{case['label']}-report.json"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "polyhardy.cli", "run", str(scenario), "--quiet",
-         "--output", str(report)],
-        env=env, capture_output=True, text=True,
-    )
     row = {
         "label": case["label"],
         "grade": case["grade"],
         "generators": case["generators"],
-        "exit_code": proc.returncode,
     }
-    if report.exists():
-        row["timing"] = json.loads(report.read_text())["timing"]
-    else:
-        row["error"] = proc.stderr.strip()
+    timings = []
+    for _ in range(samples):
+        report.unlink(missing_ok=True)
+        proc = subprocess.run(
+            [sys.executable, "-m", "polyhardy.cli", "run", str(scenario), "--quiet",
+             "--output", str(report)],
+            env=env, capture_output=True, text=True,
+        )
+        row["exit_code"] = proc.returncode
+        if not report.exists():
+            row["error"] = proc.stderr.strip()
+            return row
+        timings.append(json.loads(report.read_text())["timing"])
+    row["timing"] = median_timing(timings)
     return row
 
 
@@ -97,7 +115,7 @@ def main() -> int:
         # and times every check several times slower than the next one
         warm_up = Path(tmp) / "warm-up"
         warm_up.mkdir()
-        run_case(cases[0], warm_up)
+        run_case(cases[0], warm_up, samples=1)
         for case in cases:
             rows.append(run_case(case, Path(tmp)))
             timing = rows[-1].get("timing", {})
