@@ -1,9 +1,11 @@
 """Deterministic JSON encoding for reports.
 
-Complex scalars become [re, im] pairs, matrices become row-major nested
-lists under a shape header, dataclasses become plain dicts (without the
-fields whose metadata sets ``encode`` to false), and the final document is
-serialized with sorted keys.
+Complex scalars become [re, im] pairs, dataclasses become plain dicts
+(without the fields whose metadata sets ``encode`` to false), and the final
+document is serialized with sorted keys. A matrix (each Theta and Phi
+coefficient, compare's tau) is ``{"shape", "index", "re", "im"}``: the
+ascending row-major flat positions of its entries that are not exactly zero
+and their real and imaginary parts; every other entry is an exact zero.
 
 What is byte-stable, and where:
 
@@ -15,12 +17,10 @@ What is byte-stable, and where:
   Their digits are round-off, and a different BLAS thread split reorders the
   floating-point work behind them. Dims, flags, verdicts, tolerances, caps
   and every symbol coefficient stay. For the named n=1 scenarios,
-  ``full-rank2`` included, the stable part is identical at 1 and 2 OpenBLAS
-  threads.
-- Not promised: at n=2 the last bits of the stable part follow the thread
-  count. The Phi entries of ``pair-n2`` move by up to 6e-16 between 1 and 2
-  threads. Theta does not: the wandering basis is in the canonical layout
-  of ``subspace.canonical_basis``, a function of the subspace alone.
+  ``full-rank2`` included, and for ``pair-n2`` the stable part is identical
+  at 1 and 2 OpenBLAS threads: Theta and Phi are products of the canonical
+  bases of ``subspace.canonical_basis``, whose entries off their pattern
+  blocks are exact zeros.
 """
 from __future__ import annotations
 
@@ -34,25 +34,23 @@ import numpy as np
 def encode(obj: Any) -> Any:
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
-    if isinstance(obj, float):
+    if isinstance(obj, (float, np.floating)):
         return float(obj)
-    if isinstance(obj, complex):
+    if isinstance(obj, (complex, np.complexfloating)):
         return [float(obj.real), float(obj.imag)]
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.complexfloating,)):
-        return [float(obj.real), float(obj.imag)]
+    if isinstance(obj, (np.bool_, np.integer)):
+        return obj.item()
     if isinstance(obj, np.ndarray):
         if obj.ndim == 1:
             return [encode(x) for x in obj.tolist()]
         if obj.ndim == 2:
+            flat = obj.ravel()
+            index = np.flatnonzero(flat)
             return {
                 "shape": [int(obj.shape[0]), int(obj.shape[1])],
-                "rows": [[encode(x) for x in row] for row in obj.tolist()],
+                "index": index.tolist(),
+                "re": flat.real[index].tolist(),
+                "im": flat.imag[index].tolist(),
             }
         raise TypeError("only 1-d and 2-d arrays are encodable")
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):

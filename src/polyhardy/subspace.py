@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy.sparse import coo_array, csr_array, hstack, vstack
@@ -117,16 +117,17 @@ def _components(r: np.ndarray, c: np.ndarray, m: int, n: int) -> tuple[int, np.n
     return connected_components(graph, directed=False)
 
 
-def _pattern_blocks(a) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def _pattern_blocks(a) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The blocks of the nonzero pattern of the dense or sparse matrix ``a``:
     the connected components of its rows and columns, taken as one bipartite
     graph.
 
-    A block is ``(rows, cols, block)`` with ``block = a[rows][:, cols]`` and
-    ``rows``, ``cols`` ascending. Blocks come by row count, then column
-    count, then component, so the bases built from them keep one column
-    order. ``a`` is the direct sum of its blocks, so the union of their SVDs
-    is the SVD of ``a``. Zero rows and zero columns lie in no block.
+    Yields each block as ``(rows, cols, block)`` with
+    ``block = a[rows][:, cols]`` and ``rows``, ``cols`` ascending, laid out
+    only when it is reached. Blocks come by row count, then column count,
+    then component, so the bases built from them keep one column order.
+    ``a`` is the direct sum of its blocks, so the union of their SVDs is the
+    SVD of ``a``. Zero rows and zero columns lie in no block.
     """
     a = csr_array(a)
     a.sum_duplicates()
@@ -135,27 +136,27 @@ def _pattern_blocks(a) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     nonzero = a.data != 0
     r, c, v = r[nonzero], a.indices[nonzero], a.data[nonzero]
     if v.size == 0:
-        return []
+        return
     count, labels = _components(r, c, m, n)
     row_order, row_start, n_rows, row_place = _grouped(labels[:m], count)
     col_order, col_start, n_cols, col_place = _grouped(labels[m:], count)
     live = np.flatnonzero((n_rows > 0) & (n_cols > 0))
     live = live[np.argsort(n_rows[live] * (n + 1) + n_cols[live], kind="stable")]
-    # lay the blocks out one after another and scatter every entry to its place
-    size = n_rows * n_cols
-    offset = np.zeros(count, dtype=int)
-    offset[live] = np.cumsum(size[live]) - size[live]
-    flat = np.zeros(size.sum(), dtype=v.dtype)
-    lab = labels[r]
-    flat[offset[lab] + row_place[r] * n_cols[lab] + col_place[c]] = v
-    return [
-        (
-            row_order[row_start[k] : row_start[k] + n_rows[k]],
-            col_order[col_start[k] : col_start[k] + n_cols[k]],
-            flat[offset[k] : offset[k] + size[k]].reshape(n_rows[k], n_cols[k]),
-        )
-        for k in live
-    ]
+    # a block's rows are consecutive in row_order, so taking the entries row
+    # by row in that order puts each block's entries in one slice, with no sort
+    taken = np.bincount(r, minlength=m)[row_order]
+    end = np.cumsum(taken)
+    order = np.repeat(np.searchsorted(r, row_order) - end + taken, taken) + np.arange(v.size)
+    place = (row_place[r] * n_cols[labels[r]] + col_place[c])[order]
+    v, end = v[order], [0, *end.tolist()]
+    row_start, n_rows = row_start.tolist(), n_rows.tolist()
+    col_start, n_cols = col_start.tolist(), n_cols.tolist()
+    for k in live.tolist():
+        h, w, top, left = n_rows[k], n_cols[k], row_start[k], col_start[k]
+        block = np.zeros(h * w, dtype=v.dtype)
+        e = slice(end[top], end[top + h])
+        block[place[e]] = v[e]
+        yield row_order[top : top + h], col_order[left : left + w], block.reshape(h, w)
 
 
 def _matmul(a, b):

@@ -159,7 +159,7 @@ def test_sylvester_nullspace_matches_dense_oracle(kind, dim, blocks):
     # τ of a 2 + 3 block-diagonal pair splits into its four blocks; the zero
     # tuples' stack has no entries, so every column is null
     phis_a, phis_b = _tuples(np.random.default_rng(3), kind)
-    assert len(_pattern_blocks(sylvester_stack(phis_a, phis_b, 2))) == blocks
+    assert len(list(_pattern_blocks(sylvester_stack(phis_a, phis_b, 2)))) == blocks
     null, s = ph.sylvester_nullspace(phis_a, phis_b, 2)
     reference, s_reference = sylvester_nullspace_dense(phis_a, phis_b, 2)
     assert null.shape[1] == reference.shape[1] == dim
@@ -180,7 +180,7 @@ def test_sylvester_factors_one_pattern_block_at_a_time(pool_member, monkeypatch)
         tuples.append(_cert_phi({"w": w, "phis": phis}))
     nc = w.n_certified
     trusted = member["grade"].outer_cap - member["grade"].safe_margin
-    blocks = _pattern_blocks(sylvester_stack(*tuples, trusted))
+    blocks = list(_pattern_blocks(sylvester_stack(*tuples, trusted)))
     largest = max(cols.size for _, cols, _ in blocks)
     assert largest < nc * nc
     factored = []

@@ -2,13 +2,16 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import polyhardy as ph
 from polyhardy import Grade, Scenario, cli, dump_scenario, load_scenario, operators
 from polyhardy.cli import build_parser, main, run_pipeline
 from polyhardy.reporting import canonical_json, stable_part, strip_timing
@@ -16,6 +19,13 @@ from polyhardy.reporting import canonical_json, stable_part, strip_timing
 REPO = Path(__file__).resolve().parent.parent
 SCENARIOS = REPO / "scenarios"
 GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def decode_matrix(entry: dict) -> np.ndarray:
+    """A report matrix, stored by its nonzero entries, as a dense array."""
+    flat = np.zeros(math.prod(entry["shape"]), dtype=complex)
+    flat.real[entry["index"]], flat.imag[entry["index"]] = entry["re"], entry["im"]
+    return flat.reshape(entry["shape"])
 
 
 def run_cli(argv, capsys):
@@ -68,10 +78,65 @@ def test_run_report_carries_multiplier_coefficients(capsys, tmp_path):
     assert code == 0
     report = json.loads(out_path.read_text())
     phi0 = report["steps"]["extract"]["phi"][0]
-    first_order = phi0["coeffs"][1]
-    assert first_order["shape"] == [5, 5]
-    re, im = first_order["rows"][0][0]
-    assert abs(complex(re, im) + 0.5) < 1e-10
+    first_order = decode_matrix(phi0["coeffs"][1])
+    assert first_order.shape == (5, 5)
+    assert abs(first_order[0, 0] + 0.5) < 1e-10
+
+
+def _assert_bitwise_round_trip(written: dict, matrix: np.ndarray) -> None:
+    assert written["shape"] == list(matrix.shape)
+    index = np.array(written["index"], dtype=int)
+    assert np.all(np.diff(index) > 0)
+    values = np.array(written["re"]) + 1j * np.array(written["im"])
+    assert np.all(values != 0)
+    decoded = decode_matrix(written)
+    assert decoded.dtype == matrix.dtype
+    assert np.array_equal(decoded.view(np.uint64), matrix.view(np.uint64))
+
+
+@pytest.mark.parametrize("label", ["z-minus-z1", "pair-n2"])
+def test_written_symbols_decode_bit_for_bit(tmp_path, label):
+    report = run_pipeline(load_scenario(SCENARIOS / f"{label}.json"))
+    out_path = tmp_path / "report.json"
+    cli._emit(report, str(out_path), quiet=True)
+    written = json.loads(out_path.read_text())["steps"]["extract"]
+    extract = report["steps"]["extract"]
+    pairs = list(zip(written["theta"]["coeffs"], extract["theta"].coeffs, strict=True))
+    for phi_written, phi in zip(written["phi"], extract["phi"], strict=True):
+        pairs += zip(phi_written["coeffs"], phi.coeffs, strict=True)
+    assert len(pairs) > 2
+    for entry, matrix in pairs:
+        _assert_bitwise_round_trip(entry, matrix)
+
+
+def test_written_tau_decodes_bit_for_bit(pool_member, tmp_path):
+    paths = []
+    for reordered in (False, True):
+        scenario = pool_member("n2-cmp-00", reordered)["scenario"]
+        paths.append(tmp_path / f"{scenario.label}-{reordered}.json")
+        dump_scenario(scenario, paths[-1])
+    out_path = tmp_path / "compare.json"
+    assert main(["compare", *map(str, paths), "--quiet", "--output", str(out_path)]) == 0
+    results = [cli._certified_phis(load_scenario(p), None, cli.DEFAULT_MAX_DIM) for p in paths]
+    (_, phis_a, trusted_a, _), (_, phis_b, trusted_b, _) = results
+    tau = ph.coincide(phis_a, phis_b, min(trusted_a, trusted_b)).tau
+    _assert_bitwise_round_trip(json.loads(out_path.read_text())["certificate"]["tau"], tau)
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [np.zeros((3, 2), dtype=complex), np.array([[0.0, -1.5], [2.0**-60, 0.0]])],
+    ids=["all-zero", "real"],
+)
+def test_matrix_encoding_keeps_nonzero_entries_only(matrix):
+    written = json.loads(canonical_json(matrix))
+    assert written == {
+        "shape": list(matrix.shape),
+        "index": np.flatnonzero(matrix).tolist(),
+        "re": matrix.real[matrix != 0].tolist(),
+        "im": [0.0] * np.count_nonzero(matrix),
+    }
+    assert np.array_equal(decode_matrix(written), matrix)
 
 
 def test_golden_report_bytes():

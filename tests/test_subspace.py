@@ -347,7 +347,7 @@ def test_pattern_blocks_partition_in_shape_order(seed):
     # two blocks of shape 3 × 2
     blocks = [(3, 2, 2, 1.0), (1, 3, 1, 1.0), (3, 2, 1, 1.0), (2, 2, 2, 1.0)]
     a = _scattered_blocks(rng, blocks, zero_rows=2, zero_cols=3)
-    layout = _pattern_blocks(csr_array(a))
+    layout = list(_pattern_blocks(csr_array(a)))
     rows = np.concatenate([r for r, _, _ in layout])
     cols = np.concatenate([c for _, c, _ in layout])
     assert np.array_equal(np.sort(rows), np.flatnonzero(np.any(a != 0, axis=1)))
@@ -492,7 +492,7 @@ def test_canonical_columns_lie_in_one_pattern_block(pool_member, label):
     member = pool_member(label)
     for key in ("s", "w"):
         block_of = np.full(member["grade"].dim, -1)
-        blocks = _pattern_blocks(_sliced(member, key))
+        blocks = list(_pattern_blocks(_sliced(member, key)))
         for k, (rows, _, _) in enumerate(blocks):
             block_of[rows] = k
         assert len(blocks) > 1

@@ -21,6 +21,8 @@ def test_bench_ladder_writes_timing_rows(tmp_path):
     assert row["label"] == "z-minus-z1"
     assert row["exit_code"] == 0
     timing = row["timing"]
+    # the process wall time also counts encoding and writing the report
+    assert row["wall_s"] > timing["seconds"]
     assert set(timing) == {"seconds", "steps", "verify_checks", "grade_dims", "peak_rss_mb"}
     assert set(timing["steps"]) == {"orbit", "wandering", "extract", "verify", "classify"}
     assert "wold_kept" in timing["grade_dims"]

@@ -5,12 +5,15 @@
 Run from the root of a source checkout. Each ladder case runs in three
 fresh ``python -m polyhardy.cli run`` processes, so every peak RSS is that
 case's own; one untimed run of the first case goes before them. Each row
-holds the case's grade and generators, the exit code, and the median over
-the three runs of each entry of the report's ``timing`` block: seconds,
-per-step and per-verify-check seconds, ``grade_dims`` (``probe`` and
-``wold_kept`` included) and ``peak_rss_mb``. One run of a case can read
-twice the seconds of the next on the same tree; the median of three does
-not follow one slow run.
+holds the case's grade and generators, the exit code, the median over the
+three runs of each entry of the report's ``timing`` block (seconds,
+per-step and per-verify-check seconds, ``grade_dims`` with ``probe`` and
+``wold_kept``, and ``peak_rss_mb``), and ``wall_s``, the median wall
+seconds of the three processes. The report's ``seconds`` stop before the
+report is encoded and written; ``wall_s`` also counts that, and the
+interpreter's start and imports. One run of a case can read twice the
+seconds of the next on the same tree; the median of three does not follow
+one slow run.
 The file also records the environment as perfbench records it: nproc,
 Python, numpy and scipy versions, and the OpenBLAS thread count, read
 without changing it.
@@ -29,6 +32,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -80,20 +84,23 @@ def run_case(case: dict, tmp: Path, samples: int = SAMPLES) -> dict:
         "grade": case["grade"],
         "generators": case["generators"],
     }
-    timings = []
+    timings, walls = [], []
     for _ in range(samples):
         report.unlink(missing_ok=True)
+        start = time.perf_counter()
         proc = subprocess.run(
             [sys.executable, "-m", "polyhardy.cli", "run", str(scenario), "--quiet",
              "--output", str(report)],
             env=env, capture_output=True, text=True,
         )
+        walls.append(time.perf_counter() - start)
         row["exit_code"] = proc.returncode
         if not report.exists():
             row["error"] = proc.stderr.strip()
             return row
         timings.append(json.loads(report.read_text())["timing"])
     row["timing"] = median_timing(timings)
+    row["wall_s"] = round(statistics.median(walls), 3)
     return row
 
 
@@ -120,7 +127,8 @@ def main() -> int:
             rows.append(run_case(case, Path(tmp)))
             timing = rows[-1].get("timing", {})
             print(f"{case['label']}: exit {rows[-1]['exit_code']}, "
-                  f"{timing.get('seconds', '-')} s, {timing.get('peak_rss_mb', '-')} MB",
+                  f"{timing.get('seconds', '-')} s, wall {rows[-1].get('wall_s', '-')} s, "
+                  f"{timing.get('peak_rss_mb', '-')} MB",
                   file=sys.stderr)
     path = args.out / f"BENCH_{args.tag}.json"
     path.write_text(json.dumps({"env": environment(), "cases": rows}, indent=2, sort_keys=True) + "\n")
