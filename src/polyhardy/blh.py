@@ -132,10 +132,15 @@ class ConsistencyReport:
     tolerance: float
 
 
-def inner_slot_shift(grade: Grade, axis: int) -> np.ndarray:
-    """Inner-variable shift acting on the degree-zero outer slot."""
+def _check_axis(grade: Grade, axis: int) -> None:
+    """Every Φ routine takes an inner axis in 0..n-1; axis i is z_{i+1}."""
     if not 0 <= axis < grade.n:
         raise GradeError("inner axis out of range")
+
+
+def inner_slot_shift(grade: Grade, axis: int) -> np.ndarray:
+    """Inner-variable shift acting on the degree-zero outer slot."""
+    _check_axis(grade, axis)
     return shift_matrix(replace(grade, outer_cap=0), 1 + axis)
 
 
@@ -171,8 +176,7 @@ def extract_phi(
     """Inner symbol on W-coordinates: Φ^{(m)} = P_W (P_S M_z^*)^m M_κ |_W."""
     if s.grade != w.grade:
         raise GradeError("subspace and wandering grade differ")
-    if not 0 <= axis < s.grade.n:
-        raise GradeError("inner axis out of range")
+    _check_axis(s.grade, axis)
     _require_unflagged(w, force)
     grade = s.grade
     cert = w.columns[:, : w.n_certified]
@@ -198,6 +202,7 @@ def extract_phi_via_theta(
     """Inner symbol read off against outer-shifted wandering columns."""
     if s.grade != w.grade:
         raise GradeError("subspace and wandering grade differ")
+    _check_axis(s.grade, axis)
     _require_unflagged(w, force)
     grade = s.grade
     projected = s.columns @ (s.columns.conj().T @ shift(grade, 1 + axis, w.columns))
@@ -320,6 +325,7 @@ def wold_multiplication_consistency(
     Wold coordinates, entrywise over cap-exact row/column pairs."""
     if s.grade != w.grade:
         raise GradeError("subspace and wandering grade differ")
+    _check_axis(s.grade, axis)
     grade = s.grade
     cap, r, nc = grade.outer_cap, w.dim, w.n_certified
     degrees = outer_degrees(grade, w.columns, SUPPORT_TOL)

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.sparse import identity, kron, vstack
 
 from .blh import (
@@ -365,6 +364,9 @@ def isometric_module_map_lower_bound(
     """Numerical lower bound on ‖X^*X − I‖ over module maps X sending the
     source slot basis into the target space, columns generated by cap shifts
     of per-slot symbol vectors; plus a dimension-count certificate."""
+    # imported here, its only use, so importing the CLI does not pay for it
+    from scipy.optimize import minimize
+
     if source.n != target.n:
         raise GradeError("source and target must share the inner-variable count")
     src_cols = [

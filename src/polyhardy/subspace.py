@@ -3,10 +3,11 @@
 All spans are computed in an enlarged working grade and intersected with the
 target caps by linear algebra, so that linear combinations of high-degree
 orbit elements that cancel back inside the caps are not lost.  Every span,
-null space and slice runs block by block (:func:`block_span`,
-:func:`block_null`).  A basis that leaves this module is put in the
-canonical layout of :func:`canonical_basis`, which depends on the subspace
-alone, not on the basis it was computed from.
+slice and wandering space runs block by block, with one pass over the pattern
+blocks of its input (:func:`block_span`, :func:`_slice`, :func:`_wandering`).
+A basis that leaves this module is put in the canonical layout of
+:func:`canonical_basis`, which depends on the subspace alone, not on the
+basis it was computed from.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
-from scipy.sparse import coo_array, csr_array, hstack, vstack
+from scipy.sparse import coo_array, csr_array, hstack
 from scipy.sparse.csgraph import connected_components
 
 from .errors import DegenerateInputError, GradeError, NotInvariantError, NotIsometricError
@@ -159,24 +160,6 @@ def _pattern_blocks(a) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         yield row_order[top : top + h], col_order[left : left + w], block.reshape(h, w)
 
 
-def _matmul(a, b):
-    """``a @ b`` for sparse ``a`` and ``b``: one dense product per connected
-    component of the nonzero pattern of ``[a; bᵀ]``, as a sparse array."""
-    m = a.shape[0]
-    rows, cols, values = [], [], []
-    for index, _, block in _pattern_blocks(vstack([a, b.T])):
-        # a's rows come first in each block's ascending index
-        h = np.searchsorted(index, m)
-        product = block[:h] @ block[h:].T
-        rows.append(np.repeat(index[:h], product.shape[1]))
-        cols.append(np.tile(index[h:] - m, h))
-        values.append(product.ravel())
-    if not values:
-        return csr_array((m, b.shape[1]), dtype=complex)
-    coords = (np.concatenate(rows), np.concatenate(cols))
-    return csr_array((np.concatenate(values), coords), shape=(m, b.shape[1]))
-
-
 def _place(length: int, pieces) -> csr_array:
     """Sparse matrix of ``length`` rows with one column per row j of each
     piece ``(index, vectors)``, holding ``vectors[j]`` at the rows
@@ -228,21 +211,6 @@ def null_basis(n: int, svds, cut: float) -> csr_array:
     return _place(n, pieces)
 
 
-def block_null(a) -> csr_array:
-    """Orthonormal basis of the null space of the dense or sparse ``a``, with
-    one SVD per block of its nonzero pattern and the absolute cut
-    ``SVD_CUTOFF``; zero columns of ``a`` are null. The basis is returned
-    sparse."""
-    return null_basis(a.shape[1], block_svds(a), SVD_CUTOFF)
-
-
-def _slice(basis: csr_array, keep: np.ndarray) -> csr_array:
-    """Orthonormal basis of span(basis) ∩ {x : x vanishes off ``keep``} for
-    the orthonormal ``basis``: ``basis · null(basis[~keep])``, orthonormal
-    as it stands."""
-    return _matmul(basis, block_null(basis[~keep, :]))
-
-
 def _split(x: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One SVD of ``x[rows]`` splits the orthonormal ``x`` into the part
     ``x·V_rank`` that reaches those rows and the part ``x·V_null`` that
@@ -256,6 +224,16 @@ def _split(x: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     s = s[s > SVD_CUTOFF]
     v = vh.conj().T
     return x @ v[:, : s.size], x @ v[:, s.size :], s
+
+
+def _slice(basis: csr_array, keep: np.ndarray) -> csr_array:
+    """Orthonormal basis of span(basis) ∩ {x : x vanishes off ``keep``} for
+    the orthonormal ``basis``: ``x·null(x[~keep])`` (:func:`_split`) for each
+    pattern block x of ``basis``, orthonormal as it stands. Every column of
+    ``basis`` lies in one block, so ``null(basis[~keep])`` is the direct sum
+    of the blocks' null spaces."""
+    pieces = [(rows, _split(x, ~keep[rows])[1].T) for rows, _, x in _pattern_blocks(basis)]
+    return _place(basis.shape[0], pieces)
 
 
 def _gauge(stratum: np.ndarray, rows: np.ndarray, cut: float) -> tuple[np.ndarray, list[int]]:
@@ -463,23 +441,33 @@ def orbit_stability(
     """Orbit plus the margin-stability flag: whether the capped slice keeps
     its dimension when spanned at margin + 1.
 
-    The probe needs only that dimension, the nullity of the probe orbit
-    basis's rows outside the caps, so it builds no organized basis and runs
-    block by block.
+    The probe needs only that dimension, the column count of the probe orbit
+    basis's slice to the caps (:func:`_slice`), so it builds no organized
+    basis and runs block by block.
     """
     base = orbit_span(generators, grade, working_margin)
     gp = working_grade(grade, working_margin + 1)
     probe = block_span(_monomial_orbit_columns(gp, base.provenance.generators))
-    outside = probe[~_inside_caps(grade, gp)]
-    return base, block_null(outside).shape[1] == base.dim
+    return base, _slice(probe, _inside_caps(grade, gp)).shape[1] == base.dim
 
 
 def _wandering(grade: Grade, basis: csr_array) -> csr_array:
     """Orthonormal basis of span(basis) ⊖ z·span(basis) for the orthonormal
-    ``basis``: ``basis · null((M_z basis)ᴴ basis)``, orthonormal as it
-    stands."""
-    overlap = _matmul(shift(grade, 0, basis).conj().T, basis)
-    return _matmul(basis, block_null(overlap))
+    ``basis`` B: ``B·null((M_z B)ᴴ B)``, orthonormal as it stands.
+
+    Every column of B and of M_z·B lies in one pattern block of
+    [B | M_z·B], so the overlap is block-diagonal in that partition and its
+    null space is the direct sum of the blocks' null spaces: ``x·null(zxᴴx)``
+    for the columns x of B and zx of M_z·B in each block, with the absolute
+    cut ``SVD_CUTOFF``. A block with no zx keeps x whole (the SVD of an
+    empty overlap gives the identity V)."""
+    own = basis.shape[1]
+    pieces = []
+    for rows, cols, block in _pattern_blocks(hstack([basis, shift(grade, 0, basis)])):
+        x, zx = block[:, cols < own], block[:, cols >= own]
+        _, s, vh = np.linalg.svd(zx.conj().T @ x)
+        pieces.append((rows, (x @ vh[(s > SVD_CUTOFF).sum() :].conj().T).T))
+    return _place(basis.shape[0], pieces)
 
 
 def wandering_subspace(s: SubspaceBasis) -> SubspaceBasis:

@@ -8,8 +8,8 @@ Used to pin derived values.  The Wold reference is the dense formula the
 gather-based check replaces: every shift is a dense ``shift_matrix`` and the
 reconstruction is formed over the whole Wold grade.  Its spans, null spaces
 and slices are the dense SVD routines below, which are also the reference
-the block kernels (``subspace.block_span``, ``subspace.block_null``) are
-tested against.  The classify references form every matrix in full: the
+the block kernels (``subspace.block_span``, ``subspace._slice``) are tested
+against; ``subspace._wandering`` is tested against ``wandering_reference``.  The classify references form every matrix in full: the
 *-closed Sylvester stack as one dense array factored by one QR, and the
 doubly-commuting words, defect and commutators as dim S × dim S matrices
 whose safe block is read afterwards.

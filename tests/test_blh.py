@@ -98,6 +98,28 @@ def test_extract_phi_invariance_precheck(corpus_artifacts):
         ph.extract_phi(s, w_other, 0, force=True)
 
 
+PHI_ROUTINES = {
+    "inner_slot_shift": lambda art, axis: ph.inner_slot_shift(art["grade"], axis),
+    "extract_phi": lambda art, axis: ph.extract_phi(art["s"], art["w"], axis, force=True),
+    "extract_phi_via_theta": lambda art, axis: ph.extract_phi_via_theta(
+        art["s"], art["w"], axis, force=True
+    ),
+    "wold_multiplication_consistency": lambda art, axis: ph.wold_multiplication_consistency(
+        art["s"], art["w"], art["phis"][0], axis
+    ),
+}
+
+
+@pytest.mark.parametrize("routine", sorted(PHI_ROUTINES))
+@pytest.mark.parametrize("axis", [-1, 1])
+def test_phi_routines_reject_an_inner_axis_out_of_range(corpus_artifacts, routine, axis):
+    # z-minus-z1 has n = 1: axis −1 would read the outer shift M_z, and
+    # axis 1 lies past the last inner variable
+    art = corpus_artifacts["z-minus-z1"]
+    with pytest.raises(GradeError, match="inner axis out of range"):
+        PHI_ROUTINES[routine](art, axis)
+
+
 def test_phi_shift_action(corpus_artifacts):
     """For orbit(z - z1) the inner shift acts on certified wandering
     coordinates as a weighted one-step shift at degree zero."""

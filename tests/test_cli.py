@@ -332,6 +332,18 @@ def _cli_subprocess(argv: list[str]) -> subprocess.CompletedProcess:
     )
 
 
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # only classify.isometric_module_map_lower_bound uses scipy.optimize,
+    # and no command calls it, so no CLI process should pay for its import
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    probe = "import sys, polyhardy.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
+
+
 def _dims_and_verdicts(report: dict) -> tuple:
     steps = report["steps"]
     dims = (steps["orbit"]["dim"], steps["orbit"]["n_safe_columns"])

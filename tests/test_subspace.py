@@ -15,13 +15,14 @@ from polyhardy.errors import (
     NotIsometricError,
 )
 from polyhardy.subspace import (
-    _matmul,
     _pattern_blocks,
-    block_null,
+    _slice,
+    _wandering,
     block_span,
     outer_degrees,
 )
 from .oracles import (
+    coordinate_slice,
     null_columns,
     orbit_reference,
     orthonormal_columns,
@@ -326,19 +327,55 @@ def _scattered_blocks(rng, blocks, zero_rows, zero_cols):
 @pytest.mark.parametrize("seed", range(4))
 def test_block_kernels_span_what_dense_spans(seed):
     rng = np.random.default_rng(seed)
-    # (rows, cols, rank, scale); the last block falls below both cuts
+    # (rows, cols, rank, scale); the last block falls below the span's cut
     blocks = [(4, 3, 3, 1.0), (5, 6, 2, 10.0), (1, 1, 1, 0.5), (3, 5, 3, 1.0)]
     blocks.append((6, 2, 1, 1e-12))
     a = _scattered_blocks(rng, blocks, zero_rows=3, zero_cols=2)
-    pairs = [(block_span(a), orthonormal_columns(a)), (block_null(a), null_columns(a))]
+    basis = block_span(a)
+    # the slice keeps the smallest block whole, drops the largest whole and
+    # cuts the two others
+    layout = [rows for rows, _, _ in _pattern_blocks(basis)]
+    assert len(layout) == 4
+    keep = np.zeros(a.shape[0], dtype=bool)
+    keep[layout[0]] = True
+    for rows in layout[1:-1]:
+        keep[rows[::2]] = True
+    sliced = _slice(basis, keep)
+    pairs = [(basis, orthonormal_columns(a)), (sliced, coordinate_slice(basis.toarray(), keep))]
     for sparse, dense in pairs:
         block = sparse.toarray()
         assert block.shape == dense.shape
         assert ph.max_principal_angle_sine(block, dense) < 1e-12
         assert np.linalg.norm(block.conj().T @ block - np.eye(block.shape[1])) < 1e-12
+    assert sliced.shape[1] == 4
+    assert np.abs(sliced.toarray()[~keep]).max() < 1e-12
     # the Wold path hands the kernels sparse matrices
-    for kernel in (block_span, block_null):
-        assert np.array_equal(kernel(csr_array(a)).toarray(), kernel(a).toarray())
+    assert np.array_equal(block_span(csr_array(a)).toarray(), basis.toarray())
+    assert np.array_equal(_slice(basis.toarray(), keep).toarray(), sliced.toarray())
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_wandering_kernel_equals_dense_wandering(seed):
+    rng = np.random.default_rng(seed)
+    grade = ph.Grade(1, 3, 2)
+    degree = grade.exponents[:, 0]
+    low, top = np.flatnonzero(degree <= 1), np.flatnonzero(degree == grade.outer_cap)
+    a = np.zeros((grade.dim, 7), dtype=complex)
+    a[low, :5] = _scattered_blocks(rng, [(3, 3, 2, 1.0), (2, 2, 2, 1.0)], 1, 0)
+    a[top, 5:] = _scattered_blocks(rng, [(2, 2, 2, 1.0)], 1, 0)
+    basis = block_span(a)
+    b, mz = basis.toarray(), operators.shift_matrix(grade, 0)
+    # z truncates the top block's image away, so its block of [B | M_z·B]
+    # has no columns of M_z·B and is wandering whole
+    on_top = ~np.any(np.delete(b, top, axis=0), axis=0)
+    assert on_top.sum() == 2 and not np.any(mz @ b[:, on_top])
+    w = _wandering(grade, basis).toarray()
+    ref = wandering_reference(b, mz)
+    assert w.shape == ref.shape
+    assert ph.max_principal_angle_sine(w, ref) < 1e-12
+    assert np.linalg.norm(w.conj().T @ w - np.eye(w.shape[1])) < 1e-12
+    for column in b[:, on_top].T:
+        assert any(np.array_equal(column, kept) for kept in w.T)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -362,31 +399,24 @@ def test_pattern_blocks_partition_in_shape_order(seed):
     assert [k[:2] for k in keys] == [(1, 3), (2, 2), (3, 2), (3, 2)]
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_block_product_equals_dense_product(seed):
-    rng = np.random.default_rng(seed)
-    a = _scattered_blocks(rng, [(3, 2, 2, 1.0), (2, 2, 2, 1.0), (1, 3, 1, 1.0)], 2, 1)
-    b = _scattered_blocks(rng, [(3, 2, 2, 1.0), (4, 3, 2, 1.0), (1, 1, 1, 1.0)], 0, 2)
-    c = np.zeros((3, 4), dtype=complex)
-    d = np.zeros((4, 3), dtype=complex)
-    c[:2, :2], c[2, 2:] = rng.normal(size=(2, 2)), rng.normal(size=2)
-    d[:2, 0], d[2:, 1:] = rng.normal(size=2), rng.normal(size=(2, 2))
-    for x, y in [(a, b), (c, d)]:
-        product = _matmul(csr_array(x), csr_array(y))
-        assert product.shape == (x.shape[0], y.shape[1])
-        assert np.abs(product.toarray() - x @ y).max() < 1e-12
-
-
 def test_block_kernels_edge_cases():
     # the relative cut is taken against the largest singular value of the
     # whole matrix, not of each block
     assert block_span(np.diag([10.0, 5e-10])).shape == (2, 1)
     zero = np.zeros((5, 4))
     assert block_span(zero).shape == (5, 0)
-    assert np.array_equal(block_null(zero).toarray(), np.eye(4))
+    # a basis that is zero off the kept rows is its own slice, and one that
+    # is zero on them slices to nothing
+    basis = np.zeros((5, 2), dtype=complex)
+    basis[[0, 2, 4]] = np.linalg.qr(np.arange(6.0).reshape(3, 2) + 1j)[0]
+    keep = np.isin(np.arange(5), [0, 2, 4])
+    assert np.array_equal(_slice(csr_array(basis), keep).toarray(), basis)
+    assert _slice(csr_array(basis), ~keep).shape == (5, 0)
     no_columns = np.zeros((5, 0))
     assert block_span(no_columns).shape == (5, 0)
-    assert block_null(no_columns).shape == (0, 0)
+    assert _slice(csr_array(no_columns), keep).shape == (5, 0)
+    grade = ph.Grade(1, 1, 1)
+    assert _wandering(grade, csr_array((grade.dim, 0), dtype=complex)).shape == (4, 0)
 
 
 def test_block_kernels_equal_dense_on_connected_pattern():
@@ -394,8 +424,12 @@ def test_block_kernels_equal_dense_on_connected_pattern():
     full = rng.normal(size=(6, 4)) + 1j * rng.normal(size=(6, 4))
     low_rank = rng.normal(size=(6, 2)) @ rng.normal(size=(2, 5))
     for a in (full, full.T, low_rank, low_rank.T):
-        assert np.array_equal(block_span(a).toarray(), orthonormal_columns(a))
-        assert np.array_equal(block_null(a).toarray(), null_columns(a))
+        # in the row-major layout of the block the kernel multiplies
+        basis = np.ascontiguousarray(orthonormal_columns(a))
+        assert np.array_equal(block_span(a).toarray(), basis)
+        keep = np.arange(a.shape[0]) > 0
+        dense = basis @ null_columns(basis[~keep])
+        assert np.array_equal(_slice(csr_array(basis), keep).toarray(), dense)
 
 
 def test_wold_requires_orbit_provenance(g1):
