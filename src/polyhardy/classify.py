@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.sparse import identity, kron, vstack
+from scipy.sparse import coo_array
 
 from .blh import (
     MatrixPolynomial,
@@ -93,6 +93,13 @@ def _unvec(x: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return x.reshape(cols, rows).T  # inverse of column-major stacking
 
 
+def _stacked_coeffs(phis: Sequence[MatrixPolynomial], trusted_degree: int) -> np.ndarray:
+    """Φ_i^{(m)} and Φ_i^{(m)ᴴ} for every axis i and degree m ≤ trusted, in
+    the equation order of :func:`sylvester_nullspace`, as one 3-d array."""
+    coeffs = [p.coeff(m) for p in phis for m in range(trusted_degree + 1)]
+    return np.array([c for a in coeffs for c in (a, a.conj().T)])
+
+
 def sylvester_nullspace(
     phis_a: Sequence[MatrixPolynomial],
     phis_b: Sequence[MatrixPolynomial],
@@ -102,23 +109,28 @@ def sylvester_nullspace(
     equation τ·Φ_a^{(m)ᴴ} − Φ_b^{(m)ᴴ}·τ over axes and degrees, as
     column-major vec(τ) columns, with the stack's singular values.
 
-    The stack is built sparse, and it is the direct sum of the blocks of its
+    Equation e is vec(τX − Yτ) = (Xᵀ⊗I − I⊗Y)·vec τ. Its entries are placed
+    by index arithmetic from the nonzero entries of the stacked coefficients,
+    in one sparse array whose duplicates (the diagonal of each X ⊗ Y pair)
+    sum to X_jj − Y_ii. The stack is the direct sum of the blocks of its
     nonzero pattern: Φ's zeros are exact, and for homogeneous generators
     each equation row reads only the τ entries of one degree difference.
-    Each block gets one SVD (:func:`block_svds`), and the null space is cut
-    at ``CLASSIFY_TOL·max(1, s₀)``, s₀ taken over all blocks. Columns in no
-    block are null."""
-    ra = phis_a[0].shape[0]
-    rb = phis_b[0].shape[0]
+    Each block is factored once (:func:`block_svds`), and the null space is
+    cut at ``CLASSIFY_TOL·max(1, s₀)``, s₀ taken over all blocks. Columns in
+    no block are null."""
+    x = _stacked_coeffs(phis_a, trusted_degree)
+    y = _stacked_coeffs(phis_b, trusted_degree)
+    ra, rb = x.shape[1], y.shape[1]
     size = ra * rb
-    eye_a, eye_b = identity(ra), identity(rb)
-    equations = []
-    for pa, pb in zip(phis_a, phis_b):
-        for m in range(trusted_degree + 1):
-            a, b = pa.coeff(m), pb.coeff(m)
-            for x, y in ((a, b), (a.conj().T, b.conj().T)):
-                equations.append(kron(x.T, eye_b) - kron(eye_a, y))
-    svds = block_svds(vstack(equations))
+    # vec τ holds τ[i, l] at l·rb + i; equation e's row (j, i) is e·size + j·rb + i
+    e, l, j = np.nonzero(x)  # (Xᵀ⊗I)[(j, i), (l, i)] = X[l, j]
+    ei, i, k = np.nonzero(y)  # (I⊗Y)[(j, i), (j, k)] = Y[i, k]
+    over_i, over_j = np.arange(rb), np.arange(ra) * rb
+    rows = [(e * size + j * rb)[:, None] + over_i, (ei * size + i)[:, None] + over_j]
+    cols = [(l * rb)[:, None] + over_i, k[:, None] + over_j]
+    values = np.concatenate([np.repeat(x[e, l, j], rb), np.repeat(-y[ei, i, k], ra)])
+    stack = (values, (np.concatenate(rows, axis=None), np.concatenate(cols, axis=None)))
+    svds = block_svds(coo_array(stack, shape=(len(x) * size, size)))
     s = np.sort(np.concatenate([sv for _, sv, _ in svds] + [np.zeros(size)])[:size])[::-1]
     cut = CLASSIFY_TOL * max(1.0, s[0] if size else 0.0)
     return null_basis(size, svds, cut).toarray(), s
@@ -151,8 +163,10 @@ def coincide(
     that solution space holds an invertible X, then XᴴX commutes with the
     *-closed tuple and the polar factor of X is a unitary solution; the
     invertible solutions are then dense, so one seeded random element X of
-    the null space decides. Different ranks or an empty null space are
-    ``distinct``. A σ_min/σ_max ratio of X at or below ``CLASSIFY_TOL``
+    the null space decides: the projection onto it of a seeded complex
+    Gaussian vector, which depends on the null space alone and not on the
+    basis its SVDs happen to return. Different ranks or an empty null space
+    are ``distinct``. A σ_min/σ_max ratio of X at or below ``CLASSIFY_TOL``
     means every solution is singular: ``distinct``. Otherwise τ = UVᴴ, the
     polar factor of X, is ``coincide`` when its unitarity and intertwining
     residuals are below ``tolerance``, and ``indeterminate`` when they are
@@ -168,7 +182,8 @@ def coincide(
     if k == 0:
         return EquivalenceCertificate("distinct", None, np.inf, np.inf, 0, 0.0, tolerance)
     rng = np.random.default_rng(0)
-    x = _unvec(null @ (rng.standard_normal(k) + 1j * rng.standard_normal(k)), r, r)
+    g = rng.standard_normal(r * r) + 1j * rng.standard_normal(r * r)
+    x = _unvec(null @ (null.conj().T @ g), r, r)
     u, sv, vh = np.linalg.svd(x)
     ratio = float(sv[-1] / sv[0])
     if ratio <= CLASSIFY_TOL:  # every solution is singular

@@ -97,9 +97,16 @@ def defect_sum(mats: Sequence[np.ndarray], rows) -> np.ndarray:
 
 
 def spectral_norm(a: np.ndarray) -> float:
-    if a.size == 0:
+    """Largest singular value of ``a``: the square root of the largest
+    eigenvalue of the smaller of AᴴA and AAᴴ, after A is scaled by its
+    largest entry modulus so that the Gram neither under- nor overflows.
+    That eigenvalue is accurate to O(n·ε) relative, and so is its root."""
+    scale = np.abs(a).max(initial=0.0)
+    if scale == 0:
         return 0.0
-    return float(np.linalg.norm(a, 2))
+    a = a / scale
+    gram = a.conj().T @ a if a.shape[0] >= a.shape[1] else a @ a.conj().T
+    return float(scale * np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))
 
 
 def defect_rank(

@@ -60,7 +60,8 @@ class SubspaceBasis:
         if cols.shape[0] != self.grade.dim:
             raise GradeError("column length does not match the grade")
         gram = cols.conj().T @ cols
-        if cols.shape[1] and spectral_norm(gram - np.eye(cols.shape[1])) > 1e-10:
+        # the Frobenius norm bounds the 2-norm from above
+        if np.linalg.norm(gram - np.eye(cols.shape[1])) > 1e-10:
             raise GradeError("basis columns are not orthonormal")
         cols.flags.writeable = False
         object.__setattr__(self, "columns", cols)
@@ -188,12 +189,17 @@ def block_span(a) -> csr_array:
 
 def block_svds(a) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """``(cols, s, vh)`` for each block of the nonzero pattern of the dense or
-    sparse ``a``: one SVD per block, thin for a tall block and full for a
-    wide one, so that ``vh`` always holds the block's whole right space."""
-    return [
-        (cols, *np.linalg.svd(block, full_matrices=block.shape[0] < block.shape[1])[1:])
-        for _, cols, block in _pattern_blocks(a)
-    ]
+    sparse ``a``, with ``vh`` the block's whole right space. A tall block is
+    factored through the square R of its QR, whose singular values and
+    right singular vectors are the block's, so its left singular vectors
+    are never formed; a square or wide block gets one full SVD."""
+    out = []
+    for _, cols, block in _pattern_blocks(a):
+        h, w = block.shape
+        if h > w:
+            block = np.linalg.qr(block, mode="r")
+        out.append((cols, *np.linalg.svd(block, full_matrices=h < w)[1:]))
+    return out
 
 
 def null_basis(n: int, svds, cut: float) -> csr_array:

@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_array
 
 import polyhardy as ph
+from polyhardy import classify
 from polyhardy.classify import CLASSIFY_TOL
 from polyhardy.errors import GradeError, NotIsometricError
 from polyhardy.subspace import _pattern_blocks
@@ -168,18 +170,72 @@ def test_sylvester_nullspace_matches_dense_oracle(kind, dim, blocks):
     assert np.abs(s - s_reference).max() < 1e-10 * max(1.0, s_reference[0])
 
 
+def _reordered_pair(pool_member, label):
+    """The certified Φ tuples of a pool member and of its reordered copy,
+    their certified dimension and the trusted degree."""
+    tuples = []
+    for reordered in (False, True):
+        member = pool_member(label, reordered)
+        s, w = member["s"], member["w"]
+        phis = [ph.extract_phi(s, w, axis, force=True) for axis in range(2)]
+        tuples.append(_cert_phi({"w": w, "phis": phis}))
+    trusted = member["grade"].outer_cap - member["grade"].safe_margin
+    return tuples, w.n_certified, trusted
+
+
+def _pruned(a) -> csr_array:
+    a = csr_array(a)
+    a.sum_duplicates()
+    a.eliminate_zeros()
+    return a
+
+
+@pytest.mark.parametrize(
+    "kind", ["block-diagonal", "dense", "zero", "unequal-rank", "n2-cmp-00"]
+)
+def test_sylvester_stack_equals_the_kronecker_stack(kind, pool_member, monkeypatch):
+    # the stack placed by index arithmetic holds the coordinates and values
+    # of (Xᵀ⊗I − I⊗Y) stacked over the equations, exactly
+    if kind == "n2-cmp-00":
+        (phis_a, phis_b), _, trusted = _reordered_pair(pool_member, kind)
+    else:
+        (phis_a, phis_b), trusted = _tuples(np.random.default_rng(3), kind), 2
+    stacks = []
+    block_svds = classify.block_svds
+    monkeypatch.setattr(classify, "block_svds", lambda a: stacks.append(a) or block_svds(a))
+    ph.sylvester_nullspace(phis_a, phis_b, trusted)
+    got, want = _pruned(stacks[0]), _pruned(sylvester_stack(phis_a, phis_b, trusted))
+    assert got.shape == want.shape
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.data, want.data)
+    assert (got.nnz > 0) == (kind != "zero")
+
+
+def test_coincide_tau_depends_on_the_null_space_not_its_basis(monkeypatch):
+    # the block-diagonal pair's null space has dimension 2; another
+    # orthonormal basis of it must give the same τ and verdict
+    phis_a, phis_b = _tuples(np.random.default_rng(3), "block-diagonal")
+    before = ph.coincide(phis_a, phis_b, 2)
+    assert before.nullspace_dim == 2
+    nullspace = classify.sylvester_nullspace
+    u = _unitary(np.random.default_rng(8), 2)
+
+    def rotated(*args):
+        null, s = nullspace(*args)
+        return null @ u, s
+
+    monkeypatch.setattr(classify, "sylvester_nullspace", rotated)
+    after = ph.coincide(phis_a, phis_b, 2)
+    assert after.verdict == before.verdict == "coincide"
+    assert np.abs(after.tau - before.tau).max() < 1e-10
+
+
 def test_sylvester_factors_one_pattern_block_at_a_time(pool_member, monkeypatch):
     # The *-closed stack of n2-cmp-00 against its reordered copy is 8000 × 400,
     # and Φ's exact zeros split it into blocks of at most 68 columns: each is
     # factored on its own, never the whole stack.
-    tuples = []
-    for reordered in (False, True):
-        member = pool_member("n2-cmp-00", reordered)
-        s, w = member["s"], member["w"]
-        phis = [ph.extract_phi(s, w, axis, force=True) for axis in range(2)]
-        tuples.append(_cert_phi({"w": w, "phis": phis}))
-    nc = w.n_certified
-    trusted = member["grade"].outer_cap - member["grade"].safe_margin
+    tuples, nc, trusted = _reordered_pair(pool_member, "n2-cmp-00")
     blocks = list(_pattern_blocks(sylvester_stack(*tuples, trusted)))
     largest = max(cols.size for _, cols, _ in blocks)
     assert largest < nc * nc

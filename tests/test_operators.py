@@ -101,3 +101,29 @@ def test_shift_isometry_on_interior(axis, seed):
             vec[i] = 0.0  # keep inside the band where the shift is isometric
     image = ph.shift_matrix(grade, axis) @ vec
     assert np.linalg.norm(image) == pytest.approx(np.linalg.norm(vec))
+
+
+def _spectral_cases():
+    rng = np.random.default_rng(4)
+
+    def cx(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    square = cx(6, 6)
+    return {
+        "tall": cx(9, 4),
+        "wide": cx(3, 8),
+        "square": square,
+        "rank-one": np.outer(cx(7), cx(5).conj()),
+        "zero": np.zeros((3, 4), dtype=complex),
+        "empty": np.zeros((0, 3), dtype=complex),
+        "tiny": 1e-200 * square,
+        "huge": 1e200 * square,
+    }
+
+
+@pytest.mark.parametrize("case", list(_spectral_cases()))
+def test_spectral_norm_matches_the_svd_norm(case):
+    a = _spectral_cases()[case]
+    want = float(np.linalg.norm(a, 2)) if a.size else 0.0
+    assert abs(ph.spectral_norm(a) - want) <= 1e-13 * want

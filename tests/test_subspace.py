@@ -19,6 +19,8 @@ from polyhardy.subspace import (
     _slice,
     _wandering,
     block_span,
+    block_svds,
+    null_basis,
     outer_degrees,
 )
 from .oracles import (
@@ -31,6 +33,7 @@ from .oracles import (
 )
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+NAMED = sorted(SCENARIOS.glob("*.json"))
 
 GOLDEN_DIMS = {
     # label: (orbit dim, orbit safe columns, wandering dim, certified)
@@ -432,6 +435,62 @@ def test_block_kernels_equal_dense_on_connected_pattern():
         assert np.array_equal(_slice(csr_array(basis), keep).toarray(), dense)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_block_svds_factor_tall_blocks_through_r(seed, monkeypatch):
+    # two tall blocks, one of rank below its width, a square and a wide one;
+    # only the tall ones are factored through R, and the singular values and
+    # the null space are those of the dense SVD of the whole matrix
+    rng = np.random.default_rng(seed)
+    blocks = [(30, 6, 6, 1.0), (20, 7, 4, 10.0), (5, 5, 5, 1.0), (3, 8, 3, 1.0)]
+    a = _scattered_blocks(rng, blocks, zero_rows=2, zero_cols=3)
+    qr, factored = np.linalg.qr, []
+
+    def spy(b, *args, **kwargs):
+        factored.append(b.shape)
+        return qr(b, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", spy)
+    svds = block_svds(a)
+    assert sorted(factored) == [(20, 7), (30, 6)]
+    _, s_dense, vh = np.linalg.svd(a)
+    s = np.sort(np.concatenate([sv for _, sv, _ in svds]))[::-1]
+    assert np.abs(s - s_dense[: s.size]).max() <= 1e-12 * s_dense[0]
+    cut = 1e-10 * s_dense[0]
+    null = null_basis(a.shape[1], svds, cut).toarray()
+    dense = vh[(s_dense > cut).sum() :].conj().T
+    assert null.shape == dense.shape == (a.shape[1], 3 + 5 + 3)
+    assert np.linalg.norm(null @ null.conj().T - dense @ dense.conj().T, 2) < 1e-10
+
+
+def test_orthonormality_guard_reads_the_frobenius_norm(g1):
+    # the Gram defect of q·diag(√(1 + d)) is diag(d): its 2-norm is max d and
+    # its Frobenius norm, which the guard reads, is ‖d‖₂
+    rng = np.random.default_rng(2)
+    q = np.linalg.qr(rng.normal(size=(g1.dim, 3)) + 1j * rng.normal(size=(g1.dim, 3)))[0]
+
+    def basis(*defects):
+        return ph.SubspaceBasis(g1, q * np.sqrt(1 + np.array(defects)), ph.Provenance("adhoc"))
+
+    assert basis(0.9e-10, 0.0, 0.0).dim == 3
+    with pytest.raises(GradeError, match="not orthonormal"):
+        basis(1.01e-10, 0.0, 0.0)  # 2-norm just above the bound
+    with pytest.raises(GradeError, match="not orthonormal"):
+        basis(0.8e-10, 0.8e-10, 0.0)  # 2-norm below it, Frobenius norm above
+
+
+@pytest.mark.parametrize("path", NAMED, ids=lambda p: p.stem)
+def test_orthonormality_guard_accepts_named_canonical_bases(path):
+    scenario = ph.load_scenario(path)
+    grade = scenario.grade
+    gens = [ph.parse_polynomial(text, grade) for text in scenario.generators]
+    s = ph.orbit_span(gens, grade, int(scenario.option("margin", 2)))
+    for basis in (s, ph.wandering_subspace(s)):
+        cols = basis.columns
+        assert ph.SubspaceBasis(grade, cols, basis.provenance).dim == basis.dim
+        # far inside the bound: the Frobenius defect is round-off
+        assert np.linalg.norm(cols.conj().T @ cols - np.eye(basis.dim)) < 1e-12
+
+
 def test_wold_requires_orbit_provenance(g1):
     vec = ph.parse_polynomial("1", g1).to_dense()[:, None]
     adhoc = ph.subspace_from_columns(g1, vec)
@@ -475,9 +534,6 @@ def test_graded_basis_degree_order(g1, corpus_artifacts):
         degrees.append(max(support))
     for part in (degrees[:n_safe], degrees[n_safe:]):
         assert part == sorted(part)
-
-
-NAMED = sorted(SCENARIOS.glob("*.json"))
 
 
 @pytest.mark.parametrize("path", NAMED, ids=lambda p: p.stem)

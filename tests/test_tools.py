@@ -27,3 +27,23 @@ def test_bench_ladder_writes_timing_rows(tmp_path):
     assert set(timing["steps"]) == {"orbit", "wandering", "extract", "verify", "classify"}
     assert "wold_kept" in timing["grade_dims"]
     assert timing["peak_rss_mb"] > 0
+
+
+def test_bench_ladder_compare_rung(tmp_path):
+    # n2-D5 against its generators in reverse order: the same subspace
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "tools" / "bench_ladder.py"), "t",
+         "--case", "n2-D5-compare", "--out", str(tmp_path)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    [row] = json.loads((tmp_path / "BENCH_t.json").read_text())["cases"]
+    assert row["label"] == "n2-D5-compare"
+    assert row["command"] == "compare"
+    assert row["generators"] == ["z - z1", "z - z2"]
+    assert row["exit_code"] == 0
+    assert row["verdict"] == "coincide"
+    dims = row["certified_dims"]
+    assert dims[0] == dims[1] > 0
+    assert row["wall_s"] > 0
+    assert "timing" not in row

@@ -19,9 +19,13 @@ Python, numpy and scipy versions, and the OpenBLAS thread count, read
 without changing it.
 
 The ladder: every scenario file in ``scenarios/``, then generated cases
-whose generators are ``z - z1, ..., z - zn``. ``--case`` keeps only the
-named cases; ``--out`` sets the directory the file is written to (default:
-the checkout root).
+whose generators are ``z - z1, ..., z - zn``, then one ``compare`` rung,
+``n2-D5-compare``: ``polyhardy compare`` of the ``n2-D5`` case against
+the same case with its generators in reverse order, three processes like
+every case. Its row holds the exit code, the certificate's verdict, the
+certified dims and ``wall_s``; a compare report has no ``timing`` block.
+``--case`` keeps only the named cases; ``--out`` sets the directory the
+file is written to (default: the checkout root).
 """
 from __future__ import annotations
 
@@ -51,6 +55,10 @@ GENERATED = [
 ]
 
 
+# generated cases that also get a compare rung, against their reversed generators
+COMPARED = ["n2-D5"]
+
+
 def ladder() -> list[dict]:
     cases = [json.loads(p.read_text()) for p in sorted((ROOT / "scenarios").glob("*.json"))]
     for label, n, cap, d_e in GENERATED:
@@ -60,6 +68,8 @@ def ladder() -> list[dict]:
             "generators": [f"z - z{i}" for i in range(1, n + 1)],
             "options": {"force": True, "margin": 2},
         })
+    for case in [c for c in cases if c["label"] in COMPARED]:
+        cases.append({**case, "label": f"{case['label']}-compare", "command": "compare"})
     return cases
 
 
@@ -74,8 +84,16 @@ def median_timing(timings: list):
 
 
 def run_case(case: dict, tmp: Path, samples: int = SAMPLES) -> dict:
-    scenario = tmp / f"{case['label']}.json"
-    scenario.write_text(json.dumps(case))
+    command = case.get("command", "run")
+    scenario = {k: v for k, v in case.items() if k != "command"}
+    inputs = [scenario]
+    if command == "compare":
+        inputs.append({**scenario, "label": f"{case['label']}-reversed",
+                       "generators": case["generators"][::-1]})
+    paths = []
+    for data in inputs:
+        paths.append(tmp / f"{data['label']}.json")
+        paths[-1].write_text(json.dumps(data))
     report = tmp / f"{case['label']}-report.json"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
@@ -84,12 +102,12 @@ def run_case(case: dict, tmp: Path, samples: int = SAMPLES) -> dict:
         "grade": case["grade"],
         "generators": case["generators"],
     }
-    timings, walls = [], []
+    reports, walls = [], []
     for _ in range(samples):
         report.unlink(missing_ok=True)
         start = time.perf_counter()
         proc = subprocess.run(
-            [sys.executable, "-m", "polyhardy.cli", "run", str(scenario), "--quiet",
+            [sys.executable, "-m", "polyhardy.cli", command, *map(str, paths), "--quiet",
              "--output", str(report)],
             env=env, capture_output=True, text=True,
         )
@@ -98,8 +116,13 @@ def run_case(case: dict, tmp: Path, samples: int = SAMPLES) -> dict:
         if not report.exists():
             row["error"] = proc.stderr.strip()
             return row
-        timings.append(json.loads(report.read_text())["timing"])
-    row["timing"] = median_timing(timings)
+        reports.append(json.loads(report.read_text()))
+    if command == "compare":
+        row["command"] = command
+        row["verdict"] = reports[-1]["certificate"]["verdict"]
+        row["certified_dims"] = reports[-1]["certified_dims"]
+    else:
+        row["timing"] = median_timing([r["timing"] for r in reports])
     row["wall_s"] = round(statistics.median(walls), 3)
     return row
 
@@ -125,11 +148,11 @@ def main() -> int:
         run_case(cases[0], warm_up, samples=1)
         for case in cases:
             rows.append(run_case(case, Path(tmp)))
-            timing = rows[-1].get("timing", {})
-            print(f"{case['label']}: exit {rows[-1]['exit_code']}, "
-                  f"{timing.get('seconds', '-')} s, wall {rows[-1].get('wall_s', '-')} s, "
-                  f"{timing.get('peak_rss_mb', '-')} MB",
-                  file=sys.stderr)
+            row, timing = rows[-1], rows[-1].get("timing", {})
+            detail = row.get("verdict") or (
+                f"{timing.get('seconds', '-')} s, {timing.get('peak_rss_mb', '-')} MB")
+            print(f"{case['label']}: exit {row['exit_code']}, {detail}, "
+                  f"wall {row.get('wall_s', '-')} s", file=sys.stderr)
     path = args.out / f"BENCH_{args.tag}.json"
     path.write_text(json.dumps({"env": environment(), "cases": rows}, indent=2, sort_keys=True) + "\n")
     print(path)
