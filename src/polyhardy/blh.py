@@ -63,6 +63,11 @@ class MatrixPolynomial:
             return self.coeffs[m]
         return np.zeros(self.shape, dtype=complex)
 
+    def block(self, rows: int | None = None, cols: int | None = None) -> MatrixPolynomial:
+        """The leading ``rows`` × ``cols`` block of every coefficient; ``None``
+        keeps every row or column."""
+        return MatrixPolynomial(tuple(c[:rows, :cols] for c in self.coeffs))
+
     def evaluate(self, w: complex) -> np.ndarray:
         out = np.zeros(self.shape, dtype=complex)
         for m, c in enumerate(self.coeffs):
@@ -97,6 +102,13 @@ def adjoint_convolution(a: MatrixPolynomial, b: MatrixPolynomial) -> MatrixPolyn
                 acc += a.coeffs[k].conj().T @ b.coeffs[k + m]
         out.append(acc)
     return MatrixPolynomial(tuple(out))
+
+
+def degree_residuals(
+    a: MatrixPolynomial, b: MatrixPolynomial, top: int
+) -> tuple[float, ...]:
+    """``‖A_m − B_m‖₂`` for m = 0..top."""
+    return tuple(spectral_norm(a.coeff(m) - b.coeff(m)) for m in range(top + 1))
 
 
 @dataclass(frozen=True)
@@ -182,7 +194,7 @@ def extract_phi(
     cert = w.columns[:, : w.n_certified]
     if cert.shape[1]:
         image = shift(grade, 1 + axis, cert)
-        residual = spectral_norm(image - s.columns @ (s.columns.conj().T @ image))
+        residual = spectral_norm(image - s.project(image))
         if residual > VERIFY_TOL:
             raise NotInvariantError(
                 f"inner shift does not map certified wandering vectors into the "
@@ -192,7 +204,7 @@ def extract_phi(
     coeffs = []
     for _ in range(grade.outer_cap + 1):
         coeffs.append(w.columns.conj().T @ cur)
-        cur = s.columns @ (s.columns.conj().T @ shift_adjoint(grade, 0, cur))
+        cur = s.project(shift_adjoint(grade, 0, cur))
     return MatrixPolynomial(tuple(coeffs))
 
 
@@ -205,7 +217,7 @@ def extract_phi_via_theta(
     _check_axis(s.grade, axis)
     _require_unflagged(w, force)
     grade = s.grade
-    projected = s.columns @ (s.columns.conj().T @ shift(grade, 1 + axis, w.columns))
+    projected = s.project(shift(grade, 1 + axis, w.columns))
     stacked = outer_powers(grade, w.columns).conj().T @ projected
     return MatrixPolynomial(tuple(np.vsplit(stacked, grade.outer_cap + 1)))
 
@@ -219,16 +231,12 @@ def verify_intertwining(
     tolerance: float = VERIFY_TOL,
 ) -> IntertwineReport:
     """Degree-by-degree residuals of κ·Θ = Θ·Φ on the certified columns."""
-    nc = theta.shape[1] if n_certified is None else n_certified
-    lhs = convolve(kappa, theta)
-    rhs = convolve(theta, phi)
-    residuals = [
-        spectral_norm((lhs.coeff(m) - rhs.coeff(m))[:, :nc])
-        for m in range(trusted_degree + 1)
-    ]
+    lhs = convolve(kappa, theta).block(cols=n_certified)
+    rhs = convolve(theta, phi).block(cols=n_certified)
+    residuals = degree_residuals(lhs, rhs, trusted_degree)
     max_residual = max(residuals) if residuals else 0.0
     return IntertwineReport(
-        tuple(residuals), max_residual, max_residual < tolerance, trusted_degree, tolerance
+        residuals, max_residual, max_residual < tolerance, trusted_degree, tolerance
     )
 
 
@@ -238,14 +246,13 @@ def is_isometric_multiplier(
     tolerance: float = VERIFY_TOL,
 ) -> MultiplierReport:
     """Coefficient criterion Σ_m Θ_m^* Θ_{m+k} = δ_{k0} I on certified columns."""
-    nc = theta.shape[1] if n_certified is None else n_certified
-    block = MatrixPolynomial(tuple(c[:, :nc] for c in theta.coeffs))
-    gram = adjoint_convolution(block, block).coeffs
-    residuals = [spectral_norm(gram[0] - np.eye(nc))]
-    residuals += [spectral_norm(c) for c in gram[1:]]
-    max_residual = max(residuals) if residuals else 0.0
+    block = theta.block(cols=n_certified)
+    gram = adjoint_convolution(block, block)
+    identity = MatrixPolynomial((np.eye(block.shape[1]),))
+    residuals = degree_residuals(gram, identity, gram.degree)
+    max_residual = max(residuals)
     return MultiplierReport(
-        "isometry", tuple(residuals), max_residual, max_residual < tolerance, tolerance
+        "isometry", residuals, max_residual, max_residual < tolerance, tolerance
     )
 
 
@@ -257,15 +264,12 @@ def multiplier_commutation(
     tolerance: float = VERIFY_TOL,
 ) -> MultiplierReport:
     """Residuals of Φ_a Φ_b − Φ_b Φ_a degree-by-degree on certified block."""
-    nc = phi_a.shape[0] if n_certified is None else n_certified
-    ab = convolve(phi_a, phi_b)
-    ba = convolve(phi_b, phi_a)
-    residuals = []
-    for m in range(min(trusted_degree, ab.degree) + 1):
-        residuals.append(spectral_norm((ab.coeffs[m] - ba.coeffs[m])[:nc, :nc]))
+    ab = convolve(phi_a, phi_b).block(n_certified, n_certified)
+    ba = convolve(phi_b, phi_a).block(n_certified, n_certified)
+    residuals = degree_residuals(ab, ba, min(trusted_degree, ab.degree))
     max_residual = max(residuals) if residuals else 0.0
     return MultiplierReport(
-        "commutation", tuple(residuals), max_residual, max_residual < tolerance, tolerance
+        "commutation", residuals, max_residual, max_residual < tolerance, tolerance
     )
 
 
@@ -330,8 +334,7 @@ def wold_multiplication_consistency(
     cap, r, nc = grade.outer_cap, w.dim, w.n_certified
     degrees = outer_degrees(grade, w.columns, SUPPORT_TOL)
     pi = outer_powers(grade, w.columns).conj().T @ s.columns
-    compressed = s.columns.conj().T @ shift(grade, 1 + axis, s.columns)
-    lhs = (pi @ compressed @ pi.conj().T).reshape(cap + 1, r, cap + 1, r)
+    lhs = (pi @ s.compress(1 + axis) @ pi.conj().T).reshape(cap + 1, r, cap + 1, r)
     # entry (m, j, m', l) against Φ_{m−m'}[j, l], read where both row and
     # column are cap-exact: m + deg_j ≤ cap and m' + deg_l ≤ cap
     k = min(r, nc)

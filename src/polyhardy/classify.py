@@ -18,11 +18,12 @@ from .blh import (
     MatrixPolynomial,
     adjoint_convolution,
     convolve,
+    degree_residuals,
     is_isometric_multiplier,
 )
 from .errors import GradeError, NotIsometricError
 from .grading import Grade
-from .operators import defect_sum, shift, spectral_norm
+from .operators import defect_sum, spectral_norm
 from .subspace import SubspaceBasis, block_svds, null_basis
 
 CLASSIFY_TOL = 1e-8
@@ -136,19 +137,6 @@ def sylvester_nullspace(
     return null_basis(size, svds, cut).toarray(), s
 
 
-def _intertwining_residual(
-    tau: np.ndarray,
-    phis_a: Sequence[MatrixPolynomial],
-    phis_b: Sequence[MatrixPolynomial],
-    trusted_degree: int,
-) -> float:
-    worst = 0.0
-    for pa, pb in zip(phis_a, phis_b):
-        for m in range(trusted_degree + 1):
-            worst = max(worst, spectral_norm(tau @ pa.coeff(m) - pb.coeff(m) @ tau))
-    return worst
-
-
 def coincide(
     phis_a: Sequence[MatrixPolynomial],
     phis_b: Sequence[MatrixPolynomial],
@@ -190,7 +178,13 @@ def coincide(
         return EquivalenceCertificate("distinct", None, np.inf, np.inf, k, ratio, tolerance)
     tau = u @ vh
     ures = spectral_norm(tau.conj().T @ tau - np.eye(r))
-    ires = _intertwining_residual(tau, phis_a, phis_b, trusted_degree)
+    t = MatrixPolynomial((tau,))
+    residuals = [
+        r
+        for pa, pb in zip(phis_a, phis_b)
+        for r in degree_residuals(convolve(t, pa), convolve(pb, t), trusted_degree)
+    ]
+    ires = max((0.0, *residuals))
     verdict = "coincide" if ures < tolerance and ires < tolerance else "indeterminate"
     return EquivalenceCertificate(verdict, tau, ures, ires, k, ratio, tolerance)
 
@@ -213,21 +207,19 @@ def nested_factor(
                 f"nested factorization needs isometric symbols "
                 f"(residual {iso.max_residual:.2e})"
             )
-    small = s_inner.columns
-    big = s_outer.columns
-    containment = spectral_norm(small - big @ (big.conj().T @ small))
+    containment = spectral_norm(s_inner.columns - s_outer.project(s_inner.columns))
     if containment >= tolerance:
         return FactorizationCertificate(
             "not nested", None, containment, np.inf, np.inf, tolerance
         )
     psi = adjoint_convolution(theta_outer, theta_inner)
-    nc = theta_inner.shape[1] if n_certified is None else n_certified
-    product = convolve(theta_outer, psi)
-    factorization = 0.0
-    for m in range(trusted_degree + 1):
-        residual = theta_inner.coeff(m) - product.coeff(m)
-        factorization = max(factorization, spectral_norm(residual[:, :nc]))
-    iso_psi = is_isometric_multiplier(psi, nc).max_residual
+    residuals = degree_residuals(
+        theta_inner.block(cols=n_certified),
+        convolve(theta_outer, psi).block(cols=n_certified),
+        trusted_degree,
+    )
+    factorization = max((0.0, *residuals))
+    iso_psi = is_isometric_multiplier(psi, n_certified).max_residual
     verdict = "nested" if factorization < tolerance and iso_psi < tolerance else "not nested"
     return FactorizationCertificate(
         verdict, psi, containment, factorization, iso_psi, tolerance
@@ -242,19 +234,12 @@ def uniqueness_tau(
 ) -> EquivalenceCertificate:
     """Constant τ = Σ_k Θ̃_k^* Θ_k relating two symbols of one subspace;
     verdict ''coincide'' when τ is unitary and Θ = Θ̃·τ on the trusted block."""
-    nca = theta.shape[1] if n_certified is None else n_certified
-    ncb = theta_tilde.shape[1] if n_certified is None else n_certified
-    tau = adjoint_convolution(
-        MatrixPolynomial(tuple(c[:, :ncb] for c in theta_tilde.coeffs)),
-        MatrixPolynomial(tuple(c[:, :nca] for c in theta.coeffs)),
-    ).coeffs[0]
-    ures = spectral_norm(tau.conj().T @ tau - np.eye(nca))
-    factor = 0.0
-    for m in range(theta.degree + 1):
-        tilde = theta_tilde.coeff(m)[:, :ncb]
-        factor = max(
-            factor, spectral_norm(theta.coeffs[m][:, :nca] - tilde @ tau)
-        )
+    a = theta.block(cols=n_certified)
+    b = theta_tilde.block(cols=n_certified)
+    tau = adjoint_convolution(b, a).coeffs[0]
+    ures = spectral_norm(tau.conj().T @ tau - np.eye(a.shape[1]))
+    residuals = degree_residuals(a, convolve(b, MatrixPolynomial((tau,))), theta.degree)
+    factor = max((0.0, *residuals))
     verdict = "coincide" if ures < tolerance and factor < tolerance else "distinct"
     sv = np.linalg.svd(tau, compute_uv=False)
     ratio = float(sv[-1] / sv[0]) if sv[0] else 0.0
@@ -273,14 +258,12 @@ def module_map_check(
     isometric multiplier on the certified block?"""
     if len(phis_source) != len(phis_target):
         raise GradeError("axis counts differ")
-    nc_cols = x.shape[1] if n_certified is None else n_certified
     commutation = 0.0
     for ps, pt in zip(phis_source, phis_target):
-        left = convolve(x, ps)
-        right = convolve(pt, x)
-        for m in range(min(trusted_degree, max(left.degree, right.degree)) + 1):
-            residual = left.coeff(m) - right.coeff(m)
-            commutation = max(commutation, spectral_norm(residual[:, :nc_cols]))
+        left = convolve(x, ps).block(cols=n_certified)
+        right = convolve(pt, x).block(cols=n_certified)
+        top = min(trusted_degree, max(left.degree, right.degree))
+        commutation = max((commutation, *degree_residuals(left, right, top)))
     iso = is_isometric_multiplier(x, n_certified).max_residual
     verdict = commutation < tolerance and iso < tolerance
     return ModuleMapReport(commutation, iso, verdict, tolerance)
@@ -310,13 +293,6 @@ def bessel_diagnostics(
     return BesselReport(tuple(sums), bound, verdict, tolerance)
 
 
-def _restricted_tuple(s: SubspaceBasis) -> list[np.ndarray]:
-    return [
-        s.columns.conj().T @ shift(s.grade, ax, s.columns)
-        for ax in range(1 + s.grade.n)
-    ]
-
-
 def doubly_commuting_classification(
     s: SubspaceBasis,
     phis: Sequence[MatrixPolynomial],
@@ -334,7 +310,7 @@ def doubly_commuting_classification(
     supported on the safe band. Only those rows and columns are formed: each
     commutator block from ``v[:, safe]`` and ``v[safe]``, and the defect
     from the safe rows of each word (:func:`defect_sum`)."""
-    ops = _restricted_tuple(s)
+    ops = [s.compress(axis) for axis in range(1 + s.grade.n)]
     safe = slice(0, s.n_certified)
     adj = 0.0
     for i, vi in enumerate(ops):

@@ -24,7 +24,6 @@ from .blh import (
     extract_theta,
     is_isometric_multiplier,
     kappa_polynomial,
-    shift_purity_diagnostic,
     verify_intertwining,
     wold_multiplication_consistency,
 )
@@ -102,14 +101,16 @@ def _prepare(
     scenario: Scenario, margin: int | None, max_dim: int
 ) -> tuple[int, list[HardyVector]]:
     """The margin a run uses (the scenario's option unless ``margin`` is
-    given) and the parsed generators, after the trusted-range check and the
-    capacity guard."""
+    given) and the parsed generators, after the margin check, the
+    trusted-range check and the capacity guard."""
+    margin = int(scenario.option("margin", DEFAULT_MARGIN) if margin is None else margin)
+    if margin < 0:
+        raise GradeError("working margin must be nonnegative")
     grade = scenario.grade
     if grade.outer_cap <= grade.safe_margin or grade.inner_cap < grade.safe_margin:
         raise DegenerateInputError(
             "the safe margin leaves the safe band or the trusted range empty"
         )
-    margin = int(scenario.option("margin", DEFAULT_MARGIN) if margin is None else margin)
     for name, dim in _grade_dims(grade, margin).items():
         if dim > max_dim:
             raise CapacityError(
@@ -140,6 +141,8 @@ def run_pipeline(
 ) -> dict:
     """Run the scenario's pipeline and return the full report dict."""
     start = time.monotonic()
+    if not tolerance > 0:  # also rejects NaN
+        raise GradeError(f"tolerance must be positive, not {tolerance}")
     steps = tuple(scenario.pipeline) or DEFAULT_PIPELINE
     _validate_pipeline(steps)
     grade = scenario.grade
@@ -270,10 +273,7 @@ def run_pipeline(
         classification = doubly_commuting_classification(
             s, phis, w.n_certified, tolerance=max(tolerance, 1e-10)
         )
-        classify_info = {"doubly_commuting": classification}
-        if scenario.option("purity", False):
-            classify_info["purity"] = shift_purity_diagnostic(phis[0])
-        report["steps"]["classify"] = classify_info
+        report["steps"]["classify"] = {"doubly_commuting": classification}
         verdicts["classification_consistent"] = classification.equivalence_holds
         step("classify")
 
@@ -326,9 +326,7 @@ def _certified_phis(
     force = bool(scenario.option("force", True))
     phis = [extract_phi(s, w, axis, force=force) for axis in range(grade.n)]
     nc = w.n_certified
-    cert_phis = [
-        MatrixPolynomial(tuple(c[:nc, :nc] for c in phi.coeffs)) for phi in phis
-    ]
+    cert_phis = [phi.block(nc, nc) for phi in phis]
     return scenario.label, cert_phis, grade.outer_cap - grade.safe_margin, nc
 
 

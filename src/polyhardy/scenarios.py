@@ -26,7 +26,7 @@ DEFAULT_PIPELINE = ("orbit", "wandering", "extract", "verify", "classify")
 RANDOM_SCENARIO_MARGIN = 5
 _SCENARIO_KEYS = ("label", "grade", "generators", "pipeline", "options")
 _GRADE_KEYS = ("n", "D", "N", "d_E", "safe_margin")
-_OPTION_TYPES = {"margin": int, "force": bool, "purity": bool}
+_OPTION_TYPES = {"margin": int, "force": bool}
 _TYPE_NAMES = {
     int: "an integer",
     bool: "true or false",

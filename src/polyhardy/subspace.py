@@ -74,6 +74,15 @@ class SubspaceBasis:
     def n_flagged(self) -> int:
         return self.dim - self.n_certified
 
+    def project(self, x: np.ndarray) -> np.ndarray:
+        """``P_S·x = S(Sᴴx)``."""
+        return self.columns @ (self.columns.conj().T @ x)
+
+    def compress(self, axis: int) -> np.ndarray:
+        """``Sᴴ·T·S`` for ``T`` the shift along ``axis`` (0 is ``z``, ``i`` is
+        ``z_i``)."""
+        return self.columns.conj().T @ shift(self.grade, axis, self.columns)
+
 
 @dataclass(frozen=True)
 class InvarianceReport:
@@ -522,9 +531,7 @@ def check_invariant(
     residuals = []
     for axis in axes:
         image = shift(s.grade, axis, b_safe)
-        residuals.append(
-            spectral_norm(image - s.columns @ (s.columns.conj().T @ image))
-        )
+        residuals.append(spectral_norm(image - s.project(image)))
     verdict = all(r < tolerance for r in residuals)
     return InvarianceReport(tuple(residuals), verdict, tolerance, s.n_certified)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import polyhardy as ph
+from polyhardy.blh import degree_residuals
 from polyhardy.errors import (
     FlaggedWanderingError,
     GradeError,
@@ -34,6 +35,16 @@ def test_convolution_matches_pointwise():
     prod = ph.convolve(a, b)
     for w in (0.3, -0.7 + 0.2j):
         assert np.allclose(prod.evaluate(w), a.evaluate(w) @ b.evaluate(w))
+
+
+def test_block_and_degree_residuals():
+    a = ph.MatrixPolynomial((np.eye(2), 3 * np.eye(2)))
+    assert [c.shape for c in a.block(1).coeffs] == [(1, 2), (1, 2)]
+    assert [c.shape for c in a.block(cols=1).coeffs] == [(2, 1), (2, 1)]
+    assert a.block().coeffs[1].tolist() == a.coeffs[1].tolist()
+    # past a polynomial's degree its coefficients are zero
+    zero = ph.MatrixPolynomial((np.zeros((2, 2)),))
+    assert degree_residuals(a, zero, 2) == (1.0, 3.0, 0.0)
 
 
 def test_adjoint_convolution_degree_zero():

@@ -8,6 +8,7 @@ import polyhardy as ph
 from polyhardy import classify
 from polyhardy.classify import CLASSIFY_TOL
 from polyhardy.errors import GradeError, NotIsometricError
+from polyhardy.reporting import canonical_json
 from polyhardy.subspace import _pattern_blocks
 
 from .oracles import doubly_commuting_dense, sylvester_nullspace_dense, sylvester_stack
@@ -15,10 +16,7 @@ from .oracles import doubly_commuting_dense, sylvester_nullspace_dense, sylveste
 
 def _cert_phi(art):
     nc = art["w"].n_certified
-    return [
-        ph.MatrixPolynomial(tuple(c[:nc, :nc] for c in phi.coeffs))
-        for phi in art["phis"]
-    ]
+    return [phi.block(nc, nc) for phi in art["phis"]]
 
 
 def test_coincide_conjugated_pair(corpus_artifacts):
@@ -328,6 +326,40 @@ def test_uniqueness_permuted_basis(corpus_artifacts, g1):
     for src, dst in enumerate(perm[:nc]):
         permutation[dst, src] = 1.0
     assert np.allclose(np.abs(cert.tau), permutation.T, atol=1e-10)
+
+
+def _trusted(art):
+    return art["grade"].outer_cap - art["grade"].safe_margin
+
+
+# each check that reads a certified block, as a function of its n_certified
+WIDTH_CHECKS = {
+    "verify_intertwining": lambda art, nc: ph.verify_intertwining(
+        ph.kappa_polynomial(art["grade"], 0), art["theta"], art["phis"][0], _trusted(art), nc
+    ),
+    "is_isometric_multiplier": lambda art, nc: ph.is_isometric_multiplier(art["theta"], nc),
+    "multiplier_commutation": lambda art, nc: ph.multiplier_commutation(
+        *art["phis"], _trusted(art), nc
+    ),
+    "nested_factor": lambda art, nc: ph.nested_factor(
+        art["s"], art["theta"], art["s"], art["theta"], _trusted(art), nc
+    ),
+    "uniqueness_tau": lambda art, nc: ph.uniqueness_tau(
+        art["theta"], ph.MatrixPolynomial(tuple(c[:, ::-1] for c in art["theta"].coeffs)), nc
+    ),
+    "module_map_check": lambda art, nc: ph.module_map_check(
+        ph.MatrixPolynomial((np.eye(art["w"].dim),)), art["phis"], art["phis"], _trusted(art), nc
+    ),
+}
+
+
+@pytest.mark.parametrize("check", WIDTH_CHECKS)
+def test_n_certified_none_reads_the_full_width(corpus_artifacts, check):
+    art = corpus_artifacts["pair-n2"]
+    width = art["w"].dim
+    assert art["w"].n_certified < width  # so the full width is not the certified block
+    run = WIDTH_CHECKS[check]
+    assert canonical_json(run(art, None)) == canonical_json(run(art, width))
 
 
 def test_module_map_negative(corpus_artifacts):

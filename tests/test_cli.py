@@ -283,6 +283,33 @@ def test_capacity_guard_counts_probe_grade(capsys):
     assert err == "error: probe grade needs ambient dimension 21952 > limit 20000\n"
 
 
+@pytest.mark.parametrize("margin", ["-1", "-9"])
+def test_negative_margin_exit_one_before_any_grade_is_sized(capsys, margin):
+    code, out, err = run_cli(["run", SCENARIOS / "z.json", "--margin", margin], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: working margin must be nonnegative\n"
+
+
+@pytest.mark.parametrize("tolerance", ["0", "-1", "nan"])
+def test_bad_tolerance_exit_one(capsys, tolerance):
+    code, out, err = run_cli(["run", SCENARIOS / "z.json", "--tolerance", tolerance], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: tolerance must be positive")
+
+
+def test_purity_option_is_rejected(capsys, tmp_path):
+    data = json.loads((SCENARIOS / "z-minus-z1.json").read_text())
+    data["options"]["purity"] = True
+    path = tmp_path / "purity.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(["run", path], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: scenario option 'purity' must be one of margin, force\n"
+
+
 MALFORMED = [
     (("grade", "n"), "two"),
     (("grade", "n"), 1.5),
