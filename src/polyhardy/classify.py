@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.sparse import coo_array
 
 from .blh import (
     MatrixPolynomial,
@@ -23,7 +22,7 @@ from .blh import (
 )
 from .errors import GradeError, NotIsometricError
 from .grading import Grade
-from .operators import defect_sum, spectral_norm
+from .operators import Coo, defect_sum, spectral_norm
 from .subspace import SubspaceBasis, block_svds, null_basis
 
 CLASSIFY_TOL = 1e-8
@@ -112,10 +111,11 @@ def sylvester_nullspace(
 
     Equation e is vec(τX − Yτ) = (Xᵀ⊗I − I⊗Y)·vec τ. Its entries are placed
     by index arithmetic from the nonzero entries of the stacked coefficients,
-    in one sparse array whose duplicates (the diagonal of each X ⊗ Y pair)
-    sum to X_jj − Y_ii. The stack is the direct sum of the blocks of its
-    nonzero pattern: Φ's zeros are exact, and for homogeneous generators
-    each equation row reads only the τ entries of one degree difference.
+    in one :class:`Coo` triplet: the off-diagonal entries of each Kronecker
+    term, and each diagonal entry X_jj − Y_ii once. The stack is the direct
+    sum of the blocks of its nonzero pattern: Φ's zeros are exact, and for
+    homogeneous generators each equation row reads only the τ entries of one
+    degree difference.
     Each block is factored once (:func:`block_svds`), and the null space is
     cut at ``CLASSIFY_TOL·max(1, s₀)``, s₀ taken over all blocks. Columns in
     no block are null."""
@@ -124,14 +124,26 @@ def sylvester_nullspace(
     ra, rb = x.shape[1], y.shape[1]
     size = ra * rb
     # vec τ holds τ[i, l] at l·rb + i; equation e's row (j, i) is e·size + j·rb + i
-    e, l, j = np.nonzero(x)  # (Xᵀ⊗I)[(j, i), (l, i)] = X[l, j]
-    ei, i, k = np.nonzero(y)  # (I⊗Y)[(j, i), (j, k)] = Y[i, k]
+    # off the diagonal: (Xᵀ⊗I)[(j, i), (l, i)] = X[l, j], (I⊗Y)[(j, i), (j, k)] = Y[i, k]
+    e, l, j = np.nonzero((x != 0) & ~np.eye(ra, dtype=bool))
+    ei, i, k = np.nonzero((y != 0) & ~np.eye(rb, dtype=bool))
     over_i, over_j = np.arange(rb), np.arange(ra) * rb
     rows = [(e * size + j * rb)[:, None] + over_i, (ei * size + i)[:, None] + over_j]
     cols = [(l * rb)[:, None] + over_i, k[:, None] + over_j]
-    values = np.concatenate([np.repeat(x[e, l, j], rb), np.repeat(-y[ei, i, k], ra)])
-    stack = (values, (np.concatenate(rows, axis=None), np.concatenate(cols, axis=None)))
-    svds = block_svds(coo_array(stack, shape=(len(x) * size, size)))
+    values = [np.repeat(x[e, l, j], rb), np.repeat(-y[ei, i, k], ra)]
+    # on it, at row (e, j, i) and column (j, i): X_jj − Y_ii
+    xd = np.diagonal(x, axis1=1, axis2=2)[:, :, None]
+    yd = np.diagonal(y, axis1=1, axis2=2)[:, None, :]
+    rows.append(np.arange(len(x) * size))
+    cols.append(rows[-1] % size)
+    values.append(xd - yd)
+    stack = Coo(
+        (len(x) * size, size),
+        np.concatenate(rows, axis=None),
+        np.concatenate(cols, axis=None),
+        np.concatenate(values, axis=None),
+    )
+    svds = block_svds(stack)
     s = np.sort(np.concatenate([sv for _, sv, _ in svds] + [np.zeros(size)])[:size])[::-1]
     cut = CLASSIFY_TOL * max(1.0, s[0] if size else 0.0)
     return null_basis(size, svds, cut).toarray(), s

@@ -133,6 +133,13 @@ def _lap_timer():
     return laps, lap
 
 
+def _check_tolerance(tolerance: float) -> None:
+    """Every verdict residual is a norm of order one, so a tolerance of 1 or
+    more certifies nothing."""
+    if not 0 < tolerance < 1:  # also rejects NaN
+        raise GradeError(f"tolerance must be positive and below 1, not {tolerance}")
+
+
 def run_pipeline(
     scenario: Scenario,
     tolerance: float = 1e-10,
@@ -141,8 +148,7 @@ def run_pipeline(
 ) -> dict:
     """Run the scenario's pipeline and return the full report dict."""
     start = time.monotonic()
-    if not tolerance > 0:  # also rejects NaN
-        raise GradeError(f"tolerance must be positive, not {tolerance}")
+    _check_tolerance(tolerance)
     steps = tuple(scenario.pipeline) or DEFAULT_PIPELINE
     _validate_pipeline(steps)
     grade = scenario.grade
@@ -352,6 +358,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_selftest(args: argparse.Namespace) -> int:
+    _check_tolerance(args.tolerance)
     scenarios = builtin_corpus(random_count=args.random)
     failures = 0
     for scenario in scenarios:

@@ -1,7 +1,8 @@
-"""Multiplication shifts as index maps.
+"""Multiplication shifts as index maps, and the sparse matrices they act on.
 
 A shift is a partial permutation of the monomial basis, so it is applied as
-a gather over :meth:`Grade.shift_map` and never formed as a matrix.
+a gather over :meth:`Grade.shift_map` and never formed as a matrix: on the
+rows of a dense array, or on the row indices of a :class:`Coo` triplet.
 :func:`shift_matrix` builds the same map as a dense array, for the
 inner-slot symbol, the model tuple's defect rank and the tests' reference
 for the gathers.
@@ -15,7 +16,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.sparse import coo_array, csr_array, issparse
 
 from .errors import GradeError
 from .grading import Grade
@@ -34,12 +34,58 @@ class DefectReport:
             raise ValueError("rank inconsistent with singular values")
 
 
+@dataclass(frozen=True)
+class Coo:
+    """A sparse matrix as its entries: ``vals[k]`` at ``(rows[k], cols[k])``,
+    in any order, no two at one place."""
+
+    shape: tuple[int, int]
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+
+    @classmethod
+    def from_dense(cls, a) -> Coo:
+        a = np.asarray(a)
+        rows, cols = np.nonzero(a)
+        return cls(a.shape, rows, cols, a[rows, cols])
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape, dtype=self.vals.dtype)
+        out[self.rows, self.cols] = self.vals
+        return out
+
+    def map_rows(self, old: np.ndarray, new: np.ndarray, length: int) -> Coo:
+        """Row ``old[k]`` moved to row ``new[k]`` of a ``length``-row
+        matrix, for ``old`` without repeats; other rows are dropped."""
+        target = np.full(self.shape[0], -1)
+        target[old] = new
+        rows = target[self.rows]
+        kept = rows >= 0
+        return Coo((length, self.shape[1]), rows[kept], self.cols[kept], self.vals[kept])
+
+    def take_rows(self, index: np.ndarray) -> Coo:
+        """The rows at ``index``, in that order."""
+        return self.map_rows(index, np.arange(len(index)), len(index))
+
+
+def hstack(mats: Sequence[Coo]) -> Coo:
+    """The matrices side by side; they share their row count."""
+    offsets = np.cumsum([0] + [m.shape[1] for m in mats])
+    return Coo(
+        (mats[0].shape[0], int(offsets[-1])),
+        np.concatenate([m.rows for m in mats]),
+        np.concatenate([m.cols + k for m, k in zip(mats, offsets)]),
+        np.concatenate([m.vals for m in mats]),
+    )
+
+
 def shift(grade: Grade, axis: int, x):
     """Multiplication by ``z`` (axis 0) or ``z_i`` (axis ``i`` in 1..n)
-    applied to the rows of the dense or sparse ``x``."""
+    applied to the rows of the dense array or :class:`Coo` ``x``."""
     src, dst = grade.shift_map(axis)
-    if issparse(x):
-        return csr_array((np.ones(src.size), (dst, src)), shape=(grade.dim,) * 2) @ x
+    if isinstance(x, Coo):
+        return x.map_rows(src, dst, grade.dim)
     out = np.zeros_like(x)
     out[dst] = x[src]
     return out
@@ -61,19 +107,16 @@ def shift_adjoint(grade: Grade, axis: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def monomial_multiples(grade: Grade, x: np.ndarray, monomials: np.ndarray) -> coo_array:
+def monomial_multiples(grade: Grade, x: np.ndarray, monomials: np.ndarray) -> Coo:
     """Columns ``z^a z1^b1.. x``, one per row ``(a, b1..bn)`` of
-    ``monomials``, as a sparse array; entries pushed past a cap are
-    dropped."""
+    ``monomials``; entries pushed past a cap are dropped."""
     rows = np.flatnonzero(x)
     degrees = grade.exponents[rows, None, :-1] + monomials[None, :, :]
     fits = np.all(degrees <= grade.degree_caps, axis=2)
     targets = rows[:, None] + monomials @ grade.strides
     cols = np.broadcast_to(np.arange(len(monomials)), fits.shape)
     values = np.broadcast_to(x[rows, None], fits.shape)
-    return coo_array(
-        (values[fits], (targets[fits], cols[fits])), shape=(grade.dim, len(monomials))
-    )
+    return Coo((grade.dim, len(monomials)), targets[fits], cols[fits], values[fits])
 
 
 def shift_matrix(grade: Grade, axis: int) -> np.ndarray:

@@ -4,10 +4,12 @@ All spans are computed in an enlarged working grade and intersected with the
 target caps by linear algebra, so that linear combinations of high-degree
 orbit elements that cancel back inside the caps are not lost.  Every span,
 slice and wandering space runs block by block, with one pass over the pattern
-blocks of its input (:func:`block_span`, :func:`_slice`, :func:`_wandering`).
-A basis that leaves this module is put in the canonical layout of
-:func:`canonical_basis`, which depends on the subspace alone, not on the
-basis it was computed from.
+blocks of its input (:func:`block_span`, :func:`_slice`, :func:`_wandering`);
+between them a matrix is held as a :class:`~polyhardy.operators.Coo`
+triplet of numpy index arrays, and its blocks are found by
+:func:`_components`.  A basis that leaves this module is put in the
+canonical layout of :func:`canonical_basis`, which depends on the subspace
+alone, not on the basis it was computed from.
 """
 from __future__ import annotations
 
@@ -16,12 +18,10 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
-from scipy.sparse import coo_array, csr_array, hstack
-from scipy.sparse.csgraph import connected_components
 
 from .errors import DegenerateInputError, GradeError, NotInvariantError, NotIsometricError
 from .grading import Grade, HardyVector
-from .operators import monomial_multiples, outer_powers, shift, spectral_norm
+from .operators import Coo, hstack, monomial_multiples, outer_powers, shift, spectral_norm
 
 SVD_CUTOFF = 1e-10
 SUPPORT_TOL = 1e-12
@@ -36,14 +36,14 @@ class Provenance:
     """How a basis was produced; enough to re-derive working-grade data.
 
     An orbit basis also carries the orthonormal orbit basis at its working
-    grade, as a sparse array, so the wandering step does not span the same
-    orbit again.
+    grade, as a :class:`Coo` triplet, so the wandering step does not span the
+    same orbit again.
     """
 
     kind: str
     generators: tuple[HardyVector, ...] = ()
     margin: int = 0
-    working_basis: csr_array | None = field(default=None, compare=False, repr=False)
+    working_basis: Coo | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -120,18 +120,35 @@ def _grouped(labels: np.ndarray, count: int):
 
 
 def _components(r: np.ndarray, c: np.ndarray, m: int, n: int) -> tuple[int, np.ndarray]:
-    """Connected components of the pattern of the entries at rows ``r``
-    (sorted) and columns ``c`` of an m × n matrix, as one bipartite graph:
-    their count and the labels of rows 0..m-1 then columns 0..n-1."""
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(r, minlength=m + n))])
-    graph = csr_array((np.ones(c.size), c + m, indptr), shape=(m + n, m + n))
-    return connected_components(graph, directed=False)
+    """Connected components of the pattern of the entries at rows ``r`` and
+    columns ``c`` of an m × n matrix, as one bipartite graph: their count
+    and the labels of rows 0..m-1 then columns 0..n-1, numbered in the order
+    of each component's smallest node.
+
+    Each round hooks every root that is the larger end of an edge between
+    two roots under the smallest root across such an edge, then pointer
+    jumping points every node at its root. A node's root is never above it,
+    so each root ends as the smallest node of its component."""
+    u, v = r, c + m
+    root = np.arange(m + n)
+    while True:
+        ru, rv = root[u], root[v]
+        if np.array_equal(ru, rv):
+            break
+        np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv))
+        while True:
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root = up
+    first = root == np.arange(m + n)
+    return int(first.sum()), (np.cumsum(first) - 1)[root]
 
 
 def _pattern_blocks(a) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The blocks of the nonzero pattern of the dense or sparse matrix ``a``:
-    the connected components of its rows and columns, taken as one bipartite
-    graph.
+    """The blocks of the nonzero pattern of the dense array or :class:`Coo`
+    ``a``: the connected components of its rows and columns, taken as one
+    bipartite graph.
 
     Yields each block as ``(rows, cols, block)`` with
     ``block = a[rows][:, cols]`` and ``rows``, ``cols`` ascending, laid out
@@ -140,12 +157,11 @@ def _pattern_blocks(a) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     ``a`` is the direct sum of its blocks, so the union of their SVDs is the
     SVD of ``a``. Zero rows and zero columns lie in no block.
     """
-    a = csr_array(a)
-    a.sum_duplicates()
+    if not isinstance(a, Coo):
+        a = Coo.from_dense(a)
     m, n = a.shape
-    r = np.repeat(np.arange(m), np.diff(a.indptr))
-    nonzero = a.data != 0
-    r, c, v = r[nonzero], a.indices[nonzero], a.data[nonzero]
+    nonzero = a.vals != 0
+    r, c, v = a.rows[nonzero], a.cols[nonzero], a.vals[nonzero]
     if v.size == 0:
         return
     count, labels = _components(r, c, m, n)
@@ -153,41 +169,39 @@ def _pattern_blocks(a) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     col_order, col_start, n_cols, col_place = _grouped(labels[m:], count)
     live = np.flatnonzero((n_rows > 0) & (n_cols > 0))
     live = live[np.argsort(n_rows[live] * (n + 1) + n_cols[live], kind="stable")]
-    # a block's rows are consecutive in row_order, so taking the entries row
-    # by row in that order puts each block's entries in one slice, with no sort
-    taken = np.bincount(r, minlength=m)[row_order]
-    end = np.cumsum(taken)
-    order = np.repeat(np.searchsorted(r, row_order) - end + taken, taken) + np.arange(v.size)
-    place = (row_place[r] * n_cols[labels[r]] + col_place[c])[order]
-    v, end = v[order], [0, *end.tolist()]
+    # grouped by component, each block's entries lie in one slice
+    label = labels[r]
+    order = np.argsort(label, kind="stable")
+    place = (row_place[r] * n_cols[label] + col_place[c])[order]
+    v, end = v[order], [0, *np.cumsum(np.bincount(label, minlength=count)).tolist()]
     row_start, n_rows = row_start.tolist(), n_rows.tolist()
     col_start, n_cols = col_start.tolist(), n_cols.tolist()
     for k in live.tolist():
         h, w, top, left = n_rows[k], n_cols[k], row_start[k], col_start[k]
         block = np.zeros(h * w, dtype=v.dtype)
-        e = slice(end[top], end[top + h])
+        e = slice(end[k], end[k + 1])
         block[place[e]] = v[e]
         yield row_order[top : top + h], col_order[left : left + w], block.reshape(h, w)
 
 
-def _place(length: int, pieces) -> csr_array:
-    """Sparse matrix of ``length`` rows with one column per row j of each
-    piece ``(index, vectors)``, holding ``vectors[j]`` at the rows
-    ``index[j]``; ``index`` is broadcast to the shape of ``vectors``."""
+def _place(length: int, pieces) -> Coo:
+    """Matrix of ``length`` rows with one column per row j of each piece
+    ``(index, vectors)``, holding ``vectors[j]`` at the rows ``index[j]``;
+    ``index`` is broadcast to the shape of ``vectors``."""
     if not pieces:
-        return csr_array((length, 0), dtype=complex)
-    data = np.concatenate([v.ravel() for _, v in pieces], dtype=complex)
+        return Coo((length, 0), np.zeros(0, int), np.zeros(0, int), np.zeros(0, complex))
+    vals = np.concatenate([v.ravel() for _, v in pieces], dtype=complex)
     rows = np.concatenate([np.broadcast_to(i, v.shape).ravel() for i, v in pieces])
     widths = np.concatenate([np.full(v.shape[0], v.shape[1]) for _, v in pieces])
     cols = np.repeat(np.arange(widths.size), widths)
-    return csr_array((data, (rows, cols)), shape=(length, widths.size))
+    return Coo((length, widths.size), rows, cols, vals)
 
 
-def block_span(a) -> csr_array:
-    """Orthonormal basis of the column span of the dense or sparse ``a``,
-    with one SVD per block of its nonzero pattern. Singular values at or
-    below ``SVD_CUTOFF·max(1, s₀)``, s₀ taken over all blocks, are cut. The
-    basis is returned sparse."""
+def block_span(a) -> Coo:
+    """Orthonormal basis of the column span of the dense array or
+    :class:`Coo` ``a``, with one SVD per block of its nonzero pattern.
+    Singular values at or below ``SVD_CUTOFF·max(1, s₀)``, s₀ taken over all
+    blocks, are cut."""
     svds = [
         (rows, *np.linalg.svd(block, full_matrices=False)[:2])
         for rows, _, block in _pattern_blocks(a)
@@ -197,11 +211,11 @@ def block_span(a) -> csr_array:
 
 
 def block_svds(a) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """``(cols, s, vh)`` for each block of the nonzero pattern of the dense or
-    sparse ``a``, with ``vh`` the block's whole right space. A tall block is
-    factored through the square R of its QR, whose singular values and
-    right singular vectors are the block's, so its left singular vectors
-    are never formed; a square or wide block gets one full SVD."""
+    """``(cols, s, vh)`` for each block of the nonzero pattern of the dense
+    array or :class:`Coo` ``a``, with ``vh`` the block's whole right space.
+    A tall block is factored through the square R of its QR, whose singular
+    values and right singular vectors are the block's, so its left singular
+    vectors are never formed; a square or wide block gets one full SVD."""
     out = []
     for _, cols, block in _pattern_blocks(a):
         h, w = block.shape
@@ -211,11 +225,10 @@ def block_svds(a) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     return out
 
 
-def null_basis(n: int, svds, cut: float) -> csr_array:
+def null_basis(n: int, svds, cut: float) -> Coo:
     """Orthonormal basis of the null space of a matrix of ``n`` columns from
     its :func:`block_svds`: each block's right singular vectors whose
-    singular values are at or below ``cut``, and every column in no block.
-    The basis is returned sparse."""
+    singular values are at or below ``cut``, and every column in no block."""
     free = np.ones(n, dtype=bool)
     pieces = []
     for cols, s, vh in svds:
@@ -241,7 +254,7 @@ def _split(x: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     return x @ v[:, : s.size], x @ v[:, s.size :], s
 
 
-def _slice(basis: csr_array, keep: np.ndarray) -> csr_array:
+def _slice(basis, keep: np.ndarray) -> Coo:
     """Orthonormal basis of span(basis) ∩ {x : x vanishes off ``keep``} for
     the orthonormal ``basis``: ``x·null(x[~keep])`` (:func:`_split`) for each
     pattern block x of ``basis``, orthonormal as it stands. Every column of
@@ -295,7 +308,8 @@ def _strata(degree: np.ndarray, x: np.ndarray):
 
 def canonical_basis(grade: Grade, basis) -> tuple[np.ndarray, int]:
     """Canonical orthonormal basis of span(basis), for the orthonormal dense
-    or sparse ``basis``, and the number of its safe-supported columns.
+    array or :class:`Coo` ``basis``, and the number of its safe-supported
+    columns.
 
     Layout: [safe-supported | rest], each part by ascending outer degree,
     each stratum by its columns' first pivot rows. The safe-supported part
@@ -387,24 +401,23 @@ def _inside_caps(grade: Grade, big: Grade) -> np.ndarray:
     return keep
 
 
-def _capped_basis(grade: Grade, big: Grade, basis: csr_array) -> tuple[np.ndarray, int]:
+def _capped_basis(grade: Grade, big: Grade, basis: Coo) -> tuple[np.ndarray, int]:
     """:func:`canonical_basis` of the part of span(basis) that lies inside the
     caps of ``grade``, in ``grade``'s coordinates, for the orthonormal
     ``basis`` at the grade ``big``."""
     sliced = _slice(basis, _inside_caps(grade, big))
-    return canonical_basis(grade, sliced[embedding_positions(grade, big)])
+    return canonical_basis(grade, sliced.take_rows(embedding_positions(grade, big)))
 
 
-def _monomial_orbit_columns(gw: Grade, generators: Sequence[HardyVector]) -> coo_array:
-    """All monomial multiples of the generators that fit the caps of ``gw``,
-    as a sparse array."""
-    cols: list[coo_array] = []
+def _monomial_orbit_columns(gw: Grade, generators: Sequence[HardyVector]) -> Coo:
+    """All monomial multiples of the generators that fit the caps of ``gw``."""
+    cols = []
     for g in generators:
         room = gw.degree_caps - (g.outer_degree(), *g.inner_degrees()) + 1
         monomials = np.stack(np.unravel_index(np.arange(np.prod(room)), room), axis=1)
         vec = lift_dense(g.grade, gw, g.to_dense()[:, None])[:, 0]
         cols.append(monomial_multiples(gw, vec, monomials))
-    return hstack(cols, format="coo")
+    return hstack(cols)
 
 
 def orbit_span(
@@ -466,7 +479,7 @@ def orbit_stability(
     return base, _slice(probe, _inside_caps(grade, gp)).shape[1] == base.dim
 
 
-def _wandering(grade: Grade, basis: csr_array) -> csr_array:
+def _wandering(grade: Grade, basis: Coo) -> Coo:
     """Orthonormal basis of span(basis) ⊖ z·span(basis) for the orthonormal
     ``basis`` B: ``B·null((M_z B)ᴴ B)``, orthonormal as it stands.
 
@@ -567,46 +580,47 @@ def build_from_theta(theta, grade: Grade) -> SubspaceBasis:
         monomial_multiples(gw, lifted[:, j], z_powers[: gw.outer_cap - deg + 1])
         for j, deg in enumerate(degrees)
     ]
-    organized, n_safe = _capped_basis(grade, gw, hstack(cols, format="csr"))
+    organized, n_safe = _capped_basis(grade, gw, hstack(cols))
     prov = Provenance("theta-image")
     return SubspaceBasis(grade, organized, prov, n_certified=n_safe)
 
 
-def _readable_columns(gb: Grade, a, band: np.ndarray) -> tuple[csr_array, int]:
-    """The columns of the orbit columns ``a`` at the grade ``gb`` whose
-    pattern components a residual read on the rows ``band`` depends on, and
-    the number of rows of those components.
+def _readable_columns(gb: Grade, a: Coo, band: np.ndarray) -> tuple[Coo, int]:
+    """The orbit columns ``a`` at the grade ``gb`` with only the entries of
+    the pattern components a residual read on the rows ``band`` depends on,
+    and the number of rows of those components.
 
     A component is kept if it touches ``band``, if z shifts it into a kept
     component (the kept one's wandering space needs it), or if it shares such
     a preimage with a kept component (the two share a wandering null space);
     closed until nothing changes. The span, wandering space and slice of the
-    kept columns are those of all columns, restricted to the kept
+    kept entries are those of all entries, restricted to the kept
     components. z only raises degrees and ``band`` is closed under lowering
     the outer degree, so no other component reaches it. For homogeneous
     generators a component is one total degree, and the kept ones are those
     up to the largest total degree on ``band``.
     """
     m, n = a.shape
-    a = a.tocsr()
-    occupied = np.diff(a.indptr) > 0
-    rows = np.repeat(np.arange(m), np.diff(a.indptr))
-    count, labels = _components(rows, a.indices, m, n)
+    occupied = np.zeros(m, dtype=bool)
+    occupied[a.rows] = True
+    count, labels = _components(a.rows, a.cols, m, n)
     src, dst = gb.shift_map(0)
     live = occupied[src] & occupied[dst]
-    # preimage[p, c] > 0: z shifts component p into component c
-    edges = (labels[src[live]], labels[dst[live]])
-    preimage = csr_array((np.ones(live.sum()), edges), shape=(count, count))
+    # z shifts component source[k] into component image[k]
+    source, image = labels[src[live]], labels[dst[live]]
     keep = np.zeros(count, dtype=bool)
     keep[labels[band[occupied[band]]]] = True
     while True:
-        pre = preimage @ keep > 0
-        grown = keep | pre | (preimage.T @ pre > 0)
+        pre = np.zeros(count, dtype=bool)
+        pre[source[keep[image]]] = True
+        grown = keep | pre
+        grown[image[pre[source]]] = True
         if np.array_equal(grown, keep):
             break
         keep = grown
     kept_rows = int((keep[labels[:m]] & occupied).sum())
-    return a[:, keep[labels[m:]]], kept_rows
+    entries = keep[labels[a.rows]]
+    return Coo(a.shape, a.rows[entries], a.cols[entries], a.vals[entries]), kept_rows
 
 
 def wold_reconstruction(s: SubspaceBasis, tolerance: float = INVARIANCE_TOL) -> WoldReport:
@@ -628,8 +642,8 @@ def wold_reconstruction(s: SubspaceBasis, tolerance: float = INVARIANCE_TOL) -> 
     sb = block_span(orbit)
     wb = _wandering(gb, sb)
     inside_caps = np.all(gb.exponents[:, :-1] < gb.degree_caps, axis=1)
-    k = outer_powers(e, _slice(wb, inside_caps)[band].toarray())
-    b = sb[band].toarray()
+    k = outer_powers(e, _slice(wb, inside_caps).take_rows(band).toarray())
+    b = sb.take_rows(band).toarray()
     residual = spectral_norm(b @ b.conj().T - k @ k.conj().T)
     return WoldReport(
         residual=residual,
@@ -641,25 +655,30 @@ def wold_reconstruction(s: SubspaceBasis, tolerance: float = INVARIANCE_TOL) -> 
     )
 
 
+def _angle_residual(b1, b2) -> np.ndarray:
+    """The projection residual of the smaller basis against the larger
+    span, whose singular values are the sines of the min(d1, d2) principal
+    angles."""
+    c1 = np.asarray(getattr(b1, "columns", b1), dtype=complex)
+    c2 = np.asarray(getattr(b2, "columns", b2), dtype=complex)
+    small, big = (c1, c2) if c1.shape[1] <= c2.shape[1] else (c2, c1)
+    return small - big @ (big.conj().T @ small)
+
+
 def principal_angle_sines(b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
     """Sines of the min(d1, d2) principal angles, descending.
 
     Computed as singular values of the projection residual of the smaller
     basis against the larger span, which is stable near zero.
     """
-    c1 = np.asarray(getattr(b1, "columns", b1), dtype=complex)
-    c2 = np.asarray(getattr(b2, "columns", b2), dtype=complex)
-    if c1.shape[1] == 0 or c2.shape[1] == 0:
-        return np.zeros(0)
-    small, big = (c1, c2) if c1.shape[1] <= c2.shape[1] else (c2, c1)
-    residual = small - big @ (big.conj().T @ small)
-    sines = np.linalg.svd(residual, compute_uv=False)
+    sines = np.linalg.svd(_angle_residual(b1, b2), compute_uv=False)
     return np.clip(sines, 0.0, 1.0)
 
 
 def max_principal_angle_sine(b1, b2) -> float:
-    sines = principal_angle_sines(b1, b2)
-    return float(sines[0]) if sines.size else 0.0
+    """The largest principal angle sine, 0 if either basis is empty: the
+    2-norm of the projection residual, with no SVD."""
+    return min(spectral_norm(_angle_residual(b1, b2)), 1.0)
 
 
 def subspace_from_columns(

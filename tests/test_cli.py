@@ -291,12 +291,20 @@ def test_negative_margin_exit_one_before_any_grade_is_sized(capsys, margin):
     assert err == "error: working margin must be nonnegative\n"
 
 
-@pytest.mark.parametrize("tolerance", ["0", "-1", "nan"])
+@pytest.mark.parametrize("tolerance", ["0", "-1", "nan", "inf", "1e300", "1"])
 def test_bad_tolerance_exit_one(capsys, tolerance):
     code, out, err = run_cli(["run", SCENARIOS / "z.json", "--tolerance", tolerance], capsys)
     assert code == 1
     assert out == ""
     assert err.startswith("error: tolerance must be positive")
+
+
+@pytest.mark.parametrize("tolerance", ["0", "-1", "nan", "inf"])
+def test_selftest_bad_tolerance_exit_one_before_any_scenario(capsys, tolerance):
+    code, out, err = run_cli(["selftest", "--random", "0", "--tolerance", tolerance], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: tolerance must be positive and below 1, not {float(tolerance)}\n"
 
 
 def test_purity_option_is_rejected(capsys, tmp_path):
@@ -369,6 +377,19 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_scipy_sparse_unloaded():
+    # the block kernels work on numpy index arrays, so a CLI process loads
+    # neither scipy's sparse arrays, its graph search nor its linear algebra
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    modules = ["scipy.sparse", "scipy.sparse.csgraph", "scipy.linalg"]
+    probe = f"import sys, polyhardy.cli; print([m in sys.modules for m in {modules}])"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == str([False] * len(modules))
 
 
 def _dims_and_verdicts(report: dict) -> tuple:

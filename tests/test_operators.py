@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import polyhardy as ph
 from polyhardy.errors import GradeError
-from polyhardy.operators import monomial_multiples
+from polyhardy.operators import Coo, hstack, monomial_multiples
 
 
 def test_shift_matrix_moves_basis(g1):
@@ -52,6 +52,27 @@ def test_gathers_equal_shift_matrix(grade):
             for _ in range(power):
                 image = ph.shift_matrix(grade, axis) @ image
         assert np.array_equal(col, image)
+
+
+def test_triplet_operations_equal_their_dense_forms_bit_for_bit():
+    grade = ph.Grade(2, 3, 3, 1)
+    rng = np.random.default_rng(9)
+
+    def random_pair(width):
+        entries = rng.normal(size=(grade.dim, width)) + 1j * rng.normal(size=(grade.dim, width))
+        dense = np.where(rng.random((grade.dim, width)) < 0.3, entries, 0)
+        r, c = np.nonzero(dense)
+        order = rng.permutation(r.size)  # entries in any order
+        return dense, Coo(dense.shape, r[order], c[order], dense[r[order], c[order]])
+
+    (a, ta), (b, tb) = random_pair(4), random_pair(3)
+    index = rng.permutation(grade.dim)[:10]
+    pairs = [(ta, a), (hstack([ta, tb]), np.hstack([a, b])), (ta.take_rows(index), a[index])]
+    pairs += [(ph.shift(grade, axis, ta), ph.shift(grade, axis, a)) for axis in range(3)]
+    for triplet, dense in pairs:
+        got = triplet.toarray()
+        assert got.shape == dense.shape and got.dtype == dense.dtype
+        assert got.tobytes() == dense.tobytes()
 
 
 def test_axis_validation(g1):

@@ -4,7 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.sparse import csr_array, issparse
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import connected_components
 
 import polyhardy as ph
 from polyhardy import operators, subspace
@@ -14,7 +15,9 @@ from polyhardy.errors import (
     NotInvariantError,
     NotIsometricError,
 )
+from polyhardy.operators import Coo
 from polyhardy.subspace import (
+    _components,
     _pattern_blocks,
     _slice,
     _wandering,
@@ -265,12 +268,12 @@ def test_wold_check_shifts_nothing_dense_at_the_wold_grade(
     corpus_artifacts, monkeypatch
 ):
     # K is built at the safe band's own grade: no dense array is shifted at
-    # the Wold grade (the sparse shift of the wandering step is allowed)
+    # the Wold grade (the triplet shift of the wandering step is allowed)
     wold = []
     original = operators.shift
 
     def guarded(grade, axis, x):
-        if grade in wold and not issparse(x):
+        if grade in wold and not isinstance(x, Coo):
             raise AssertionError(f"dense shift at the Wold grade {grade}")
         return original(grade, axis, x)
 
@@ -352,8 +355,8 @@ def test_block_kernels_span_what_dense_spans(seed):
         assert np.linalg.norm(block.conj().T @ block - np.eye(block.shape[1])) < 1e-12
     assert sliced.shape[1] == 4
     assert np.abs(sliced.toarray()[~keep]).max() < 1e-12
-    # the Wold path hands the kernels sparse matrices
-    assert np.array_equal(block_span(csr_array(a)).toarray(), basis.toarray())
+    # the Wold path hands the kernels triplets
+    assert np.array_equal(block_span(Coo.from_dense(a)).toarray(), basis.toarray())
     assert np.array_equal(_slice(basis.toarray(), keep).toarray(), sliced.toarray())
 
 
@@ -387,7 +390,7 @@ def test_pattern_blocks_partition_in_shape_order(seed):
     # two blocks of shape 3 × 2
     blocks = [(3, 2, 2, 1.0), (1, 3, 1, 1.0), (3, 2, 1, 1.0), (2, 2, 2, 1.0)]
     a = _scattered_blocks(rng, blocks, zero_rows=2, zero_cols=3)
-    layout = list(_pattern_blocks(csr_array(a)))
+    layout = list(_pattern_blocks(Coo.from_dense(a)))
     rows = np.concatenate([r for r, _, _ in layout])
     cols = np.concatenate([c for _, c, _ in layout])
     assert np.array_equal(np.sort(rows), np.flatnonzero(np.any(a != 0, axis=1)))
@@ -402,6 +405,44 @@ def test_pattern_blocks_partition_in_shape_order(seed):
     assert [k[:2] for k in keys] == [(1, 3), (2, 2), (3, 2), (3, 2)]
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_pattern_blocks_of_an_unsorted_triplet_equal_those_of_its_dense_form(seed):
+    rng = np.random.default_rng(seed)
+    blocks = [(3, 2, 2, 1.0), (1, 3, 1, 1.0), (3, 2, 1, 1.0), (2, 2, 2, 1.0)]
+    a = _scattered_blocks(rng, blocks, zero_rows=2, zero_cols=3)
+    r, c = np.nonzero(a)
+    # an explicit zero entry at a zero row joins no block
+    r = np.append(r, np.flatnonzero(~a.any(axis=1))[0])
+    c = np.append(c, 0)
+    order = rng.permutation(r.size)
+    r, c = r[order], c[order]
+    triplet = Coo(a.shape, r, c, a[r, c])
+    got, want = list(_pattern_blocks(triplet)), list(_pattern_blocks(a))
+    assert len(got) == len(want) == 4
+    for (rows, cols, block), (rows_d, cols_d, block_d) in zip(got, want):
+        assert np.array_equal(rows, rows_d) and np.array_equal(cols, cols_d)
+        assert block.tobytes() == block_d.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_components_equal_scipy_connected_components(seed):
+    # random bipartite patterns with empty rows and columns, entries in any
+    # order: the same count and the same labels as scipy's search
+    rng = np.random.default_rng(seed)
+    m, n = rng.integers(1, 200, size=2)
+    pattern = rng.random((m, n)) < rng.uniform(0.002, 0.05)
+    pattern[rng.random(m) < 0.2] = False
+    pattern[:, rng.random(n) < 0.2] = False
+    r, c = np.nonzero(pattern)
+    order = rng.permutation(r.size)
+    r, c = r[order], c[order]
+    graph = csr_array((np.ones(r.size), (r, c + m)), shape=(m + n, m + n))
+    count, labels = connected_components(graph, directed=False)
+    got_count, got_labels = _components(r, c, m, n)
+    assert got_count == count
+    assert np.array_equal(got_labels, labels)
+
+
 def test_block_kernels_edge_cases():
     # the relative cut is taken against the largest singular value of the
     # whole matrix, not of each block
@@ -413,13 +454,14 @@ def test_block_kernels_edge_cases():
     basis = np.zeros((5, 2), dtype=complex)
     basis[[0, 2, 4]] = np.linalg.qr(np.arange(6.0).reshape(3, 2) + 1j)[0]
     keep = np.isin(np.arange(5), [0, 2, 4])
-    assert np.array_equal(_slice(csr_array(basis), keep).toarray(), basis)
-    assert _slice(csr_array(basis), ~keep).shape == (5, 0)
+    assert np.array_equal(_slice(Coo.from_dense(basis), keep).toarray(), basis)
+    assert _slice(Coo.from_dense(basis), ~keep).shape == (5, 0)
     no_columns = np.zeros((5, 0))
     assert block_span(no_columns).shape == (5, 0)
-    assert _slice(csr_array(no_columns), keep).shape == (5, 0)
+    assert _slice(Coo.from_dense(no_columns), keep).shape == (5, 0)
     grade = ph.Grade(1, 1, 1)
-    assert _wandering(grade, csr_array((grade.dim, 0), dtype=complex)).shape == (4, 0)
+    empty = Coo.from_dense(np.zeros((grade.dim, 0), dtype=complex))
+    assert _wandering(grade, empty).shape == (4, 0)
 
 
 def test_block_kernels_equal_dense_on_connected_pattern():
@@ -432,7 +474,7 @@ def test_block_kernels_equal_dense_on_connected_pattern():
         assert np.array_equal(block_span(a).toarray(), basis)
         keep = np.arange(a.shape[0]) > 0
         dense = basis @ null_columns(basis[~keep])
-        assert np.array_equal(_slice(csr_array(basis), keep).toarray(), dense)
+        assert np.array_equal(_slice(Coo.from_dense(basis), keep).toarray(), dense)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -563,7 +605,7 @@ def test_canonical_basis_depends_on_the_span_alone(path):
 GRADED = ["n2-cmp-02", "n2-cmp-08", "n2-cmp-10", "n2-cmp-11", "n2-lin-04", "n2-lin-11"]
 
 
-def _sliced(member: dict, key: str) -> csr_array:
+def _sliced(member: dict, key: str) -> Coo:
     """The sliced basis :func:`subspace.canonical_basis` receives for the
     member's orbit (``key`` "s") or wandering (``key`` "w") basis."""
     grade, prov = member["grade"], member["s"].provenance
@@ -572,7 +614,7 @@ def _sliced(member: dict, key: str) -> csr_array:
     if key == "w":
         basis = subspace._wandering(gw, basis)
     sliced = subspace._slice(basis, subspace._inside_caps(grade, gw))
-    return sliced[subspace.embedding_positions(grade, gw)]
+    return sliced.take_rows(subspace.embedding_positions(grade, gw))
 
 
 @pytest.mark.parametrize("label", GRADED)
