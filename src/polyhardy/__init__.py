@@ -8,7 +8,6 @@ from .blh import (
     IntertwineReport,
     MatrixPolynomial,
     MultiplierReport,
-    PurityReport,
     adjoint_convolution,
     convolve,
     extract_phi,
@@ -17,9 +16,7 @@ from .blh import (
     inner_slot_shift,
     is_isometric_multiplier,
     kappa_polynomial,
-    multiplication_matrix,
     multiplier_commutation,
-    shift_purity_diagnostic,
     verify_intertwining,
     wold_multiplication_consistency,
 )

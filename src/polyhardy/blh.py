@@ -12,12 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (
-    FlaggedWanderingError,
-    GradeError,
-    NotInvariantError,
-    NotIsometricError,
-)
+from .errors import FlaggedWanderingError, GradeError, NotInvariantError
 from .grading import Grade
 from .operators import outer_powers, shift, shift_adjoint, shift_matrix, spectral_norm
 from .subspace import SUPPORT_TOL, SubspaceBasis, outer_degrees
@@ -126,13 +121,6 @@ class MultiplierReport:
     residuals: tuple[float, ...]
     max_residual: float
     verdict: bool
-    tolerance: float
-
-
-@dataclass(frozen=True)
-class PurityReport:
-    profile: tuple[float, ...]
-    verdict: str
     tolerance: float
 
 
@@ -271,51 +259,6 @@ def multiplier_commutation(
     return MultiplierReport(
         "commutation", residuals, max_residual, max_residual < tolerance, tolerance
     )
-
-
-def multiplication_matrix(phi: MatrixPolynomial, degree_cap: int) -> np.ndarray:
-    """Block lower-triangular Toeplitz matrix of M_Φ on the capped space."""
-    r = phi.shape[0]
-    if phi.shape[1] != r:
-        raise GradeError("purity needs a square symbol")
-    out = np.zeros(((degree_cap + 1) * r, (degree_cap + 1) * r), dtype=complex)
-    for m in range(degree_cap + 1):
-        for k in range(m + 1):
-            out[m * r : (m + 1) * r, k * r : (k + 1) * r] = phi.coeff(m - k)
-    return out
-
-
-def shift_purity_diagnostic(
-    phi: MatrixPolynomial,
-    degree_cap: int = 6,
-    steps: int = 8,
-    pure_threshold: float = 1e-6,
-) -> PurityReport:
-    """Heuristic purity profile: norms of powers of the adjoint of M_Φ.
-
-    The profile of a pure (shift-like) multiplier decays to zero once the
-    power exceeds the cap; a unitary direction keeps the profile at 1.
-    """
-    iso = is_isometric_multiplier(phi)
-    if not iso.verdict:
-        raise NotIsometricError(
-            f"purity diagnostic needs an isometric symbol "
-            f"(residual {iso.max_residual:.2e})"
-        )
-    big = multiplication_matrix(phi, degree_cap).conj().T
-    profile = []
-    cur = np.eye(big.shape[0], dtype=complex)
-    for _ in range(steps):
-        cur = big @ cur
-        profile.append(spectral_norm(cur))
-    non_increasing = all(
-        profile[i + 1] <= profile[i] + 1e-12 for i in range(len(profile) - 1)
-    )
-    if non_increasing and profile and profile[-1] < pure_threshold:
-        verdict = "pure (heuristic)"
-    else:
-        verdict = "not pure"
-    return PurityReport(tuple(profile), verdict, pure_threshold)
 
 
 def wold_multiplication_consistency(

@@ -318,8 +318,8 @@ def doubly_commuting_classification(
     wandering coefficient space when the subspace is doubly commuting).
 
     The safe-band compression reads the leading ``s.n_certified`` rows and
-    columns: in the canonical layout those basis columns span the part of S
-    supported on the safe band. Only those rows and columns are formed: each
+    columns: in the [safe | rest] layout those basis columns span the part
+    of S supported on the safe band. Only those rows and columns are formed: each
     commutator block from ``v[:, safe]`` and ``v[safe]``, and the defect
     from the safe rows of each word (:func:`defect_sum`)."""
     ops = [s.compress(axis) for axis in range(1 + s.grade.n)]

@@ -18,9 +18,10 @@ What is byte-stable, and where:
   floating-point work behind them. Dims, flags, verdicts, tolerances, caps
   and every symbol coefficient stay. For the named n=1 scenarios,
   ``full-rank2`` included, and for ``pair-n2`` the stable part is identical
-  at 1 and 2 OpenBLAS threads: Theta and Phi are products of the canonical
-  bases of ``subspace.canonical_basis``, whose entries off their pattern
-  blocks are exact zeros.
+  at 1 and 2 OpenBLAS threads: Theta and Phi are products of the wandering
+  basis of ``subspace.canonical_basis`` and the [safe | rest] orbit basis of
+  ``subspace.split_basis``, whose entries off their pattern blocks are exact
+  zeros.
 """
 from __future__ import annotations
 

@@ -7,9 +7,12 @@ slice and wandering space runs block by block, with one pass over the pattern
 blocks of its input (:func:`block_span`, :func:`_slice`, :func:`_wandering`);
 between them a matrix is held as a :class:`~polyhardy.operators.Coo`
 triplet of numpy index arrays, and its blocks are found by
-:func:`_components`.  A basis that leaves this module is put in the
-canonical layout of :func:`canonical_basis`, which depends on the subspace
-alone, not on the basis it was computed from.
+:func:`_components`.  A basis that leaves this module is orthonormal in the
+[safe-supported | rest] layout of :func:`split_basis`.  The symbols are
+read off the wandering basis alone, so only it is put in the canonical
+layout of :func:`canonical_basis`, which depends on the subspace alone, not
+on the basis it was computed from; both run the one split of
+:func:`_safe_split`.
 """
 from __future__ import annotations
 
@@ -306,28 +309,54 @@ def _strata(degree: np.ndarray, x: np.ndarray):
             yield d, reach, degree == d, s
 
 
+def _safe_split(
+    grade: Grade, basis
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Each pattern block of the orthonormal dense array or :class:`Coo`
+    ``basis`` split by one SVD of its unsafe rows (:func:`_split`), as
+    ``(rows, safe, rest)``: ``safe`` spans the block's part that vanishes off
+    the safe band, ``rest`` its orthogonal complement in the block's span."""
+    unsafe = ~grade.safe_mask
+    for rows, _, block in _pattern_blocks(basis):
+        rest, safe, _ = _split(block, unsafe[rows])
+        yield rows, safe, rest
+
+
+def split_basis(grade: Grade, basis) -> tuple[np.ndarray, int]:
+    """Orthonormal [safe-supported | rest] basis of span(basis), for the
+    orthonormal dense array or :class:`Coo` ``basis``, and the number of its
+    safe-supported columns. Each part holds the blocks' columns of
+    :func:`_safe_split` in block order; the split fixes the two parts, not a
+    basis inside either."""
+    split = list(_safe_split(grade, basis))
+    parts = [(rows, x) for rows, x, _ in split] + [(rows, x) for rows, _, x in split]
+    columns = np.zeros((grade.dim, sum(x.shape[1] for _, x in parts)), dtype=complex)
+    j = 0
+    for rows, x in parts:
+        columns[rows, j : j + x.shape[1]] = x
+        j += x.shape[1]
+    return columns, sum(safe.shape[1] for _, safe, _ in split)
+
+
 def canonical_basis(grade: Grade, basis) -> tuple[np.ndarray, int]:
     """Canonical orthonormal basis of span(basis), for the orthonormal dense
     array or :class:`Coo` ``basis``, and the number of its safe-supported
     columns.
 
     Layout: [safe-supported | rest], each part by ascending outer degree,
-    each stratum by its columns' first pivot rows. The safe-supported part
-    spans span(basis) ∩ {x : x vanishes off the safe band}, the rest its
-    orthogonal complement in span(basis). The span is the direct sum of the
-    spans of the pattern blocks of ``basis``, and so are both parts and
-    every stratum, so each block is split (one SVD of its unsafe rows),
-    peeled (:func:`_strata`) and gauged (:func:`_gauge`) on its own rows:
-    every column lies in one block, and its entries off that block are
-    exact zeros. The gauge's cut is relative to the stratum's smallest
-    singular value over all blocks. Inside a stratum the unitary is fixed
-    by the gauge, so the result is a function of the subspace alone.
+    each stratum by its columns' first pivot rows. The parts are those of
+    :func:`split_basis`. The span is the direct sum of the spans of the
+    pattern blocks of ``basis``, and so are both parts and every stratum, so
+    each block's parts (:func:`_safe_split`) are peeled (:func:`_strata`)
+    and gauged (:func:`_gauge`) on the block's own rows: every column lies in
+    one block, and its entries off that block are exact zeros. The gauge's
+    cut is relative to the stratum's smallest singular value over all
+    blocks. Inside a stratum the unitary is fixed by the gauge, so the result
+    is a function of the subspace alone.
     """
     degree = grade.exponents[:, 0]
-    unsafe = ~grade.safe_mask
     peeled = []
-    for rows, _, block in _pattern_blocks(basis):
-        rest, safe, _ = _split(block, unsafe[rows])
+    for rows, safe, rest in _safe_split(grade, basis):
         for part, x in enumerate((safe, rest)):
             peeled += [(part, rows, *stratum) for stratum in _strata(degree[rows], x)]
     smallest: dict = {}
@@ -401,12 +430,12 @@ def _inside_caps(grade: Grade, big: Grade) -> np.ndarray:
     return keep
 
 
-def _capped_basis(grade: Grade, big: Grade, basis: Coo) -> tuple[np.ndarray, int]:
-    """:func:`canonical_basis` of the part of span(basis) that lies inside the
-    caps of ``grade``, in ``grade``'s coordinates, for the orthonormal
-    ``basis`` at the grade ``big``."""
+def _capped(grade: Grade, big: Grade, basis: Coo) -> Coo:
+    """Orthonormal basis of the part of span(basis) that lies inside the caps
+    of ``grade``, in ``grade``'s coordinates, for the orthonormal ``basis``
+    at the grade ``big``."""
     sliced = _slice(basis, _inside_caps(grade, big))
-    return canonical_basis(grade, sliced.take_rows(embedding_positions(grade, big)))
+    return sliced.take_rows(embedding_positions(grade, big))
 
 
 def _monomial_orbit_columns(gw: Grade, generators: Sequence[HardyVector]) -> Coo:
@@ -449,7 +478,7 @@ def orbit_span(
         raise DegenerateInputError("generators span {0} after cleanup")
     gw = working_grade(grade, working_margin)
     working = block_span(_monomial_orbit_columns(gw, cleaned))
-    organized, n_safe = _capped_basis(grade, gw, working)
+    organized, n_safe = split_basis(grade, _capped(grade, gw, working))
     if organized.shape[1] == 0:
         raise DegenerateInputError("generators produce an empty capped slice")
     prov = Provenance(
@@ -469,14 +498,23 @@ def orbit_stability(
     """Orbit plus the margin-stability flag: whether the capped slice keeps
     its dimension when spanned at margin + 1.
 
-    The probe needs only that dimension, the column count of the probe orbit
-    basis's slice to the caps (:func:`_slice`), so it builds no organized
-    basis and runs block by block.
+    The probe needs only that dimension, so it spans only the probe orbit's
+    pattern components that reach the caps (:func:`_readable_columns`) and
+    counts, block by block, the columns of the slice to the caps
+    (:func:`_slice`): a block's column count less the rank of its rows off
+    the caps. It forms no basis of the slice.
     """
     base = orbit_span(generators, grade, working_margin)
     gp = working_grade(grade, working_margin + 1)
-    probe = block_span(_monomial_orbit_columns(gp, base.provenance.generators))
-    return base, _slice(probe, _inside_caps(grade, gp)).shape[1] == base.dim
+    inside = _inside_caps(grade, gp)
+    orbit, _ = _readable_columns(
+        gp, _monomial_orbit_columns(gp, base.provenance.generators), np.flatnonzero(inside)
+    )
+    dim = 0
+    for rows, _, x in _pattern_blocks(block_span(orbit)):
+        outside = np.linalg.svd(x[~inside[rows]], compute_uv=False)
+        dim += x.shape[1] - int((outside > SVD_CUTOFF).sum())
+    return base, dim == base.dim
 
 
 def _wandering(grade: Grade, basis: Coo) -> Coo:
@@ -517,7 +555,8 @@ def wandering_subspace(s: SubspaceBasis) -> SubspaceBasis:
     if prov.working_basis is None:
         raise GradeError("the wandering subspace needs orbit provenance")
     gw = working_grade(grade, prov.margin)
-    organized, n_cert = _capped_basis(grade, gw, _wandering(gw, prov.working_basis))
+    wandering = _capped(grade, gw, _wandering(gw, prov.working_basis))
+    organized, n_cert = canonical_basis(grade, wandering)
     if organized.shape[1] == 0:
         raise DegenerateInputError(
             "the subspace has no wandering vector inside the caps"
@@ -539,7 +578,7 @@ def check_invariant(
     """Per-shift residual ``‖(I − P_S)·T·B_safe‖`` over safe-supported columns,
     for ``T`` the shift along each of ``axes`` (0 is ``z``, ``i`` is ``z_i``).
     The safe-supported columns are the leading ``s.n_certified`` of the
-    canonical layout."""
+    [safe | rest] layout."""
     b_safe = s.columns[:, : s.n_certified]
     residuals = []
     for axis in axes:
@@ -580,7 +619,7 @@ def build_from_theta(theta, grade: Grade) -> SubspaceBasis:
         monomial_multiples(gw, lifted[:, j], z_powers[: gw.outer_cap - deg + 1])
         for j, deg in enumerate(degrees)
     ]
-    organized, n_safe = _capped_basis(grade, gw, hstack(cols))
+    organized, n_safe = split_basis(grade, _capped(grade, gw, hstack(cols)))
     prov = Provenance("theta-image")
     return SubspaceBasis(grade, organized, prov, n_certified=n_safe)
 
@@ -684,5 +723,5 @@ def max_principal_angle_sine(b1, b2) -> float:
 def subspace_from_columns(
     grade: Grade, columns: np.ndarray, kind: str = "adhoc"
 ) -> SubspaceBasis:
-    organized, n_safe = canonical_basis(grade, block_span(columns))
+    organized, n_safe = split_basis(grade, block_span(columns))
     return SubspaceBasis(grade, organized, Provenance(kind=kind), n_certified=n_safe)

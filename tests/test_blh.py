@@ -5,12 +5,7 @@ import pytest
 
 import polyhardy as ph
 from polyhardy.blh import degree_residuals
-from polyhardy.errors import (
-    FlaggedWanderingError,
-    GradeError,
-    NotInvariantError,
-    NotIsometricError,
-)
+from polyhardy.errors import FlaggedWanderingError, GradeError, NotInvariantError
 
 from .oracles import wold_multiplication_reference
 
@@ -193,28 +188,6 @@ def test_multiplier_commutation_pair(corpus_artifacts):
     )
     assert report.verdict
     assert report.max_residual < 1e-10
-
-
-def test_multiplication_matrix_structure():
-    phi = ph.MatrixPolynomial((np.zeros((2, 2)), np.eye(2)))
-    big = ph.multiplication_matrix(phi, 2)
-    assert big.shape == (6, 6)
-    assert np.all(big[2:4, 0:2] == np.eye(2))
-    assert np.all(big[4:6, 2:4] == np.eye(2))
-    assert np.all(big[0:2, :] == 0)
-
-
-def test_purity_profiles():
-    w_times = ph.MatrixPolynomial((np.zeros((2, 2)), np.eye(2)))
-    constant = ph.MatrixPolynomial((np.eye(2),))
-    pure = ph.shift_purity_diagnostic(w_times)
-    assert pure.verdict == "pure (heuristic)"
-    assert pure.profile[-1] < 1e-6
-    stuck = ph.shift_purity_diagnostic(constant)
-    assert stuck.verdict == "not pure"
-    assert stuck.profile[-1] == pytest.approx(1.0)
-    with pytest.raises(NotIsometricError):
-        ph.shift_purity_diagnostic(ph.MatrixPolynomial((0.5 * np.eye(2),)))
 
 
 def test_wold_multiplication_consistency(corpus_artifacts):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,8 @@ from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components
 
 import polyhardy as ph
-from polyhardy import operators, subspace
+from polyhardy import cli, operators, subspace
+from polyhardy.cli import run_pipeline
 from polyhardy.errors import (
     DegenerateInputError,
     GradeError,
@@ -16,6 +18,7 @@ from polyhardy.errors import (
     NotIsometricError,
 )
 from polyhardy.operators import Coo
+from polyhardy.reporting import stable_part
 from polyhardy.subspace import (
     _components,
     _pattern_blocks,
@@ -34,6 +37,7 @@ from .oracles import (
     wandering_reference,
     wold_residual_dense,
 )
+from .test_cli import decode_matrix
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 NAMED = sorted(SCENARIOS.glob("*.json"))
@@ -578,26 +582,92 @@ def test_graded_basis_degree_order(g1, corpus_artifacts):
         assert part == sorted(part)
 
 
-@pytest.mark.parametrize("path", NAMED, ids=lambda p: p.stem)
-def test_canonical_basis_depends_on_the_span_alone(path):
-    # S and W are already in the canonical layout, and a unitary change of
-    # basis does not move the layout: it fixes the unitary inside each stratum.
-    # Each part of the layout, safe-supported and rest, ascends in outer degree.
+def _named_orbit(path: Path) -> ph.SubspaceBasis:
     scenario = ph.load_scenario(path)
     grade = scenario.grade
     gens = [ph.parse_polynomial(text, grade) for text in scenario.generators]
-    s = ph.orbit_span(gens, grade, int(scenario.option("margin", 2)))
+    return ph.orbit_span(gens, grade, int(scenario.option("margin", 2)))
+
+
+@pytest.mark.parametrize("path", NAMED, ids=lambda p: p.stem)
+def test_canonical_basis_depends_on_the_span_alone(path):
+    # W is already in the canonical layout, and a unitary change of basis
+    # does not move the layout: it fixes the unitary inside each stratum.
+    # S is only split into [safe | rest]; its canonical layout, too, is the
+    # same for S and for S rotated. Each part of a canonical layout,
+    # safe-supported and rest, ascends in outer degree.
+    s = _named_orbit(path)
+    grade = s.grade
     rng = np.random.default_rng(6)
     for basis in (s, ph.wandering_subspace(s)):
         k = basis.dim
         mix = np.linalg.qr(rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)))[0]
+        canonical = basis.columns if basis is not s else ph.canonical_basis(grade, s.columns)[0]
         for q in (basis.columns, basis.columns @ mix):
             layout, n_safe = ph.canonical_basis(grade, q)
             assert n_safe == basis.n_certified
-            assert np.abs(layout - basis.columns).max() < 1e-12
-        degrees = outer_degrees(grade, basis.columns, 1e-9)
+            assert np.abs(layout - canonical).max() < 1e-12
+        degrees = outer_degrees(grade, canonical, 1e-9)
         for part in (degrees[: basis.n_certified], degrees[basis.n_certified :]):
             assert np.all(np.diff(part) >= 0)
+
+
+@pytest.mark.parametrize("path", NAMED, ids=lambda p: p.stem)
+def test_orbit_basis_is_split_into_safe_and_rest(path):
+    # S's leading n_certified columns vanish off the safe band, and its rest
+    # is orthogonal to every safe-supported vector of S (the dense slice)
+    s = _named_orbit(path)
+    unsafe = ~s.grade.safe_mask
+    safe, rest = s.columns[:, : s.n_certified], s.columns[:, s.n_certified :]
+    assert np.abs(safe[unsafe]).max(initial=0.0) < 1e-12
+    supported = coordinate_slice(s.columns, s.grade.safe_mask)
+    assert supported.shape[1] == s.n_certified
+    assert np.abs(rest.conj().T @ supported).max(initial=0.0) < 1e-12
+
+
+def _stable_close(a, b, where: str = "") -> None:
+    """Stable report parts equal, but for numbers within 1e-12; matrices
+    are compared decoded, so a round-off entry may leave the pattern."""
+    if isinstance(a, dict) and set(a) == {"shape", "index", "re", "im"}:
+        assert a["shape"] == b["shape"], where
+        assert np.abs(decode_matrix(a) - decode_matrix(b)).max() < 1e-12, where
+    elif isinstance(a, dict):
+        assert set(a) == set(b), where
+        for k in a:
+            _stable_close(a[k], b[k], f"{where}.{k}")
+    elif isinstance(a, list):
+        assert len(a) == len(b), where
+        for i, (x, y) in enumerate(zip(a, b)):
+            _stable_close(x, y, f"{where}[{i}]")
+    elif isinstance(a, float):
+        assert abs(a - b) < 1e-12, where
+    else:
+        assert a == b, where
+
+
+@pytest.mark.parametrize("path", NAMED, ids=lambda p: p.stem)
+def test_reports_read_the_orbit_split_alone(path, monkeypatch):
+    # S·diag(U_safe, U_rest) for seeded random unitaries is another
+    # [safe | rest] basis of S: every dim, flag and verdict stays, and Θ and
+    # Φ move by round-off only
+    scenario = ph.load_scenario(path)
+    before = stable_part(run_pipeline(scenario))
+    real = cli.orbit_stability
+    rng = np.random.default_rng(21)
+
+    def rotated(*args):
+        s, stable = real(*args)
+        u = np.zeros((s.dim, s.dim), dtype=complex)
+        for part in (slice(0, s.n_certified), slice(s.n_certified, s.dim)):
+            k = part.stop - part.start
+            g = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+            u[part, part] = np.linalg.qr(g)[0]
+        return replace(s, columns=s.columns @ u), stable
+
+    monkeypatch.setattr(cli, "orbit_stability", rotated)
+    after = stable_part(run_pipeline(scenario))
+    assert after["verdicts"]["all"]
+    _stable_close(before, after)
 
 
 # pool members whose gauge, taken over the whole sliced basis, spread columns
@@ -606,8 +676,9 @@ GRADED = ["n2-cmp-02", "n2-cmp-08", "n2-cmp-10", "n2-cmp-11", "n2-lin-04", "n2-l
 
 
 def _sliced(member: dict, key: str) -> Coo:
-    """The sliced basis :func:`subspace.canonical_basis` receives for the
-    member's orbit (``key`` "s") or wandering (``key`` "w") basis."""
+    """The sliced basis :func:`subspace.split_basis` (``key`` "s", the
+    orbit) or :func:`subspace.canonical_basis` (``key`` "w", the wandering
+    space) receives for the member."""
     grade, prov = member["grade"], member["s"].provenance
     gw = subspace.working_grade(grade, prov.margin)
     basis = prov.working_basis

@@ -47,3 +47,20 @@ def test_bench_ladder_compare_rung(tmp_path):
     assert dims[0] == dims[1] > 0
     assert row["wall_s"] > 0
     assert "timing" not in row
+
+
+def test_report_diff_of_a_tree_against_itself_finds_nothing():
+    ops = ["run:z-minus-z1", "run:n2-lin-00", "compare:n2-cmp-00/n2-cmp-00-reordered"]
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "tools" / "report_diff.py"), str(REPO), str(REPO),
+         *(arg for op in ops for arg in ("--op", op))],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith("3 ops (2 run, 1 compare)")
+    assert lines[1] == "answers that differ: 0"
+    # every key is equal, so no key is listed under the heading
+    assert lines[2].startswith("largest absolute difference per key (")
+    assert lines[3] == "matrices whose nonzero pattern moved: 0"
+    assert len(lines) == 4
