@@ -91,7 +91,6 @@ from .subspace import (
     max_principal_angle_sine,
     orbit_span,
     orbit_stability,
-    principal_angle_sines,
     subspace_from_columns,
     wandering_subspace,
     wold_reconstruction,

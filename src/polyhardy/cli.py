@@ -65,6 +65,7 @@ from .subspace import (
 
 DEFAULT_MAX_DIM = 20000
 ANGLE_TOL = 1e-8
+_BUILT_BY = {"probe": "orbit", "wold": "verify", "rebuild": "verify"}
 
 _STEP_REQUIRES = {
     "orbit": None,
@@ -98,11 +99,13 @@ def _grade_dims(grade: Grade, margin: int) -> dict[str, int]:
 
 
 def _prepare(
-    scenario: Scenario, margin: int | None, max_dim: int
+    scenario: Scenario, margin: int | None, max_dim: int, steps: tuple[str, ...] = ()
 ) -> tuple[int, list[HardyVector]]:
     """The margin a run uses (the scenario's option unless ``margin`` is
     given) and the parsed generators, after the margin check, the
-    trusted-range check and the capacity guard."""
+    trusted-range check and the capacity guard on the grades that the
+    pipeline ``steps`` build: target and working always, the probe with
+    ``orbit``, the Wold and rebuild grades with ``verify``."""
     margin = int(scenario.option("margin", DEFAULT_MARGIN) if margin is None else margin)
     if margin < 0:
         raise GradeError("working margin must be nonnegative")
@@ -112,7 +115,7 @@ def _prepare(
             "the safe margin leaves the safe band or the trusted range empty"
         )
     for name, dim in _grade_dims(grade, margin).items():
-        if dim > max_dim:
+        if dim > max_dim and _BUILT_BY.get(name) in (None, *steps):
             raise CapacityError(
                 f"{name} grade needs ambient dimension {dim} > limit {max_dim}"
             )
@@ -152,7 +155,7 @@ def run_pipeline(
     steps = tuple(scenario.pipeline) or DEFAULT_PIPELINE
     _validate_pipeline(steps)
     grade = scenario.grade
-    used_margin, generators = _prepare(scenario, margin, max_dim)
+    used_margin, generators = _prepare(scenario, margin, max_dim, steps)
     force = bool(scenario.option("force", False))
     trusted = grade.outer_cap - grade.safe_margin
 

@@ -143,11 +143,14 @@ def spectral_norm(a: np.ndarray) -> float:
     """Largest singular value of ``a``: the square root of the largest
     eigenvalue of the smaller of AᴴA and AAᴴ, after A is scaled by its
     largest entry modulus so that the Gram neither under- nor overflows.
-    That eigenvalue is accurate to O(n·ε) relative, and so is its root."""
+    That eigenvalue is accurate to O(n·ε) relative, and so is its root.
+    numpy divides a complex array by multiplying with 1/scale, which
+    overflows for a subnormal scale; then each part is divided alone."""
     scale = np.abs(a).max(initial=0.0)
     if scale == 0:
         return 0.0
-    a = a / scale
+    subnormal = scale < 1 / np.finfo(float).max
+    a = a.real / scale + 1j * (a.imag / scale) if subnormal else a / scale
     gram = a.conj().T @ a if a.shape[0] >= a.shape[1] else a @ a.conj().T
     return float(scale * np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))
 

@@ -8,6 +8,7 @@ written ``x``, ``yi``, or ``x+yi`` (parenthesized when signed, e.g.
 """
 from __future__ import annotations
 
+import cmath
 import re
 
 from .errors import GradeError, PolynomialParseError
@@ -129,6 +130,8 @@ def parse_polynomial(text: str, grade: Grade) -> HardyVector:
             )
         key = MultiIndex(outer, tuple(inner), coord)
         coeffs[key] = coeffs.get(key, 0j) + coeff
+    if not all(map(cmath.isfinite, coeffs.values())):
+        raise PolynomialParseError(f"non-finite coefficient in {text!r}")
     return HardyVector(grade, coeffs)
 
 

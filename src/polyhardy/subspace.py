@@ -11,8 +11,9 @@ triplet of numpy index arrays, and its blocks are found by
 [safe-supported | rest] layout of :func:`split_basis`.  The symbols are
 read off the wandering basis alone, so only it is put in the canonical
 layout of :func:`canonical_basis`, which depends on the subspace alone, not
-on the basis it was computed from; both run the one split of
-:func:`_safe_split`.
+on the basis it was computed from. The slice and both layouts take one
+split, :func:`_row_split` (one SVD of a set of each block's rows), and one
+placement, :func:`_place`.
 """
 from __future__ import annotations
 
@@ -257,14 +258,23 @@ def _split(x: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     return x @ v[:, : s.size], x @ v[:, s.size :], s
 
 
+def _row_split(basis, rows: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Each pattern block x of the orthonormal dense array or :class:`Coo`
+    ``basis`` split by one SVD of its rows in the mask ``rows``
+    (:func:`_split`), as ``(at, off, reach)``: x's rows ``at``, ``off``
+    spanning x's part that vanishes on ``rows`` and ``reach`` its orthogonal
+    complement in span(x). Every column of ``basis`` lies in one block, so
+    the parts of span(basis) are the direct sums of the blocks' parts."""
+    for at, _, x in _pattern_blocks(basis):
+        reach, off, _ = _split(x, rows[at])
+        yield at, off, reach
+
+
 def _slice(basis, keep: np.ndarray) -> Coo:
     """Orthonormal basis of span(basis) ∩ {x : x vanishes off ``keep``} for
-    the orthonormal ``basis``: ``x·null(x[~keep])`` (:func:`_split`) for each
-    pattern block x of ``basis``, orthonormal as it stands. Every column of
-    ``basis`` lies in one block, so ``null(basis[~keep])`` is the direct sum
-    of the blocks' null spaces."""
-    pieces = [(rows, _split(x, ~keep[rows])[1].T) for rows, _, x in _pattern_blocks(basis)]
-    return _place(basis.shape[0], pieces)
+    the orthonormal ``basis``: the parts of :func:`_row_split` that vanish
+    off ``keep``, orthonormal as they stand."""
+    return _place(basis.shape[0], [(at, off.T) for at, off, _ in _row_split(basis, ~keep)])
 
 
 def _gauge(stratum: np.ndarray, rows: np.ndarray, cut: float) -> tuple[np.ndarray, list[int]]:
@@ -309,33 +319,15 @@ def _strata(degree: np.ndarray, x: np.ndarray):
             yield d, reach, degree == d, s
 
 
-def _safe_split(
-    grade: Grade, basis
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Each pattern block of the orthonormal dense array or :class:`Coo`
-    ``basis`` split by one SVD of its unsafe rows (:func:`_split`), as
-    ``(rows, safe, rest)``: ``safe`` spans the block's part that vanishes off
-    the safe band, ``rest`` its orthogonal complement in the block's span."""
-    unsafe = ~grade.safe_mask
-    for rows, _, block in _pattern_blocks(basis):
-        rest, safe, _ = _split(block, unsafe[rows])
-        yield rows, safe, rest
-
-
 def split_basis(grade: Grade, basis) -> tuple[np.ndarray, int]:
     """Orthonormal [safe-supported | rest] basis of span(basis), for the
     orthonormal dense array or :class:`Coo` ``basis``, and the number of its
-    safe-supported columns. Each part holds the blocks' columns of
-    :func:`_safe_split` in block order; the split fixes the two parts, not a
-    basis inside either."""
-    split = list(_safe_split(grade, basis))
-    parts = [(rows, x) for rows, x, _ in split] + [(rows, x) for rows, _, x in split]
-    columns = np.zeros((grade.dim, sum(x.shape[1] for _, x in parts)), dtype=complex)
-    j = 0
-    for rows, x in parts:
-        columns[rows, j : j + x.shape[1]] = x
-        j += x.shape[1]
-    return columns, sum(safe.shape[1] for _, safe, _ in split)
+    safe-supported columns: the parts of :func:`_row_split` by the unsafe
+    rows, each in block order, laid out by :func:`_place`. The split fixes
+    the two parts, not a basis inside either."""
+    split = list(_row_split(basis, ~grade.safe_mask))
+    parts = [(at, safe.T) for at, safe, _ in split] + [(at, rest.T) for at, _, rest in split]
+    return _place(grade.dim, parts).toarray(), sum(safe.shape[1] for _, safe, _ in split)
 
 
 def canonical_basis(grade: Grade, basis) -> tuple[np.ndarray, int]:
@@ -347,16 +339,16 @@ def canonical_basis(grade: Grade, basis) -> tuple[np.ndarray, int]:
     each stratum by its columns' first pivot rows. The parts are those of
     :func:`split_basis`. The span is the direct sum of the spans of the
     pattern blocks of ``basis``, and so are both parts and every stratum, so
-    each block's parts (:func:`_safe_split`) are peeled (:func:`_strata`)
-    and gauged (:func:`_gauge`) on the block's own rows: every column lies in
-    one block, and its entries off that block are exact zeros. The gauge's
-    cut is relative to the stratum's smallest singular value over all
-    blocks. Inside a stratum the unitary is fixed by the gauge, so the result
-    is a function of the subspace alone.
+    each block's parts are peeled (:func:`_strata`) and gauged
+    (:func:`_gauge`) on its own rows and laid out by :func:`_place`: every
+    column lies in one block and is an exact zero off it. The gauge's cut
+    is relative to the stratum's smallest singular value over all blocks.
+    Inside a stratum the unitary is fixed by the gauge, so the result is a
+    function of the subspace alone.
     """
     degree = grade.exponents[:, 0]
     peeled = []
-    for rows, safe, rest in _safe_split(grade, basis):
+    for rows, safe, rest in _row_split(basis, ~grade.safe_mask):
         for part, x in enumerate((safe, rest)):
             peeled += [(part, rows, *stratum) for stratum in _strata(degree[rows], x)]
     smallest: dict = {}
@@ -368,13 +360,11 @@ def canonical_basis(grade: Grade, basis) -> tuple[np.ndarray, int]:
         # degree-d rows, so the Gram–Schmidt finds a full set of pivots
         gauged, pivots = _gauge(stratum, at, _PIVOT_TOL * smallest[part, d])
         placed += [
-            ((part, d, rows[i]), rows, column)
+            ((part, d, rows[i]), rows, column[None])
             for i, column in zip(pivots, gauged.T, strict=True)
         ]
     placed.sort(key=lambda item: item[0])
-    columns = np.zeros((grade.dim, len(placed)), dtype=complex)
-    for j, (_, rows, column) in enumerate(placed):
-        columns[rows, j] = column
+    columns = _place(grade.dim, [piece for _, *piece in placed]).toarray()
     return columns, sum(1 for (part, _, _), _, _ in placed if part == 0)
 
 
@@ -607,13 +597,13 @@ def build_from_theta(theta, grade: Grade) -> SubspaceBasis:
         raise GradeError("theta codomain does not match the grade's inner slot")
     if theta.degree > grade.outer_cap:
         raise GradeError("theta degree exceeds the outer cap")
-    # wandering columns at the target grade, one per domain coordinate:
-    # coefficient m fills the outer-degree-m stratum
-    w_cols = np.zeros((grade.dim, theta.shape[1]), dtype=complex)
-    w_cols[: len(theta.coeffs) * slot] = np.vstack(theta.coeffs)
-    degrees = outer_degrees(grade, w_cols, SUPPORT_TOL)
+    # wandering columns, one per domain coordinate: coefficient m fills the
+    # outer-degree-m stratum, the same leading rows in the target grade and
+    # in the rebuild grade, which differ only in the outer cap
     gw = rebuild_grade(grade)
-    lifted = lift_dense(grade, gw, w_cols)
+    lifted = np.zeros((gw.dim, theta.shape[1]), dtype=complex)
+    lifted[: len(theta.coeffs) * slot] = np.vstack(theta.coeffs)
+    degrees = outer_degrees(grade, lifted[: grade.dim], SUPPORT_TOL)
     z_powers = np.arange(gw.outer_cap + 1)[:, None] * np.eye(1, gw.n + 1, dtype=int)
     cols = [
         monomial_multiples(gw, lifted[:, j], z_powers[: gw.outer_cap - deg + 1])
@@ -694,34 +684,17 @@ def wold_reconstruction(s: SubspaceBasis, tolerance: float = INVARIANCE_TOL) -> 
     )
 
 
-def _angle_residual(b1, b2) -> np.ndarray:
-    """The projection residual of the smaller basis against the larger
-    span, whose singular values are the sines of the min(d1, d2) principal
-    angles."""
+def max_principal_angle_sine(b1, b2) -> float:
+    """The largest principal angle sine, 0 if either basis is empty: the
+    2-norm of the projection residual of the smaller basis against the
+    larger span, whose singular values are the sines of the min(d1, d2)
+    principal angles; no SVD."""
     c1 = np.asarray(getattr(b1, "columns", b1), dtype=complex)
     c2 = np.asarray(getattr(b2, "columns", b2), dtype=complex)
     small, big = (c1, c2) if c1.shape[1] <= c2.shape[1] else (c2, c1)
-    return small - big @ (big.conj().T @ small)
+    return min(spectral_norm(small - big @ (big.conj().T @ small)), 1.0)
 
 
-def principal_angle_sines(b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
-    """Sines of the min(d1, d2) principal angles, descending.
-
-    Computed as singular values of the projection residual of the smaller
-    basis against the larger span, which is stable near zero.
-    """
-    sines = np.linalg.svd(_angle_residual(b1, b2), compute_uv=False)
-    return np.clip(sines, 0.0, 1.0)
-
-
-def max_principal_angle_sine(b1, b2) -> float:
-    """The largest principal angle sine, 0 if either basis is empty: the
-    2-norm of the projection residual, with no SVD."""
-    return min(spectral_norm(_angle_residual(b1, b2)), 1.0)
-
-
-def subspace_from_columns(
-    grade: Grade, columns: np.ndarray, kind: str = "adhoc"
-) -> SubspaceBasis:
+def subspace_from_columns(grade: Grade, columns: np.ndarray) -> SubspaceBasis:
     organized, n_safe = split_basis(grade, block_span(columns))
-    return SubspaceBasis(grade, organized, Provenance(kind=kind), n_certified=n_safe)
+    return SubspaceBasis(grade, organized, Provenance("adhoc"), n_certified=n_safe)

@@ -283,6 +283,40 @@ def test_capacity_guard_counts_probe_grade(capsys):
     assert err == "error: probe grade needs ambient dimension 21952 > limit 20000\n"
 
 
+def test_compare_guards_only_the_grades_it_builds(capsys):
+    # z − z1 at D=N=5, margin 2: working grade 64, probe 81, rebuild 66 and
+    # Wold 100 positions; compare builds only the target and working grades
+    path = SCENARIOS / "z-minus-z1.json"
+    code, out, _ = run_cli(["compare", path, path, "--max-dim", "81", "--quiet"], capsys)
+    assert code == 0
+    assert json.loads(out)["certificate"]["verdict"] == "coincide"
+    code, out, err = run_cli(["run", path, "--max-dim", "81"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: wold grade needs ambient dimension 100 > limit 81\n"
+
+
+def test_run_guards_only_the_grades_its_pipeline_builds(capsys, tmp_path):
+    # without verify, the run builds no Wold or rebuild grade
+    unit = load_scenario(SCENARIOS / "z-minus-z1.json")
+    path = tmp_path / "orbit-wandering.json"
+    dump_scenario(dataclasses.replace(unit, pipeline=("orbit", "wandering")), path)
+    code, out, _ = run_cli(["run", path, "--max-dim", "81", "--quiet"], capsys)
+    assert code == 0
+    assert json.loads(out)["timing"]["grade_dims"]["wold"] == 100
+
+
+@pytest.mark.parametrize("generator", ["1e999*z - 1e999*z", "1e999*z - z1", "(1e999+1i)*z1"])
+def test_non_finite_coefficient_exit_one(capsys, tmp_path, generator):
+    unit = load_scenario(SCENARIOS / "z-minus-z1.json")
+    path = tmp_path / "non-finite.json"
+    dump_scenario(dataclasses.replace(unit, generators=(generator,)), path)
+    code, out, err = run_cli(["run", path], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: non-finite coefficient in {generator!r}\n"
+
+
 @pytest.mark.parametrize("margin", ["-1", "-9"])
 def test_negative_margin_exit_one_before_any_grade_is_sized(capsys, margin):
     code, out, err = run_cli(["run", SCENARIOS / "z.json", "--margin", margin], capsys)
@@ -411,6 +445,18 @@ def test_tiny_generator_runs_like_unit_scale(tmp_path):
     assert "Traceback" not in procs[1].stderr
     unit_report, tiny_report = (json.loads(proc.stdout) for proc in procs)
     assert _dims_and_verdicts(tiny_report) == _dims_and_verdicts(unit_report)
+
+
+def test_subnormal_products_end_without_traceback(tmp_path):
+    # 1e-300·z − z1 leaves products whose largest modulus is subnormal
+    unit = load_scenario(SCENARIOS / "z-minus-z1.json")
+    path = tmp_path / "subnormal.json"
+    dump_scenario(dataclasses.replace(unit, generators=("1e-300*z - z1",)), path)
+    argvs = (["run", str(path)], ["compare", str(path), str(path)])
+    procs = [_cli_subprocess(argv) for argv in argvs]
+    assert [proc.returncode for proc in procs] == [0, 0]
+    assert not any("Traceback" in proc.stderr for proc in procs)
+    assert json.loads(procs[1].stdout)["certificate"]["verdict"] == "coincide"
 
 
 @pytest.mark.parametrize("scale", ["1e-15", "1e-11", "1e6"])

@@ -148,3 +148,15 @@ def test_spectral_norm_matches_the_svd_norm(case):
     a = _spectral_cases()[case]
     want = float(np.linalg.norm(a, 2)) if a.size else 0.0
     assert abs(ph.spectral_norm(a) - want) <= 1e-13 * want
+
+
+@pytest.mark.parametrize(
+    "a",
+    [[[1e-310 + 1e-310j]], [[5e-324 + 0j]], [[5e-324, 1e-320j], [0, 3e-322]]],
+    ids=["subnormal-complex", "smallest-subnormal", "subnormal-mixed"],
+)
+def test_spectral_norm_of_subnormal_input(a):
+    # 1/scale overflows for a largest modulus below about 5.6e-309
+    a = np.array(a, dtype=complex)
+    want = float(np.linalg.norm(a, 2))
+    assert ph.spectral_norm(a) == pytest.approx(want, rel=1e-13, abs=1e-323)

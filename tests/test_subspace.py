@@ -555,7 +555,7 @@ def test_principal_angles():
     c[0, 0] = 1.0
     c[1, 1] = 1.0
     assert ph.max_principal_angle_sine(b, c) == pytest.approx(1.0)
-    assert ph.principal_angle_sines(np.zeros((10, 0)), b).size == 0
+    assert ph.max_principal_angle_sine(np.zeros((10, 0)), b) == 0.0
 
 
 def test_organize_preserves_span(g1, corpus_artifacts):
