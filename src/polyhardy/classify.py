@@ -293,14 +293,10 @@ def bessel_diagnostics(
     for v in dense:
         if v.shape[0] != grade.dim:
             raise GradeError("vector length does not match the grade")
-    top_shell = grade.outer_cap + grade.n * grade.inner_cap
-    sums = []
-    total = 0.0
-    for shell in range(top_shell + 1):
-        for i, t in enumerate(grade.indices):
-            if sum(t[:-1]) == shell:
-                total += float(sum(abs(v[i]) ** 2 for v in dense))
-        sums.append(total)
+    shells = grade.outer_cap + grade.n * grade.inner_cap + 1
+    mass = sum((np.abs(v) ** 2 for v in dense), np.zeros(grade.dim))
+    shell_mass = np.bincount(grade.exponents[:, :-1].sum(axis=1), mass, shells)
+    sums = np.cumsum(shell_mass).tolist()
     verdict = all(s <= bound + tolerance for s in sums)
     return BesselReport(tuple(sums), bound, verdict, tolerance)
 
@@ -405,7 +401,7 @@ def isometric_module_map_lower_bound(
         xs = np.zeros((d_src, t_dim), dtype=complex)
         for e in range(d_src):
             key = (0,) * (1 + target.n) + (e % target.coeff_dim,)
-            xs[e, target.index_of[key]] = 1.0
+            xs[e, np.ravel_multi_index(key, target.shape)] = 1.0
         return xs.reshape(-1).view(float).copy()
 
     best = np.inf

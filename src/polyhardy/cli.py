@@ -7,7 +7,8 @@
     polyhardy selftest [--random K] [--tolerance T] [--max-dim N] [--quiet]
 
 Exit codes: 0 all checks pass, 1 input or capacity error, 2 a verdict
-failed, 3 a certificate came back indeterminate.
+failed, 3 a certificate came back indeterminate. An error's code is its
+class's ``exit_code``; ``selftest`` exits 1 if any scenario was refused.
 """
 from __future__ import annotations
 
@@ -28,17 +29,7 @@ from .blh import (
     wold_multiplication_consistency,
 )
 from .classify import coincide, doubly_commuting_classification
-from .errors import (
-    CapacityError,
-    DegenerateInputError,
-    FlaggedWanderingError,
-    GradeError,
-    NotInvariantError,
-    NotIsometricError,
-    PipelineError,
-    PolynomialParseError,
-    ToolkitError,
-)
+from .errors import CapacityError, DegenerateInputError, GradeError, PipelineError, ToolkitError
 from .grading import Grade, HardyVector
 from .parsing import parse_polynomial
 from .reporting import canonical_json
@@ -66,6 +57,9 @@ from .subspace import (
 DEFAULT_MAX_DIM = 20000
 ANGLE_TOL = 1e-8
 _BUILT_BY = {"probe": "orbit", "wold": "verify", "rebuild": "verify"}
+# by exit code: a selftest scenario's outcome, and an error's stderr prefix
+_OUTCOME = {0: "PASS", 1: "REFUSED", 2: "FAIL"}
+_PREFIX = {1: "error", 2: "verdict failure"}
 
 _STEP_REQUIRES = {
     "orbit": None,
@@ -343,6 +337,11 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     scenarios = [load_scenario(path) for path in (args.scenario_a, args.scenario_b)]
     if scenarios[0].grade.n != scenarios[1].grade.n:
         raise GradeError("axis counts differ")
+    # Φ tuples capped at different caps are different finite sections, so no
+    # certificate relates them
+    a, b = ((s.grade.outer_cap, s.grade.inner_cap, s.grade.safe_margin) for s in scenarios)
+    if a != b:
+        raise GradeError(f"caps (D, N, safe margin) differ: {a} against {b}")
     results = [_certified_phis(sc, args.margin, args.max_dim) for sc in scenarios]
     (label_a, phis_a, trusted_a, nc_a), (label_b, phis_b, trusted_b, nc_b) = results
     cert = coincide(phis_a, phis_b, min(trusted_a, trusted_b))
@@ -363,23 +362,21 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _cmd_selftest(args: argparse.Namespace) -> int:
     _check_tolerance(args.tolerance)
     scenarios = builtin_corpus(random_count=args.random)
-    failures = 0
+    codes = []
     for scenario in scenarios:
         try:
-            report = run_pipeline(
-                scenario, tolerance=args.tolerance, max_dim=args.max_dim
-            )
-            ok = report["verdicts"]["all"]
+            report = run_pipeline(scenario, tolerance=args.tolerance, max_dim=args.max_dim)
+            code = 0 if report["verdicts"]["all"] else 2
         except ToolkitError as exc:
-            ok = False
+            code = exc.exit_code
             if not args.quiet:
-                print(f"FAIL {scenario.label}: {exc}", file=sys.stderr)
+                print(f"{_OUTCOME[code]} {scenario.label}: {exc}", file=sys.stderr)
         if not args.quiet:
-            print(f"{'PASS' if ok else 'FAIL'} {scenario.label}")
-        failures += 0 if ok else 1
+            print(f"{_OUTCOME[code]} {scenario.label}")
+        codes.append(code)
     if not args.quiet:
-        print(f"{len(scenarios) - failures}/{len(scenarios)} scenarios passed")
-    return 0 if failures == 0 else 2
+        print(f"{codes.count(0)}/{len(codes)} scenarios passed, {codes.count(1)} refused")
+    return 1 if 1 in codes else max(codes, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -424,19 +421,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        PolynomialParseError,
-        GradeError,
-        DegenerateInputError,
-        CapacityError,
-        PipelineError,
-        OSError,
-    ) as exc:
+    except ToolkitError as exc:
+        print(f"{_PREFIX[exc.exit_code]}: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (NotInvariantError, NotIsometricError, FlaggedWanderingError) as exc:
-        print(f"verdict failure: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -7,7 +7,6 @@ fixed dense ordering is lexicographic on ``(outer, inner..., coord)``.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -23,7 +22,7 @@ class Grade:
     """Truncation caps of the ambient space.
 
     ``safe_margin`` degrees are reserved as a guard band: residual checks for
-    degree-raising operators are read only on indices at least ``safe_margin``
+    degree-raising operators are read only on monomials at least ``safe_margin``
     below every cap.
     """
 
@@ -53,15 +52,6 @@ class Grade:
         return (self.inner_cap + 1) ** self.n * self.coeff_dim
 
     @property
-    def indices(self) -> tuple[tuple[int, ...], ...]:
-        """All monomial indices ``(a, b1.., e)`` in the fixed dense order."""
-        return _indices(self)
-
-    @property
-    def index_of(self) -> Mapping[tuple[int, ...], int]:
-        return _index_map(self)
-
-    @property
     def shape(self) -> tuple[int, ...]:
         """Axis lengths of the dense order: outer, inner ``1..n``, coordinate."""
         return (self.outer_cap + 1, *(self.inner_cap + 1,) * self.n, self.coeff_dim)
@@ -84,7 +74,7 @@ class Grade:
 
     @property
     def safe_mask(self) -> np.ndarray:
-        """Boolean mask of indices on the safe band (read-only)."""
+        """Boolean mask of the positions on the safe band (read-only)."""
         return _safe_mask(self)
 
     def monomial_map(self, mono) -> tuple[np.ndarray, np.ndarray]:
@@ -104,24 +94,11 @@ class Grade:
         return _shift_map(self, axis)
 
     def position(self, idx: MultiIndex) -> int:
+        """Dense position of ``idx``: the row of :attr:`exponents` holding it."""
         key = (idx.outer, *idx.inner, idx.coord)
-        try:
-            return self.index_of[key]
-        except KeyError:
-            raise GradeError(f"index {key} outside caps of {self}") from None
-
-
-@lru_cache(maxsize=None)
-def _indices(grade: Grade) -> tuple[tuple[int, ...], ...]:
-    axes = [range(grade.outer_cap + 1)]
-    axes += [range(grade.inner_cap + 1)] * grade.n
-    axes += [range(grade.coeff_dim)]
-    return tuple(itertools.product(*axes))
-
-
-@lru_cache(maxsize=None)
-def _index_map(grade: Grade) -> Mapping[tuple[int, ...], int]:
-    return {t: i for i, t in enumerate(_indices(grade))}
+        if not idx.within(self):
+            raise GradeError(f"index {key} outside caps of {self}")
+        return int(np.ravel_multi_index(key, self.shape))
 
 
 @lru_cache(maxsize=None)
@@ -209,10 +186,11 @@ class HardyVector:
     def from_dense(cls, grade: Grade, dense: np.ndarray, tol: float = 0.0) -> HardyVector:
         if dense.shape != (grade.dim,):
             raise GradeError("dense vector length does not match the grade")
-        coeffs = {}
-        for t, c in zip(grade.indices, dense):
-            if abs(c) > tol:
-                coeffs[MultiIndex(t[0], t[1:-1], t[-1])] = complex(c)
+        hit = np.flatnonzero(np.abs(dense) > tol)
+        coeffs = {
+            MultiIndex(t[0], t[1:-1], t[-1]): complex(c)
+            for t, c in zip(grade.exponents[hit].tolist(), dense[hit])
+        }
         return cls(grade, coeffs)
 
     def outer_degree(self) -> int:

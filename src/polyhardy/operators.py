@@ -2,10 +2,10 @@
 
 A shift is a partial permutation of the monomial basis, so it is applied as
 a gather over :meth:`Grade.shift_map` and never formed as a matrix: on the
-rows of a dense array, or on the row indices of a :class:`Coo` triplet.
-:func:`shift_matrix` builds the same map as a dense array, for the
-inner-slot symbol, the model tuple's defect rank and the tests' reference
-for the gathers.
+rows of a dense array, or on the row numbers of a :class:`Coo` triplet.
+:func:`shift_matrix` is that gather applied to the identity, a dense
+array for the inner-slot symbol, the model tuple's defect rank and the
+tests' reference for the gathers.
 
 Truncated shifts overflow to zero past the caps, so every isometry or
 commutation claim is read on the safe band only.
@@ -120,15 +120,12 @@ def monomial_multiples(grade: Grade, x: np.ndarray, monomials: np.ndarray) -> Co
 
 
 def shift_matrix(grade: Grade, axis: int) -> np.ndarray:
-    """Dense matrix of :func:`shift`."""
-    src, dst = grade.shift_map(axis)
-    entries = np.zeros((grade.dim, grade.dim), dtype=complex)
-    entries[dst, src] = 1.0
-    return entries
+    """Dense matrix of :func:`shift`: its gather of the identity."""
+    return shift(grade, axis, np.eye(grade.dim, dtype=complex))
 
 
 def defect_sum(mats: Sequence[np.ndarray], rows) -> np.ndarray:
-    """Alternating sum over 0/1 multi-indices k of ``T^k T^{*k}`` for the
+    """Alternating sum over the 0/1 exponent tuples k of ``T^k T^{*k}`` for the
     square matrices ``T = mats``, on the rows and columns ``rows`` (any
     numpy row index). Each word is formed from those rows only:
     ``T^k[rows] = T_{i1}[rows]·T_{i2}⋯``, each longer word from a shorter

@@ -149,7 +149,7 @@ def random_homogeneous_generators(
     for _ in range(count):
         deg = int(rng.integers(1, max_degree + 1))
         coeffs: dict[MultiIndex, complex] = {}
-        for t in grade.indices:
+        for t in grade.exponents.tolist():
             if t[-1] != 0:
                 continue
             if sum(t[:-1]) == deg:

@@ -2,12 +2,13 @@
 
 All spans are computed in an enlarged working grade and intersected with the
 target caps by linear algebra, so that linear combinations of high-degree
-orbit elements that cancel back inside the caps are not lost.  Every span,
-slice and wandering space runs block by block, with one pass over the pattern
-blocks of its input (:func:`block_span`, :func:`_slice`, :func:`_wandering`);
-between them a matrix is held as a :class:`~polyhardy.operators.Coo`
-triplet of numpy index arrays, and its blocks are found by
-:func:`_components`.  A basis that leaves this module is orthonormal in the
+orbit elements that cancel back inside the caps are not lost.  Every orbit
+is spanned by :func:`_orbit`, on the pattern components its reader needs.
+Every span, slice and wandering space runs block by block, with one pass
+over the pattern blocks of its input (:func:`block_span`, :func:`_slice`,
+:func:`_wandering`); between them a matrix is held as a
+:class:`~polyhardy.operators.Coo` triplet of numpy index arrays, and its
+blocks are found by :func:`_components`.  A basis that leaves this module is orthonormal in the
 [safe-supported | rest] layout of :func:`split_basis`.  The symbols are
 read off the wandering basis alone, so only it is put in the canonical
 layout of :func:`canonical_basis`, which depends on the subspace alone, not
@@ -40,8 +41,9 @@ class Provenance:
     """How a basis was produced; enough to re-derive working-grade data.
 
     An orbit basis also carries the orthonormal orbit basis at its working
-    grade, as a :class:`Coo` triplet, so the wandering step does not span the
-    same orbit again.
+    grade, on the pattern components that reach the caps (:func:`_orbit`),
+    as a :class:`Coo` triplet, so the wandering step does not span the same
+    orbit again.
     """
 
     kind: str
@@ -101,7 +103,7 @@ class InvarianceReport:
 @dataclass(frozen=True)
 class WoldReport:
     """``kept_dim`` is the number of Wold-grade positions the check factored
-    (see :func:`_readable_columns`); it is a cost, not an answer, so it is
+    (see :func:`_orbit`); it is a cost, not an answer, so it is
     left out of the encoded report."""
 
     residual: float
@@ -369,7 +371,7 @@ def canonical_basis(grade: Grade, basis) -> tuple[np.ndarray, int]:
 
 
 def embedding_positions(small: Grade, big: Grade) -> np.ndarray:
-    """Positions of the small grade's indices inside the big grade's order."""
+    """Positions of the small grade's monomials inside the big grade's order."""
     if (
         small.n != big.n
         or small.coeff_dim != big.coeff_dim
@@ -428,25 +430,14 @@ def _capped(grade: Grade, big: Grade, basis: Coo) -> Coo:
     return sliced.take_rows(embedding_positions(grade, big))
 
 
-def _monomial_orbit_columns(gw: Grade, generators: Sequence[HardyVector]) -> Coo:
-    """All monomial multiples of the generators that fit the caps of ``gw``."""
-    cols = []
-    for g in generators:
-        room = gw.degree_caps - (g.outer_degree(), *g.inner_degrees()) + 1
-        monomials = np.stack(np.unravel_index(np.arange(np.prod(room)), room), axis=1)
-        vec = lift_dense(g.grade, gw, g.to_dense()[:, None])[:, 0]
-        cols.append(monomial_multiples(gw, vec, monomials))
-    return hstack(cols)
-
-
 def orbit_span(
     generators: Sequence[HardyVector],
     grade: Grade,
     working_margin: int = DEFAULT_MARGIN,
 ) -> SubspaceBasis:
     """Capped slice of the smallest joint invariant subspace containing the
-    generators, spanned in an enlarged working grade and intersected with the
-    target caps."""
+    generators, spanned in an enlarged working grade (:func:`_orbit`, on the
+    components that reach the caps) and intersected with the target caps."""
     if not generators:
         raise DegenerateInputError("empty generator list")
     if working_margin < 0:
@@ -467,7 +458,7 @@ def orbit_span(
     if not cleaned:
         raise DegenerateInputError("generators span {0} after cleanup")
     gw = working_grade(grade, working_margin)
-    working = block_span(_monomial_orbit_columns(gw, cleaned))
+    working, _ = _orbit(gw, cleaned, embedding_positions(grade, gw))
     organized, n_safe = split_basis(grade, _capped(grade, gw, working))
     if organized.shape[1] == 0:
         raise DegenerateInputError("generators produce an empty capped slice")
@@ -488,20 +479,17 @@ def orbit_stability(
     """Orbit plus the margin-stability flag: whether the capped slice keeps
     its dimension when spanned at margin + 1.
 
-    The probe needs only that dimension, so it spans only the probe orbit's
-    pattern components that reach the caps (:func:`_readable_columns`) and
-    counts, block by block, the columns of the slice to the caps
+    The probe needs only that dimension, so it counts, block by block of the
+    probe orbit (:func:`_orbit`), the columns of the slice to the caps
     (:func:`_slice`): a block's column count less the rank of its rows off
     the caps. It forms no basis of the slice.
     """
     base = orbit_span(generators, grade, working_margin)
     gp = working_grade(grade, working_margin + 1)
     inside = _inside_caps(grade, gp)
-    orbit, _ = _readable_columns(
-        gp, _monomial_orbit_columns(gp, base.provenance.generators), np.flatnonzero(inside)
-    )
+    orbit, _ = _orbit(gp, base.provenance.generators, np.flatnonzero(inside))
     dim = 0
-    for rows, _, x in _pattern_blocks(block_span(orbit)):
+    for rows, _, x in _pattern_blocks(orbit):
         outside = np.linalg.svd(x[~inside[rows]], compute_uv=False)
         dim += x.shape[1] - int((outside > SVD_CUTOFF).sum())
     return base, dim == base.dim
@@ -652,10 +640,27 @@ def _readable_columns(gb: Grade, a: Coo, band: np.ndarray) -> tuple[Coo, int]:
     return Coo(a.shape, a.rows[entries], a.cols[entries], a.vals[entries]), kept_rows
 
 
+def _orbit(big: Grade, generators: Sequence[HardyVector], reads: np.ndarray) -> tuple[Coo, int]:
+    """Orthonormal basis of the orbit of the generators at the grade ``big``,
+    spanned from all their monomial multiples that fit its caps, on only the
+    pattern components that a read of the rows ``reads`` depends on
+    (:func:`_readable_columns`); and the number of rows of those components.
+    ``reads`` must be closed under lowering the outer degree: the caps box
+    and the safe band are, so for them the pruned orbit is exact."""
+    cols = []
+    for g in generators:
+        room = big.degree_caps - (g.outer_degree(), *g.inner_degrees()) + 1
+        monomials = np.stack(np.unravel_index(np.arange(np.prod(room)), room), axis=1)
+        vec = lift_dense(g.grade, big, g.to_dense()[:, None])[:, 0]
+        cols.append(monomial_multiples(big, vec, monomials))
+    orbit, kept_rows = _readable_columns(big, hstack(cols), reads)
+    return block_span(orbit), kept_rows
+
+
 def wold_reconstruction(s: SubspaceBasis, tolerance: float = INVARIANCE_TOL) -> WoldReport:
     """Residual of ``P_S − Σ_m M_z^m P_W M_z^{*m}`` on the target safe band,
     computed at :func:`wold_grade` on the orbit's pattern components that the
-    residual reads (:func:`_readable_columns`)."""
+    residual reads (:func:`_orbit`)."""
     prov = s.provenance
     if prov.kind != "orbit" or not prov.generators:
         raise GradeError("wold reconstruction needs orbit provenance")
@@ -665,10 +670,7 @@ def wold_reconstruction(s: SubspaceBasis, tolerance: float = INVARIANCE_TOL) -> 
     # B_E = sb[E] and K = [(M_z^m wc)[E]]_m. E is closed under lowering the
     # outer degree, so M_z^m is taken at E's grade and applied to wc[E].
     band = embedding_positions(e, gb)
-    orbit, kept_dim = _readable_columns(
-        gb, _monomial_orbit_columns(gb, prov.generators), band
-    )
-    sb = block_span(orbit)
+    sb, kept_dim = _orbit(gb, prov.generators, band)
     wb = _wandering(gb, sb)
     inside_caps = np.all(gb.exponents[:, :-1] < gb.degree_caps, axis=1)
     k = outer_powers(e, _slice(wb, inside_caps).take_rows(band).toarray())

@@ -34,6 +34,18 @@ from polyhardy.subspace import (
 )
 
 
+def dense_order(grade: Grade) -> list[tuple[int, ...]]:
+    """Every monomial index ``(a, b1.., e)`` of ``grade`` in the dense order,
+    lexicographic, built here so that no oracle reads the package's order."""
+    axes = [range(grade.outer_cap + 1), *[range(grade.inner_cap + 1)] * grade.n]
+    return list(itertools.product(*axes, range(grade.coeff_dim)))
+
+
+def dense_position(grade: Grade) -> dict[tuple[int, ...], int]:
+    """The place of each index in :func:`dense_order`."""
+    return {t: i for i, t in enumerate(dense_order(grade))}
+
+
 def orthonormal_columns(a: np.ndarray, tol: float = SVD_CUTOFF) -> np.ndarray:
     """SVD basis of the column span with a relative singular-value cutoff."""
     if a.size == 0 or a.shape[1] == 0:
@@ -108,7 +120,7 @@ def orbit_reference(
     kernel = scipy.linalg.null_space(outside_rows, rcond=1e-10)
     sliced = stacked @ kernel
     basis = scipy.linalg.orth(sliced, rcond=1e-10)
-    keep = [big_pos[t] for t in grade.indices]
+    keep = [big_pos[t] for t in dense_order(grade)]
     return basis[keep, :]
 
 
@@ -153,7 +165,7 @@ def wold_residual_dense(s: SubspaceBasis) -> float:
     shifted = orthonormal_columns(mz @ sb)
     _, sv, vh = np.linalg.svd(shifted.conj().T @ sb, full_matrices=True)
     wb = orthonormal_columns(sb @ vh.conj().T[:, int((sv > 1e-10).sum()) :])
-    inner_caps_mask = np.array([all(x <= caps - 1 for x in t[:-1]) for t in gb.indices])
+    inner_caps_mask = np.array([all(x <= caps - 1 for x in t[:-1]) for t in dense_order(gb)])
     wc = coordinate_slice(wb, inner_caps_mask)
     reconstruction = np.zeros((gb.dim, gb.dim), dtype=complex)
     cur = wc

@@ -11,7 +11,13 @@ from polyhardy.operators import Coo
 from polyhardy.reporting import canonical_json
 from polyhardy.subspace import _pattern_blocks
 
-from .oracles import doubly_commuting_dense, sylvester_nullspace_dense, sylvester_stack
+from .oracles import (
+    dense_order,
+    dense_position,
+    doubly_commuting_dense,
+    sylvester_nullspace_dense,
+    sylvester_stack,
+)
 
 
 def _cert_phi(art):
@@ -380,13 +386,30 @@ def test_bessel_identity_embeddings():
         vectors = []
         for e in range(d_src):
             v = np.zeros(target.dim)
-            v[target.index_of[(0, 0, e)]] = 1.0
+            v[dense_position(target)[(0, 0, e)]] = 1.0
             vectors.append(v)
         report = ph.bessel_diagnostics(target, vectors, float(d_tgt))
         assert report.verdict
         sums = report.partial_sums
         assert all(sums[i + 1] >= sums[i] - 1e-15 for i in range(len(sums) - 1))
         assert sums[-1] == pytest.approx(float(d_src))
+
+
+def test_bessel_partial_sums_equal_a_shell_loop():
+    rng = np.random.default_rng(7)
+    for grade in (ph.Grade(1, 4, 4, 2), ph.Grade(2, 3, 2, 1), ph.Grade(3, 2, 1, 2)):
+        for count in (1, 3):
+            vectors = rng.normal(size=(count, grade.dim)) + 1j * rng.normal(size=(count, grade.dim))
+            order = dense_order(grade)
+            sums, total = [], 0.0
+            for shell in range(grade.outer_cap + grade.n * grade.inner_cap + 1):
+                for i, t in enumerate(order):
+                    if sum(t[:-1]) == shell:
+                        total += float(sum(abs(v[i]) ** 2 for v in vectors))
+                sums.append(total)
+            report = ph.bessel_diagnostics(grade, list(vectors), 1.0)
+            assert np.allclose(report.partial_sums, sums, rtol=0, atol=1e-14 * max(sums))
+            assert report.verdict == all(s <= 1.0 + report.tolerance for s in sums)
 
 
 def test_bessel_violation():

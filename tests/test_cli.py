@@ -642,6 +642,80 @@ def test_compare_checks_axis_counts_before_any_orbit(capsys, monkeypatch):
     assert calls == []
 
 
+def _compare_scenarios(tmp_path, grades) -> list[Path]:
+    paths = []
+    for k, grade in enumerate(grades):
+        path = tmp_path / f"{k}.json"
+        dump_scenario(Scenario(f"s{k}", grade, ("z - z1",)), path)
+        paths.append(path)
+    return paths
+
+
+@pytest.mark.parametrize(
+    "other",
+    [Grade(1, 3, 3, 1), Grade(1, 5, 4, 1), Grade(1, 4, 5, 1), Grade(1, 5, 5, 1, 2)],
+    ids=["both-caps", "inner-cap", "outer-cap", "safe-margin"],
+)
+def test_compare_different_caps_exit_one_before_any_orbit(capsys, monkeypatch, tmp_path, other):
+    # capped symbols from different caps are different finite sections
+    calls = []
+    monkeypatch.setattr(cli, "orbit_span", lambda *args: calls.append(args))
+    paths = _compare_scenarios(tmp_path, [Grade(1, 5, 5, 1), other])
+    code, out, err = run_cli(["compare", *paths], capsys)
+    assert (code, out, calls) == (1, "", [])
+    assert err.startswith("error: caps (D, N, safe margin) differ")
+
+
+def test_compare_different_coefficient_dims_coincide(capsys, tmp_path):
+    paths = _compare_scenarios(tmp_path, [Grade(1, 5, 5, 1), Grade(1, 5, 5, 2)])
+    code, out, _ = run_cli(["compare", *paths, "--quiet"], capsys)
+    assert code == 0
+    assert json.loads(out)["certificate"]["verdict"] == "coincide"
+
+
+@pytest.mark.parametrize("error", ph.ToolkitError.__subclasses__(), ids=lambda e: e.__name__)
+def test_error_exit_codes(capsys, monkeypatch, error):
+    # the three verdict errors exit 2, every other toolkit error exits 1
+    verdict = error in (ph.NotInvariantError, ph.NotIsometricError, ph.FlaggedWanderingError)
+    assert error.exit_code == (2 if verdict else 1) and ph.ToolkitError.exit_code == 1
+
+    def raising(args):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "_cmd_run", raising)
+    code, out, err = run_cli(["run", "any.json"], capsys)
+    prefix = "verdict failure" if verdict else "error"
+    assert (code, out, err) == (error.exit_code, "", f"{prefix}: boom\n")
+
+
+def test_selftest_refusal_exits_one(capsys):
+    # the capacity guard refuses pair-n2 (target 125 > 100): a refusal, not
+    # a failed verdict
+    code, out, err = run_cli(["selftest", "--random", "0", "--max-dim", "100"], capsys)
+    assert code == 1
+    assert "REFUSED pair-n2\n" in out
+    assert "FAIL" not in out
+    assert "5/6 scenarios passed, 1 refused" in out
+    assert err == "REFUSED pair-n2: target grade needs ambient dimension 125 > limit 100\n"
+
+
+def test_selftest_failed_verdict_exits_two(capsys, monkeypatch):
+    real = cli.run_pipeline
+
+    def failing(scenario, **kwargs):
+        report = real(scenario, **kwargs)
+        report["verdicts"]["all"] = scenario.label != "z"
+        return report
+
+    monkeypatch.setattr(cli, "run_pipeline", failing)
+    code, out, _ = run_cli(["selftest", "--random", "0", "--max-dim", "100"], capsys)
+    assert code == 1  # a refusal outranks the failed verdict
+    code, out, _ = run_cli(["selftest", "--random", "0"], capsys)
+    assert code == 2
+    assert "FAIL z\n" in out
+    assert "5/6 scenarios passed, 0 refused" in out
+
+
 def test_selftest_named_corpus(capsys):
     code, out, _ = run_cli(["selftest", "--random", "0"], capsys)
     assert code == 0

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 import polyhardy as ph
 from polyhardy.errors import GradeError
 
+from .oracles import dense_order
+
 
 def test_grade_dims():
     assert ph.Grade(1, 5, 5, 1).dim == 36
@@ -28,13 +30,23 @@ def test_grade_validation():
 
 
 def test_indices_lexicographic(g1):
-    idx = g1.indices
-    assert len(idx) == g1.dim
-    assert idx[0] == (0, 0, 0)
-    assert idx[-1] == (5, 5, 0)
-    assert list(idx) == sorted(idx)
-    for t, i in g1.index_of.items():
-        assert idx[i] == t
+    # the dense order is the lexicographic order of (a, b1.., e), and
+    # position is its inverse, refusing indices off the caps
+    for grade in (g1, ph.Grade(2, 2, 3, 2), ph.Grade(3, 1, 2, 3)):
+        order = dense_order(grade)
+        assert grade.exponents.tolist() == [list(t) for t in order]
+        assert order == sorted(order)
+        for i, t in enumerate(order):
+            assert grade.position(ph.MultiIndex(t[0], t[1:-1], t[-1])) == i
+        n = grade.n
+        for outside in (
+            ph.MultiIndex(grade.outer_cap + 1, (0,) * n),
+            ph.MultiIndex(0, (grade.inner_cap + 1,) + (0,) * (n - 1)),
+            ph.MultiIndex(0, (0,) * n, grade.coeff_dim),
+            ph.MultiIndex(0, (0,) * (n + 1)),
+        ):
+            with pytest.raises(GradeError):
+                grade.position(outside)
 
 
 def test_safe_mask_counts():

@@ -11,21 +11,24 @@ import polyhardy as ph
 from polyhardy.errors import GradeError
 from polyhardy.operators import Coo, hstack, monomial_multiples
 
+from .oracles import dense_order, dense_position
+
 
 def test_shift_matrix_moves_basis(g1):
     mz = ph.shift_matrix(g1, 0)
     k1 = ph.shift_matrix(g1, 1)
-    src = g1.index_of[(1, 2, 0)]
-    assert mz[g1.index_of[(2, 2, 0)], src] == 1.0
-    assert k1[g1.index_of[(1, 3, 0)], src] == 1.0
-    top = g1.index_of[(5, 2, 0)]
+    pos = dense_position(g1)
+    src = pos[(1, 2, 0)]
+    assert mz[pos[(2, 2, 0)], src] == 1.0
+    assert k1[pos[(1, 3, 0)], src] == 1.0
+    top = pos[(5, 2, 0)]
     assert np.all(mz[:, top] == 0)  # overflow truncates to zero
 
 
 def test_shift_partial_isometry(g1):
     mz = ph.shift_matrix(g1, 0)
     gram = mz.conj().T @ mz
-    expected = np.diag([1.0 if t[0] < 5 else 0.0 for t in g1.indices])
+    expected = np.diag([1.0 if t[0] < 5 else 0.0 for t in dense_order(g1)])
     assert np.array_equal(gram, expected)
 
 
@@ -40,6 +43,11 @@ def test_gathers_equal_shift_matrix(grade):
     block = rng.normal(size=(grade.dim, 3)) + 1j * rng.normal(size=(grade.dim, 3))
     for axis in range(grade.n + 1):
         dense = ph.shift_matrix(grade, axis)
+        # bit for bit the matrix with a one at each (dst, src) of the map
+        src, dst = grade.shift_map(axis)
+        scatter = np.zeros((grade.dim, grade.dim), dtype=complex)
+        scatter[dst, src] = 1.0
+        assert dense.dtype == scatter.dtype and dense.tobytes() == scatter.tobytes()
         for x in (vec, block):
             assert np.array_equal(ph.shift(grade, axis, x), dense @ x)
             assert np.array_equal(ph.shift_adjoint(grade, axis, x), dense.conj().T @ x)
@@ -117,7 +125,7 @@ def test_shift_isometry_on_interior(axis, seed):
     rng = np.random.default_rng(seed)
     vec = rng.normal(size=grade.dim) + 1j * rng.normal(size=grade.dim)
     cap = grade.outer_cap if axis == 0 else grade.inner_cap
-    for i, t in enumerate(grade.indices):
+    for i, t in enumerate(dense_order(grade)):
         if t[axis] == cap:
             vec[i] = 0.0  # keep inside the band where the shift is isometric
     image = ph.shift_matrix(grade, axis) @ vec
