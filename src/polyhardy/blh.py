@@ -14,10 +14,9 @@ import numpy as np
 
 from .errors import FlaggedWanderingError, GradeError, NotInvariantError
 from .grading import Grade
+from .operators import SUPPORT_CUT, VERDICT_TOL
 from .operators import outer_powers, shift, shift_adjoint, shift_matrix, spectral_norm
-from .subspace import SUPPORT_TOL, SubspaceBasis, outer_degrees
-
-VERIFY_TOL = 1e-10
+from .subspace import SubspaceBasis, outer_degrees
 
 
 @dataclass(frozen=True)
@@ -149,12 +148,20 @@ def kappa_polynomial(grade: Grade, axis: int) -> MatrixPolynomial:
     return MatrixPolynomial((inner_slot_shift(grade, axis),))
 
 
-def _require_unflagged(w: SubspaceBasis, force: bool) -> None:
+def _entry_grade(s: SubspaceBasis, w: SubspaceBasis, axis: int | None, force: bool) -> Grade:
+    """The grade S and W share, after the entry checks of the symbol routines
+    in this order: the grades match, ``axis`` (unless ``None``) is an inner
+    axis, and W has no truncation-suspect column unless ``force``."""
+    if s.grade != w.grade:
+        raise GradeError("subspace and wandering grade differ")
+    if axis is not None:
+        _check_axis(s.grade, axis)
     if w.n_flagged > 0 and not force:
         raise FlaggedWanderingError(
             f"wandering basis has {w.n_flagged} truncation-suspect column(s); "
             "pass force=True to extract anyway"
         )
+    return s.grade
 
 
 def extract_theta(
@@ -162,10 +169,7 @@ def extract_theta(
 ) -> MatrixPolynomial:
     """Outer symbol: coefficient m holds the outer-degree-m slice of each
     wandering column, expressed on the inner slot."""
-    if s.grade != w.grade:
-        raise GradeError("subspace and wandering grade differ")
-    _require_unflagged(w, force)
-    grade = s.grade
+    grade = _entry_grade(s, w, None, force)
     strata = w.columns.reshape(grade.outer_cap + 1, grade.inner_slot_dim, w.dim)
     return MatrixPolynomial(tuple(strata))
 
@@ -174,16 +178,12 @@ def extract_phi(
     s: SubspaceBasis, w: SubspaceBasis, axis: int, force: bool = False
 ) -> MatrixPolynomial:
     """Inner symbol on W-coordinates: Φ^{(m)} = P_W (P_S M_z^*)^m M_κ |_W."""
-    if s.grade != w.grade:
-        raise GradeError("subspace and wandering grade differ")
-    _check_axis(s.grade, axis)
-    _require_unflagged(w, force)
-    grade = s.grade
+    grade = _entry_grade(s, w, axis, force)
     cert = w.columns[:, : w.n_certified]
     if cert.shape[1]:
         image = shift(grade, 1 + axis, cert)
         residual = spectral_norm(image - s.project(image))
-        if residual > VERIFY_TOL:
+        if residual > VERDICT_TOL:
             raise NotInvariantError(
                 f"inner shift does not map certified wandering vectors into the "
                 f"subspace (residual {residual:.2e})"
@@ -200,11 +200,7 @@ def extract_phi_via_theta(
     s: SubspaceBasis, w: SubspaceBasis, axis: int, force: bool = False
 ) -> MatrixPolynomial:
     """Inner symbol read off against outer-shifted wandering columns."""
-    if s.grade != w.grade:
-        raise GradeError("subspace and wandering grade differ")
-    _check_axis(s.grade, axis)
-    _require_unflagged(w, force)
-    grade = s.grade
+    grade = _entry_grade(s, w, axis, force)
     projected = s.project(shift(grade, 1 + axis, w.columns))
     stacked = outer_powers(grade, w.columns).conj().T @ projected
     return MatrixPolynomial(tuple(np.vsplit(stacked, grade.outer_cap + 1)))
@@ -216,7 +212,7 @@ def verify_intertwining(
     phi: MatrixPolynomial,
     trusted_degree: int,
     n_certified: int | None = None,
-    tolerance: float = VERIFY_TOL,
+    tolerance: float = VERDICT_TOL,
 ) -> IntertwineReport:
     """Degree-by-degree residuals of κ·Θ = Θ·Φ on the certified columns."""
     lhs = convolve(kappa, theta).block(cols=n_certified)
@@ -231,7 +227,7 @@ def verify_intertwining(
 def is_isometric_multiplier(
     theta: MatrixPolynomial,
     n_certified: int | None = None,
-    tolerance: float = VERIFY_TOL,
+    tolerance: float = VERDICT_TOL,
 ) -> MultiplierReport:
     """Coefficient criterion Σ_m Θ_m^* Θ_{m+k} = δ_{k0} I on certified columns."""
     block = theta.block(cols=n_certified)
@@ -249,7 +245,7 @@ def multiplier_commutation(
     phi_b: MatrixPolynomial,
     trusted_degree: int,
     n_certified: int | None = None,
-    tolerance: float = VERIFY_TOL,
+    tolerance: float = VERDICT_TOL,
 ) -> MultiplierReport:
     """Residuals of Φ_a Φ_b − Φ_b Φ_a degree-by-degree on certified block."""
     ab = convolve(phi_a, phi_b).block(n_certified, n_certified)
@@ -266,16 +262,13 @@ def wold_multiplication_consistency(
     w: SubspaceBasis,
     phi: MatrixPolynomial,
     axis: int,
-    tolerance: float = VERIFY_TOL,
+    tolerance: float = VERDICT_TOL,
 ) -> ConsistencyReport:
     """Compression of the inner shift to S matches multiplication by Φ in the
     Wold coordinates, entrywise over cap-exact row/column pairs."""
-    if s.grade != w.grade:
-        raise GradeError("subspace and wandering grade differ")
-    _check_axis(s.grade, axis)
-    grade = s.grade
+    grade = _entry_grade(s, w, axis, force=True)
     cap, r, nc = grade.outer_cap, w.dim, w.n_certified
-    degrees = outer_degrees(grade, w.columns, SUPPORT_TOL)
+    degrees = outer_degrees(grade, w.columns, SUPPORT_CUT)
     pi = outer_powers(grade, w.columns).conj().T @ s.columns
     lhs = (pi @ s.compress(1 + axis) @ pi.conj().T).reshape(cap + 1, r, cap + 1, r)
     # entry (m, j, m', l) against Φ_{m−m'}[j, l], read where both row and

@@ -22,11 +22,8 @@ from .blh import (
 )
 from .errors import GradeError, NotIsometricError
 from .grading import Grade
-from .operators import Coo, defect_sum, spectral_norm
+from .operators import CERTIFICATE_TOL, VERDICT_TOL, Coo, defect_sum, spectral_norm
 from .subspace import SubspaceBasis, block_svds, null_basis
-
-CLASSIFY_TOL = 1e-8
-CONSTANT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -117,7 +114,7 @@ def sylvester_nullspace(
     homogeneous generators each equation row reads only the τ entries of one
     degree difference.
     Each block is factored once (:func:`block_svds`), and the null space is
-    cut at ``CLASSIFY_TOL·max(1, s₀)``, s₀ taken over all blocks. Columns in
+    cut at ``CERTIFICATE_TOL·max(1, s₀)``, s₀ taken over all blocks. Columns in
     no block are null."""
     x = _stacked_coeffs(phis_a, trusted_degree)
     y = _stacked_coeffs(phis_b, trusted_degree)
@@ -145,7 +142,7 @@ def sylvester_nullspace(
     )
     svds = block_svds(stack)
     s = np.sort(np.concatenate([sv for _, sv, _ in svds] + [np.zeros(size)])[:size])[::-1]
-    cut = CLASSIFY_TOL * max(1.0, s[0] if size else 0.0)
+    cut = CERTIFICATE_TOL * max(1.0, s[0] if size else 0.0)
     return null_basis(size, svds, cut).toarray(), s
 
 
@@ -153,7 +150,7 @@ def coincide(
     phis_a: Sequence[MatrixPolynomial],
     phis_b: Sequence[MatrixPolynomial],
     trusted_degree: int,
-    tolerance: float = CLASSIFY_TOL,
+    tolerance: float = CERTIFICATE_TOL,
 ) -> EquivalenceCertificate:
     """Decide whether a constant unitary τ with τ·Φ_a,i = Φ_b,i·τ exists on
     the trusted degree range.
@@ -166,7 +163,7 @@ def coincide(
     the null space decides: the projection onto it of a seeded complex
     Gaussian vector, which depends on the null space alone and not on the
     basis its SVDs happen to return. Different ranks or an empty null space
-    are ``distinct``. A σ_min/σ_max ratio of X at or below ``CLASSIFY_TOL``
+    are ``distinct``. A σ_min/σ_max ratio of X at or below ``CERTIFICATE_TOL``
     means every solution is singular: ``distinct``. Otherwise τ = UVᴴ, the
     polar factor of X, is ``coincide`` when its unitarity and intertwining
     residuals are below ``tolerance``, and ``indeterminate`` when they are
@@ -186,7 +183,7 @@ def coincide(
     x = _unvec(null @ (null.conj().T @ g), r, r)
     u, sv, vh = np.linalg.svd(x)
     ratio = float(sv[-1] / sv[0])
-    if ratio <= CLASSIFY_TOL:  # every solution is singular
+    if ratio <= CERTIFICATE_TOL:  # every solution is singular
         return EquivalenceCertificate("distinct", None, np.inf, np.inf, k, ratio, tolerance)
     tau = u @ vh
     ures = spectral_norm(tau.conj().T @ tau - np.eye(r))
@@ -208,7 +205,7 @@ def nested_factor(
     theta_outer: MatrixPolynomial,
     trusted_degree: int,
     n_certified: int | None = None,
-    tolerance: float = CLASSIFY_TOL,
+    tolerance: float = CERTIFICATE_TOL,
 ) -> FactorizationCertificate:
     """Factor Θ_inner = Θ_outer·Ψ when S_inner ⊆ S_outer, with Ψ read off by
     adjoint convolution and certified isometric on the trusted block."""
@@ -242,7 +239,7 @@ def uniqueness_tau(
     theta: MatrixPolynomial,
     theta_tilde: MatrixPolynomial,
     n_certified: int | None = None,
-    tolerance: float = CLASSIFY_TOL,
+    tolerance: float = CERTIFICATE_TOL,
 ) -> EquivalenceCertificate:
     """Constant τ = Σ_k Θ̃_k^* Θ_k relating two symbols of one subspace;
     verdict ''coincide'' when τ is unitary and Θ = Θ̃·τ on the trusted block."""
@@ -264,7 +261,7 @@ def module_map_check(
     phis_target: Sequence[MatrixPolynomial],
     trusted_degree: int,
     n_certified: int | None = None,
-    tolerance: float = CONSTANT_TOL,
+    tolerance: float = VERDICT_TOL,
 ) -> ModuleMapReport:
     """Is X a module map: X·Φ_src,i = Φ_tgt,i·X degree-by-degree, and an
     isometric multiplier on the certified block?"""
@@ -285,7 +282,7 @@ def bessel_diagnostics(
     grade: Grade,
     vectors: Sequence[np.ndarray],
     bound: float,
-    tolerance: float = CONSTANT_TOL,
+    tolerance: float = VERDICT_TOL,
 ) -> BesselReport:
     """Cumulative mass of the family per total-degree shell against a
     capacity bound; the partial sums must stay at or below the bound."""
@@ -305,8 +302,7 @@ def doubly_commuting_classification(
     s: SubspaceBasis,
     phis: Sequence[MatrixPolynomial],
     n_certified: int,
-    tolerance: float = CONSTANT_TOL,
-    rank_tolerance: float = CLASSIFY_TOL,
+    tolerance: float = VERDICT_TOL,
 ) -> DoubleCommuteReport:
     """Both sides of the dichotomy, computed on safe-band compressions:
     adjoint commutation of the restricted tuple versus constancy of every
@@ -328,7 +324,7 @@ def doubly_commuting_classification(
             comm = vi[:, safe].conj().T @ vj[:, safe] - vj[safe] @ vi[safe].conj().T
             adj = max(adj, spectral_norm(comm))
     sv = np.linalg.svd(defect_sum(ops, safe), compute_uv=False)
-    rank = int((sv > rank_tolerance).sum())
+    rank = int((sv > CERTIFICATE_TOL).sum())
     if 0 < rank < len(sv) and sv[rank] > 0:
         gap = float(sv[rank - 1] / sv[rank])
     else:

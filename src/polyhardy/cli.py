@@ -6,8 +6,8 @@
                   [--output result.json] [--quiet]
     polyhardy selftest [--random K] [--tolerance T] [--max-dim N] [--quiet]
 
-Exit codes: 0 all checks pass, 1 input or capacity error, 2 a verdict
-failed, 3 a certificate came back indeterminate. An error's code is its
+Exit codes: 0 all checks pass, 1 input, usage or capacity error, 2 a
+verdict failed, 3 a certificate came back indeterminate. An error's code is its
 class's ``exit_code``; ``selftest`` exits 1 if any scenario was refused.
 """
 from __future__ import annotations
@@ -31,15 +31,10 @@ from .blh import (
 from .classify import coincide, doubly_commuting_classification
 from .errors import CapacityError, DegenerateInputError, GradeError, PipelineError, ToolkitError
 from .grading import Grade, HardyVector
+from .operators import ANGLE_TOL, VERDICT_TOL
 from .parsing import parse_polynomial
 from .reporting import canonical_json
-from .scenarios import (
-    DEFAULT_PIPELINE,
-    Scenario,
-    builtin_corpus,
-    load_scenario,
-    scenario_to_json,
-)
+from .scenarios import Scenario, builtin_corpus, load_scenario, scenario_to_json
 from .subspace import (
     DEFAULT_MARGIN,
     build_from_theta,
@@ -55,7 +50,6 @@ from .subspace import (
 )
 
 DEFAULT_MAX_DIM = 20000
-ANGLE_TOL = 1e-8
 _BUILT_BY = {"probe": "orbit", "wold": "verify", "rebuild": "verify"}
 # by exit code: a selftest scenario's outcome, and an error's stderr prefix
 _OUTCOME = {0: "PASS", 1: "REFUSED", 2: "FAIL"}
@@ -71,14 +65,14 @@ _STEP_REQUIRES = {
 
 
 def _validate_pipeline(steps: tuple[str, ...]) -> None:
-    seen: set[str] = set()
-    for step in steps:
+    if not steps or len(set(steps)) < len(steps):
+        raise PipelineError(f"a pipeline names one or more steps, each once, not {list(steps)}")
+    for i, step in enumerate(steps):
         if step not in _STEP_REQUIRES:
             raise PipelineError(f"unknown pipeline step '{step}'")
         required = _STEP_REQUIRES[step]
-        if required is not None and required not in seen:
+        if required not in (None, *steps[:i]):
             raise PipelineError(f"step '{step}' requires step '{required}'")
-        seen.add(step)
 
 
 def _grade_dims(grade: Grade, margin: int) -> dict[str, int]:
@@ -139,14 +133,14 @@ def _check_tolerance(tolerance: float) -> None:
 
 def run_pipeline(
     scenario: Scenario,
-    tolerance: float = 1e-10,
+    tolerance: float = VERDICT_TOL,
     margin: int | None = None,
     max_dim: int = DEFAULT_MAX_DIM,
 ) -> dict:
     """Run the scenario's pipeline and return the full report dict."""
     start = time.monotonic()
     _check_tolerance(tolerance)
-    steps = tuple(scenario.pipeline) or DEFAULT_PIPELINE
+    steps = tuple(scenario.pipeline)
     _validate_pipeline(steps)
     grade = scenario.grade
     used_margin, generators = _prepare(scenario, margin, max_dim, steps)
@@ -206,7 +200,7 @@ def run_pipeline(
             "phi_route_agreement": agreement,
             "n_certified": nc,
         }
-        verdicts["phi_routes_agree"] = agreement < max(tolerance, 1e-10)
+        verdicts["phi_routes_agree"] = agreement < max(tolerance, VERDICT_TOL)
         step("extract")
 
     if "verify" in steps:
@@ -274,7 +268,7 @@ def run_pipeline(
 
     if "classify" in steps:
         classification = doubly_commuting_classification(
-            s, phis, w.n_certified, tolerance=max(tolerance, 1e-10)
+            s, phis, w.n_certified, tolerance=max(tolerance, VERDICT_TOL)
         )
         report["steps"]["classify"] = {"doubly_commuting": classification}
         verdicts["classification_consistent"] = classification.equivalence_holds
@@ -321,7 +315,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _certified_phis(
     scenario: Scenario, margin: int | None, max_dim: int
-) -> tuple[str, list[MatrixPolynomial], int, int]:
+) -> tuple[list[MatrixPolynomial], int]:
     grade = scenario.grade
     used_margin, generators = _prepare(scenario, margin, max_dim)
     s = orbit_span(generators, grade, used_margin)
@@ -329,8 +323,7 @@ def _certified_phis(
     force = bool(scenario.option("force", True))
     phis = [extract_phi(s, w, axis, force=force) for axis in range(grade.n)]
     nc = w.n_certified
-    cert_phis = [phi.block(nc, nc) for phi in phis]
-    return scenario.label, cert_phis, grade.outer_cap - grade.safe_margin, nc
+    return [phi.block(nc, nc) for phi in phis], nc
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
@@ -343,11 +336,12 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     if a != b:
         raise GradeError(f"caps (D, N, safe margin) differ: {a} against {b}")
     results = [_certified_phis(sc, args.margin, args.max_dim) for sc in scenarios]
-    (label_a, phis_a, trusted_a, nc_a), (label_b, phis_b, trusted_b, nc_b) = results
-    cert = coincide(phis_a, phis_b, min(trusted_a, trusted_b))
+    (phis_a, nc_a), (phis_b, nc_b) = results
+    grade = scenarios[0].grade
+    cert = coincide(phis_a, phis_b, grade.outer_cap - grade.safe_margin)
     out = {
-        "scenario_a": label_a,
-        "scenario_b": label_b,
+        "scenario_a": scenarios[0].label,
+        "scenario_b": scenarios[1].label,
         "certified_dims": [nc_a, nc_b],
         "certificate": cert,
     }
@@ -379,15 +373,23 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
     return 1 if 1 in codes else max(codes, default=0)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, as any bad input does; subcommands share the class."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="polyhardy",
         description="capped invariant-subspace toolkit for vector Hardy spaces",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     specs = {
-        "--tolerance": {"type": float, "default": 1e-10},
+        "--tolerance": {"type": float, "default": VERDICT_TOL},
         "--margin": {"type": int, "default": None},
         "--max-dim": {"type": int, "default": DEFAULT_MAX_DIM},
         "--quiet": {"action": "store_true"},
@@ -397,6 +399,11 @@ def build_parser() -> argparse.ArgumentParser:
     def flags(p: argparse.ArgumentParser, *names: str) -> None:
         for name in names:
             p.add_argument(name, **specs[name])
+
+    def count(text: str) -> int:
+        if int(text) < 0:
+            raise argparse.ArgumentTypeError(f"invalid count value: {text!r}")
+        return int(text)
 
     p_run = sub.add_parser("run", help="run a scenario pipeline")
     p_run.add_argument("scenario")
@@ -410,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.set_defaults(func=_cmd_compare)
 
     p_self = sub.add_parser("selftest", help="run the bundled corpus")
-    p_self.add_argument("--random", type=int, default=2)
+    p_self.add_argument("--random", type=count, default=2)
     flags(p_self, "--tolerance", "--max-dim", "--quiet")
     p_self.set_defaults(func=_cmd_selftest)
     return parser

@@ -119,7 +119,7 @@ def scenario_from_json(data: dict) -> Scenario:
         if key in options:
             _typed(options[key], kind, f"option '{key}'")
     return Scenario(
-        label=str(data.get("label", "unnamed")),
+        label=_typed(data.get("label", "unnamed"), str, "label"),
         grade=_grade_from_json(data["grade"]),
         generators=_strings(data["generators"], "generators"),
         pipeline=_strings(data.get("pipeline", list(DEFAULT_PIPELINE)), "pipeline"),

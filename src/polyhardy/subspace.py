@@ -26,14 +26,10 @@ import numpy as np
 
 from .errors import DegenerateInputError, GradeError, NotInvariantError, NotIsometricError
 from .grading import Grade, HardyVector
+from .operators import ORTHONORMAL_TOL, PIVOT_CUT, RANK_CUT, SUPPORT_CUT, VERDICT_TOL
 from .operators import Coo, hstack, monomial_multiples, outer_powers, shift, spectral_norm
 
-SVD_CUTOFF = 1e-10
-SUPPORT_TOL = 1e-12
-_PIVOT_TOL = 1e-8
-
 DEFAULT_MARGIN = 2
-INVARIANCE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -67,7 +63,7 @@ class SubspaceBasis:
             raise GradeError("column length does not match the grade")
         gram = cols.conj().T @ cols
         # the Frobenius norm bounds the 2-norm from above
-        if np.linalg.norm(gram - np.eye(cols.shape[1])) > 1e-10:
+        if np.linalg.norm(gram - np.eye(cols.shape[1])) > ORTHONORMAL_TOL:
             raise GradeError("basis columns are not orthonormal")
         cols.flags.writeable = False
         object.__setattr__(self, "columns", cols)
@@ -206,13 +202,13 @@ def _place(length: int, pieces) -> Coo:
 def block_span(a) -> Coo:
     """Orthonormal basis of the column span of the dense array or
     :class:`Coo` ``a``, with one SVD per block of its nonzero pattern.
-    Singular values at or below ``SVD_CUTOFF·max(1, s₀)``, s₀ taken over all
+    Singular values at or below ``RANK_CUT·max(1, s₀)``, s₀ taken over all
     blocks, are cut."""
     svds = [
         (rows, *np.linalg.svd(block, full_matrices=False)[:2])
         for rows, _, block in _pattern_blocks(a)
     ]
-    cut = SVD_CUTOFF * max(1.0, max((s.max() for _, _, s in svds), default=0.0))
+    cut = RANK_CUT * max(1.0, max((s.max() for _, _, s in svds), default=0.0))
     return _place(a.shape[0], [(rows, u[:, s > cut].T) for rows, u, s in svds])
 
 
@@ -248,14 +244,14 @@ def null_basis(n: int, svds, cut: float) -> Coo:
 def _split(x: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One SVD of ``x[rows]`` splits the orthonormal ``x`` into the part
     ``x·V_rank`` that reaches those rows and the part ``x·V_null`` that
-    vanishes on them (cut ``SVD_CUTOFF``); also the kept singular values.
+    vanishes on them (cut ``RANK_CUT``); also the kept singular values.
     A split by no row or by every row needs no SVD."""
     if not rows.any():
         return x[:, :0], x, np.zeros(0)
     if rows.all():
         return x, x[:, :0], np.ones(x.shape[1])
     _, s, vh = np.linalg.svd(x[rows], full_matrices=True)
-    s = s[s > SVD_CUTOFF]
+    s = s[s > RANK_CUT]
     v = vh.conj().T
     return x @ v[:, : s.size], x @ v[:, s.size :], s
 
@@ -360,7 +356,7 @@ def canonical_basis(grade: Grade, basis) -> tuple[np.ndarray, int]:
     for part, rows, d, stratum, at, _ in peeled:
         # the cut is relative to the smallest kept singular value of the
         # degree-d rows, so the Gram–Schmidt finds a full set of pivots
-        gauged, pivots = _gauge(stratum, at, _PIVOT_TOL * smallest[part, d])
+        gauged, pivots = _gauge(stratum, at, PIVOT_CUT * smallest[part, d])
         placed += [
             ((part, d, rows[i]), rows, column[None])
             for i, column in zip(pivots, gauged.T, strict=True)
@@ -491,7 +487,7 @@ def orbit_stability(
     dim = 0
     for rows, _, x in _pattern_blocks(orbit):
         outside = np.linalg.svd(x[~inside[rows]], compute_uv=False)
-        dim += x.shape[1] - int((outside > SVD_CUTOFF).sum())
+        dim += x.shape[1] - int((outside > RANK_CUT).sum())
     return base, dim == base.dim
 
 
@@ -503,14 +499,14 @@ def _wandering(grade: Grade, basis: Coo) -> Coo:
     [B | M_z·B], so the overlap is block-diagonal in that partition and its
     null space is the direct sum of the blocks' null spaces: ``x·null(zxᴴx)``
     for the columns x of B and zx of M_z·B in each block, with the absolute
-    cut ``SVD_CUTOFF``. A block with no zx keeps x whole (the SVD of an
+    cut ``RANK_CUT``. A block with no zx keeps x whole (the SVD of an
     empty overlap gives the identity V)."""
     own = basis.shape[1]
     pieces = []
     for rows, cols, block in _pattern_blocks(hstack([basis, shift(grade, 0, basis)])):
         x, zx = block[:, cols < own], block[:, cols >= own]
         _, s, vh = np.linalg.svd(zx.conj().T @ x)
-        pieces.append((rows, (x @ vh[(s > SVD_CUTOFF).sum() :].conj().T).T))
+        pieces.append((rows, (x @ vh[(s > RANK_CUT).sum() :].conj().T).T))
     return _place(basis.shape[0], pieces)
 
 
@@ -551,7 +547,7 @@ def outer_degrees(grade: Grade, columns: np.ndarray, tol: float) -> np.ndarray:
 def check_invariant(
     s: SubspaceBasis,
     axes: Iterable[int],
-    tolerance: float = INVARIANCE_TOL,
+    tolerance: float = VERDICT_TOL,
 ) -> InvarianceReport:
     """Per-shift residual ``‖(I − P_S)·T·B_safe‖`` over safe-supported columns,
     for ``T`` the shift along each of ``axes`` (0 is ``z``, ``i`` is ``z_i``).
@@ -591,7 +587,7 @@ def build_from_theta(theta, grade: Grade) -> SubspaceBasis:
     gw = rebuild_grade(grade)
     lifted = np.zeros((gw.dim, theta.shape[1]), dtype=complex)
     lifted[: len(theta.coeffs) * slot] = np.vstack(theta.coeffs)
-    degrees = outer_degrees(grade, lifted[: grade.dim], SUPPORT_TOL)
+    degrees = outer_degrees(grade, lifted[: grade.dim], SUPPORT_CUT)
     z_powers = np.arange(gw.outer_cap + 1)[:, None] * np.eye(1, gw.n + 1, dtype=int)
     cols = [
         monomial_multiples(gw, lifted[:, j], z_powers[: gw.outer_cap - deg + 1])
@@ -657,7 +653,7 @@ def _orbit(big: Grade, generators: Sequence[HardyVector], reads: np.ndarray) -> 
     return block_span(orbit), kept_rows
 
 
-def wold_reconstruction(s: SubspaceBasis, tolerance: float = INVARIANCE_TOL) -> WoldReport:
+def wold_reconstruction(s: SubspaceBasis, tolerance: float = VERDICT_TOL) -> WoldReport:
     """Residual of ``P_S − Σ_m M_z^m P_W M_z^{*m}`` on the target safe band,
     computed at :func:`wold_grade` on the orbit's pattern components that the
     residual reads (:func:`_orbit`)."""

@@ -21,11 +21,9 @@ import itertools
 import numpy as np
 import scipy.linalg
 
-from polyhardy.classify import CLASSIFY_TOL
 from polyhardy.grading import Grade, HardyVector
-from polyhardy.operators import shift, shift_matrix
+from polyhardy.operators import CERTIFICATE_TOL, RANK_CUT, shift, shift_matrix
 from polyhardy.subspace import (
-    SVD_CUTOFF,
     SubspaceBasis,
     embedding_positions,
     outer_degrees,
@@ -46,7 +44,7 @@ def dense_position(grade: Grade) -> dict[tuple[int, ...], int]:
     return {t: i for i, t in enumerate(dense_order(grade))}
 
 
-def orthonormal_columns(a: np.ndarray, tol: float = SVD_CUTOFF) -> np.ndarray:
+def orthonormal_columns(a: np.ndarray, tol: float = RANK_CUT) -> np.ndarray:
     """SVD basis of the column span with a relative singular-value cutoff."""
     if a.size == 0 or a.shape[1] == 0:
         return np.zeros((a.shape[0], 0), dtype=complex)
@@ -57,9 +55,9 @@ def orthonormal_columns(a: np.ndarray, tol: float = SVD_CUTOFF) -> np.ndarray:
 
 
 def null_columns(a: np.ndarray) -> np.ndarray:
-    """SVD basis of the null space with the absolute cutoff ``SVD_CUTOFF``."""
+    """SVD basis of the null space with the absolute cutoff ``RANK_CUT``."""
     _, s, vh = np.linalg.svd(a, full_matrices=True)
-    return vh.conj().T[:, int((s > SVD_CUTOFF).sum()):]
+    return vh.conj().T[:, int((s > RANK_CUT).sum()):]
 
 
 def coordinate_slice(basis: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -230,7 +228,7 @@ def sylvester_nullspace_dense(phis_a, phis_b, trusted_degree: int):
     size = stack.shape[1]
     _, r = scipy.linalg.qr(stack, mode="raw")
     _, s, vh = np.linalg.svd(r)
-    k = int((s < CLASSIFY_TOL * max(1.0, s[0])).sum())
+    k = int((s < CERTIFICATE_TOL * max(1.0, s[0])).sum())
     return vh[size - k :].conj().T, s
 
 

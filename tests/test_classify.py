@@ -5,9 +5,8 @@ import pytest
 
 import polyhardy as ph
 from polyhardy import classify
-from polyhardy.classify import CLASSIFY_TOL
 from polyhardy.errors import GradeError, NotIsometricError
-from polyhardy.operators import Coo
+from polyhardy.operators import CERTIFICATE_TOL, Coo
 from polyhardy.reporting import canonical_json
 from polyhardy.subspace import _pattern_blocks
 
@@ -276,7 +275,7 @@ def test_doubly_commuting_reads_the_safe_rows_only(corpus_artifacts, label):
     adj, sv = doubly_commuting_dense(art["s"])
     assert abs(report.adjoint_commutation_residual - adj) < 1e-12
     assert report.doubly_commuting == (adj < report.tolerance)
-    assert report.defect_rank == int((sv > CLASSIFY_TOL).sum())
+    assert report.defect_rank == int((sv > CERTIFICATE_TOL).sum())
     s = art["s"]
     ops = [s.columns.conj().T @ ph.shift(s.grade, ax, s.columns) for ax in range(1 + s.grade.n)]
     defect = ph.defect_sum(ops, slice(0, s.n_certified))

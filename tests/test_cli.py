@@ -117,9 +117,11 @@ def test_written_tau_decodes_bit_for_bit(pool_member, tmp_path):
         dump_scenario(scenario, paths[-1])
     out_path = tmp_path / "compare.json"
     assert main(["compare", *map(str, paths), "--quiet", "--output", str(out_path)]) == 0
-    results = [cli._certified_phis(load_scenario(p), None, cli.DEFAULT_MAX_DIM) for p in paths]
-    (_, phis_a, trusted_a, _), (_, phis_b, trusted_b, _) = results
-    tau = ph.coincide(phis_a, phis_b, min(trusted_a, trusted_b)).tau
+    scenarios = [load_scenario(p) for p in paths]
+    results = [cli._certified_phis(sc, None, cli.DEFAULT_MAX_DIM) for sc in scenarios]
+    (phis_a, _), (phis_b, _) = results
+    grade = scenarios[0].grade
+    tau = ph.coincide(phis_a, phis_b, grade.outer_cap - grade.safe_margin).tau
     _assert_bitwise_round_trip(json.loads(out_path.read_text())["certificate"]["tau"], tau)
 
 
@@ -367,6 +369,8 @@ MALFORMED = [
     (("pipline",), ["orbit"]),
     (("options", "margn"), 7),
     (("grade", "d_e"), 1),
+    (("label",), 5),
+    (("label",), [1, 2]),
 ]
 
 
@@ -500,6 +504,17 @@ def test_pipeline_dependency_exit_one(capsys, tmp_path):
     code, _, err = run_cli(["run", path], capsys)
     assert code == 1
     assert "requires" in err
+
+
+@pytest.mark.parametrize("pipeline", [(), ("orbit", "orbit")], ids=["empty", "repeated"])
+def test_empty_or_repeated_pipeline_exit_one(capsys, tmp_path, pipeline):
+    sc = Scenario(label="odd", grade=Grade(1, 5, 5, 1), generators=("z",), pipeline=pipeline)
+    path = tmp_path / "odd.json"
+    dump_scenario(sc, path)
+    code, out, err = run_cli(["run", path], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: a pipeline names one or more steps, each once, not {list(pipeline)}\n"
 
 
 def test_compare_self_coincides(capsys):
@@ -733,8 +748,9 @@ def test_selftest_quiet(capsys):
 
 def test_parser_rejects_unknown_command():
     parser = build_parser()
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         parser.parse_args(["frobnicate"])
+    assert exc.value.code == 1
 
 
 @pytest.mark.parametrize(
@@ -748,5 +764,33 @@ def test_parser_rejects_unknown_command():
     ids=["compare-tolerance", "selftest-margin", "selftest-output", "run-no-stability"],
 )
 def test_parser_rejects_flags_the_command_ignores(argv):
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(argv)
+    assert exc.value.code == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([], "the following arguments are required: command"),
+        (["run", "x.json", "--no-such-flag"], "unrecognized arguments: --no-such-flag"),
+        (["run", "x.json", "--margin", "abc"], "argument --margin: invalid int value: 'abc'"),
+        (["selftest", "--random", "-3"], "argument --random: invalid count value: '-3'"),
+    ],
+    ids=["no-command", "unknown-flag", "bad-int", "negative-random"],
+)
+def test_usage_error_exit_one_not_two(argv, message):
+    """Exit 2 means a failed verdict, so a usage error must not use it."""
+    proc = _cli_subprocess(argv)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("usage: polyhardy")
+    assert proc.stderr.endswith(f"error: {message}\n")
+    assert "Traceback" not in proc.stderr
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["run", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: polyhardy run")

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import ast
+import inspect
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polyhardy as ph
+from polyhardy import cli, operators
 from polyhardy.errors import GradeError
-from polyhardy.operators import Coo, hstack, monomial_multiples
+from polyhardy.operators import VERDICT_TOL, Coo, hstack, monomial_multiples
 
 from .oracles import dense_order, dense_position
 
@@ -168,3 +172,45 @@ def test_spectral_norm_of_subnormal_input(a):
     a = np.array(a, dtype=complex)
     want = float(np.linalg.norm(a, 2))
     assert ph.spectral_norm(a) == pytest.approx(want, rel=1e-13, abs=1e-323)
+
+
+POLICY = (
+    "RANK_CUT",
+    "SUPPORT_CUT",
+    "PIVOT_CUT",
+    "ORTHONORMAL_TOL",
+    "VERDICT_TOL",
+    "CERTIFICATE_TOL",
+    "ANGLE_TOL",
+)
+
+
+def test_every_small_float_literal_is_a_policy_assignment():
+    """Every cutoff and default tolerance is named once, in the policy block
+    of ``operators``: a float literal in (0, 1e-6] anywhere in the package is
+    the value of one of those assignments, and no other module assigns them."""
+    policy_values, small, assigned = set(), [], []
+    for path in sorted(Path(operators.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id in POLICY for t in node.targets
+            ):
+                assigned.append((path.name, node.targets[0].id))
+                if path.name == "operators.py" and node in tree.body:
+                    policy_values.add(id(node.value))
+            if isinstance(node, ast.Constant) and type(node.value) is float:
+                if 0 < node.value <= 1e-6:
+                    small.append((path.name, node.lineno, node))
+    assert sorted(assigned) == sorted(("operators.py", name) for name in POLICY)
+    assert [(f, line) for f, line, node in small if id(node) not in policy_values] == []
+    assert len(small) == len(POLICY)
+
+
+def test_default_verdict_tolerance_is_the_policy_value():
+    def default(func):
+        return inspect.signature(func).parameters["tolerance"].default
+
+    assert cli.build_parser().parse_args(["run", "x.json"]).tolerance == VERDICT_TOL
+    assert default(cli.run_pipeline) == VERDICT_TOL
+    assert default(ph.check_invariant) == VERDICT_TOL
