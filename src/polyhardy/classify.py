@@ -22,8 +22,8 @@ from .blh import (
 )
 from .errors import GradeError, NotIsometricError
 from .grading import Grade
-from .operators import CERTIFICATE_TOL, VERDICT_TOL, Coo, defect_sum, spectral_norm
-from .subspace import SubspaceBasis, block_svds, null_basis
+from .operators import CERTIFICATE_TOL, VERDICT_TOL, defect_sum, spectral_norm
+from .subspace import SubspaceBasis
 
 
 @dataclass(frozen=True)
@@ -101,49 +101,49 @@ def sylvester_nullspace(
     phis_a: Sequence[MatrixPolynomial],
     phis_b: Sequence[MatrixPolynomial],
     trusted_degree: int,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, float]:
     """Joint nullspace of τ·Φ_a^{(m)} − Φ_b^{(m)}·τ and of the adjoint
     equation τ·Φ_a^{(m)ᴴ} − Φ_b^{(m)ᴴ}·τ over axes and degrees, as
-    column-major vec(τ) columns, with the stack's singular values.
+    column-major vec(τ) columns, with the cut it was read at.
 
-    Equation e is vec(τX − Yτ) = (Xᵀ⊗I − I⊗Y)·vec τ. Its entries are placed
-    by index arithmetic from the nonzero entries of the stacked coefficients,
-    in one :class:`Coo` triplet: the off-diagonal entries of each Kronecker
-    term, and each diagonal entry X_jj − Y_ii once. The stack is the direct
-    sum of the blocks of its nonzero pattern: Φ's zeros are exact, and for
-    homogeneous generators each equation row reads only the τ entries of one
-    degree difference.
-    Each block is factored once (:func:`block_svds`), and the null space is
-    cut at ``CERTIFICATE_TOL·max(1, s₀)``, s₀ taken over all blocks. Columns in
-    no block are null."""
+    The stacked coefficients X_e, and Y_e, are *-closed, so for seeded real
+    c of unit norm H_X = Σ_e c_e(X_e + X_eᴴ) and H_Y are Hermitian, and
+    every solution also solves τH_X = H_Yτ (the random-element argument of
+    Murota, Kanno, Kojima and Kojima). In eigenbases U_X, U_Y of H_X, H_Y,
+    T = U_Yᴴ·τ·U_X is zero off the pairs (a, b) with λ_Y,a = λ_X,b, for
+    every c; a random c keeps those pairs few. The equations
+    T·U_XᴴX_eU_X − U_YᴴY_eU_Y·T are solved on the matched entries of T
+    alone: a stack of E·r_a·r_b rows and one column per pair, factored
+    through the R of its QR, whose null space is mapped back to vec τ.
+    No matched pair is an empty null space, with no stack built.
+    The matching and null cuts are both ``CERTIFICATE_TOL·max(1, β)``, with
+    β = (Σ_e (‖X_e‖_F + ‖Y_e‖_F)²)^{1/2} an upper bound of the whole stack's
+    largest singular value: the reduced stack's own is no scale."""
     x = _stacked_coeffs(phis_a, trusted_degree)
     y = _stacked_coeffs(phis_b, trusted_degree)
     ra, rb = x.shape[1], y.shape[1]
-    size = ra * rb
-    # vec τ holds τ[i, l] at l·rb + i; equation e's row (j, i) is e·size + j·rb + i
-    # off the diagonal: (Xᵀ⊗I)[(j, i), (l, i)] = X[l, j], (I⊗Y)[(j, i), (j, k)] = Y[i, k]
-    e, l, j = np.nonzero((x != 0) & ~np.eye(ra, dtype=bool))
-    ei, i, k = np.nonzero((y != 0) & ~np.eye(rb, dtype=bool))
-    over_i, over_j = np.arange(rb), np.arange(ra) * rb
-    rows = [(e * size + j * rb)[:, None] + over_i, (ei * size + i)[:, None] + over_j]
-    cols = [(l * rb)[:, None] + over_i, k[:, None] + over_j]
-    values = [np.repeat(x[e, l, j], rb), np.repeat(-y[ei, i, k], ra)]
-    # on it, at row (e, j, i) and column (j, i): X_jj − Y_ii
-    xd = np.diagonal(x, axis1=1, axis2=2)[:, :, None]
-    yd = np.diagonal(y, axis1=1, axis2=2)[:, None, :]
-    rows.append(np.arange(len(x) * size))
-    cols.append(rows[-1] % size)
-    values.append(xd - yd)
-    stack = Coo(
-        (len(x) * size, size),
-        np.concatenate(rows, axis=None),
-        np.concatenate(cols, axis=None),
-        np.concatenate(values, axis=None),
-    )
-    svds = block_svds(stack)
-    s = np.sort(np.concatenate([sv for _, sv, _ in svds] + [np.zeros(size)])[:size])[::-1]
-    cut = CERTIFICATE_TOL * max(1.0, s[0] if size else 0.0)
-    return null_basis(size, svds, cut).toarray(), s
+    frobenius = np.linalg.norm(x, axis=(1, 2)) + np.linalg.norm(y, axis=(1, 2))
+    cut = CERTIFICATE_TOL * max(1.0, float(np.linalg.norm(frobenius)))
+    c = np.random.default_rng(0).standard_normal(len(x))
+    c /= np.linalg.norm(c)
+    hx, hy = np.tensordot(c, x, 1), np.tensordot(c, y, 1)
+    lx, ux = np.linalg.eigh(hx + hx.conj().T)
+    ly, uy = np.linalg.eigh(hy + hy.conj().T)
+    a, b = np.nonzero(np.abs(ly[:, None] - lx) <= cut)
+    if a.size == 0:
+        return np.zeros((ra * rb, 0), dtype=complex), cut
+    # row (e, l, i) is entry [i, l] of equation e's residual, in vec order; the
+    # pair (a, b), T = E_ab, puts row b of X_e' = U_XᴴX_eU_X in row a of it and
+    # minus column a of Y_e' = U_YᴴY_eU_Y in column b
+    xt, yt = ux.conj().T @ x @ ux, uy.conj().T @ y @ uy
+    pair = np.arange(a.size)
+    stack = np.zeros((len(x), ra, rb, a.size), dtype=complex)
+    stack[:, :, a, pair] = xt[:, b].transpose(0, 2, 1)
+    stack[:, b, :, pair] -= yt[:, :, a].transpose(2, 0, 1)
+    _, s, vh = np.linalg.svd(np.linalg.qr(stack.reshape(-1, a.size), mode="r"))
+    # vec τ holds τ[i, l] at l·rb + i, and the pair (a, b) is τ = u_Y,a·u_X,bᴴ
+    basis = (ux[:, None, b].conj() * uy[None, :, a]).reshape(ra * rb, a.size)
+    return basis @ vh[(s > cut).sum() :].conj().T, cut
 
 
 def coincide(
@@ -156,14 +156,15 @@ def coincide(
     the trusted degree range.
 
     A unitary τ that intertwines the tuples also intertwines their
-    adjoints, so ``sylvester_nullspace`` solves the *-closed equations. If
-    that solution space holds an invertible X, then XᴴX commutes with the
-    *-closed tuple and the polar factor of X is a unitary solution; the
-    invertible solutions are then dense, so one seeded random element X of
-    the null space decides: the projection onto it of a seeded complex
-    Gaussian vector, which depends on the null space alone and not on the
-    basis its SVDs happen to return. Different ranks or an empty null space
-    are ``distinct``. A σ_min/σ_max ratio of X at or below ``CERTIFICATE_TOL``
+    adjoints, so ``sylvester_nullspace`` solves the *-closed equations, on
+    the entries its seeded Hermitian elements leave free. If that solution
+    space holds an invertible X, then XᴴX commutes with the *-closed tuple
+    and the polar factor of X is a unitary solution; the invertible
+    solutions are then dense, so one seeded random element X of the null
+    space decides: the projection onto it of a seeded complex Gaussian
+    vector, which depends on the null space alone and not on the basis it
+    is returned in. Different ranks or an empty null space are
+    ``distinct``. A σ_min/σ_max ratio of X at or below ``CERTIFICATE_TOL``
     means every solution is singular: ``distinct``. Otherwise τ = UVᴴ, the
     polar factor of X, is ``coincide`` when its unitarity and intertwining
     residuals are below ``tolerance``, and ``indeterminate`` when they are

@@ -21,14 +21,15 @@ from .errors import GradeError
 from .grading import Grade
 
 # The numerical policy. Every cut reads orthonormal bases, their shifts or the
-# symbols read off them, whose norms are of order one; the span and Sylvester
-# null cuts are scaled by max(1, s₀), s₀ the largest singular value.
+# symbols read off them, whose norms are of order one; the span cut is scaled by
+# max(1, s₀), s₀ the largest singular value, and the Sylvester cuts by max(1, β),
+# β a bound of the whole Sylvester stack's s₀.
 RANK_CUT = 1e-10  # singular values of spans, slices, wandering null spaces and the probe
 SUPPORT_CUT = 1e-12  # entry moduli of a unit column that count toward its outer degree
 PIVOT_CUT = 1e-8  # gauge pivots, times the smallest kept singular value of their stratum
 ORTHONORMAL_TOL = 1e-10  # Frobenius norm of SᴴS − I that a SubspaceBasis accepts
 VERDICT_TOL = 1e-10  # default threshold of every verdict residual (--tolerance)
-CERTIFICATE_TOL = 1e-8  # certificate residuals, σ ratio and Sylvester null cut; defect rank
+CERTIFICATE_TOL = 1e-8  # certificate residuals, σ ratio, Sylvester cuts; defect rank
 ANGLE_TOL = 1e-8  # largest principal angle sine between the rebuilt span and S
 
 

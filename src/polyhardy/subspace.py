@@ -212,35 +212,6 @@ def block_span(a) -> Coo:
     return _place(a.shape[0], [(rows, u[:, s > cut].T) for rows, u, s in svds])
 
 
-def block_svds(a) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """``(cols, s, vh)`` for each block of the nonzero pattern of the dense
-    array or :class:`Coo` ``a``, with ``vh`` the block's whole right space.
-    A tall block is factored through the square R of its QR, whose singular
-    values and right singular vectors are the block's, so its left singular
-    vectors are never formed; a square or wide block gets one full SVD."""
-    out = []
-    for _, cols, block in _pattern_blocks(a):
-        h, w = block.shape
-        if h > w:
-            block = np.linalg.qr(block, mode="r")
-        out.append((cols, *np.linalg.svd(block, full_matrices=h < w)[1:]))
-    return out
-
-
-def null_basis(n: int, svds, cut: float) -> Coo:
-    """Orthonormal basis of the null space of a matrix of ``n`` columns from
-    its :func:`block_svds`: each block's right singular vectors whose
-    singular values are at or below ``cut``, and every column in no block."""
-    free = np.ones(n, dtype=bool)
-    pieces = []
-    for cols, s, vh in svds:
-        free[cols] = False
-        pieces.append((cols, vh[(s > cut).sum() :].conj()))
-    zero = np.flatnonzero(free)
-    pieces.append((zero[:, None], np.ones((zero.size, 1))))
-    return _place(n, pieces)
-
-
 def _split(x: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One SVD of ``x[rows]`` splits the orthonormal ``x`` into the part
     ``x·V_rank`` that reaches those rows and the part ``x·V_null`` that

@@ -222,8 +222,9 @@ def sylvester_stack(phis_a, phis_b, trusted_degree: int) -> np.ndarray:
 
 
 def sylvester_nullspace_dense(phis_a, phis_b, trusted_degree: int):
-    """``(null, s)`` of ``classify.sylvester_nullspace`` from one QR of the
-    whole dense stack and the SVD of its square R factor."""
+    """The null space that ``classify.sylvester_nullspace`` solves for, cut
+    at ``CERTIFICATE_TOL·max(1, s₀)``, and the stack's singular values, from
+    one QR of the whole dense stack and the SVD of its square R factor."""
     stack = sylvester_stack(phis_a, phis_b, trusted_degree)
     size = stack.shape[1]
     _, r = scipy.linalg.qr(stack, mode="raw")

@@ -6,7 +6,7 @@ import pytest
 import polyhardy as ph
 from polyhardy import classify
 from polyhardy.errors import GradeError, NotIsometricError
-from polyhardy.operators import CERTIFICATE_TOL, Coo
+from polyhardy.operators import CERTIFICATE_TOL
 from polyhardy.reporting import canonical_json
 from polyhardy.subspace import _pattern_blocks
 
@@ -97,6 +97,14 @@ def test_coincide_indeterminate():
     assert out.intertwining_residual >= 1e-8
 
 
+def test_coincide_swapped_indeterminate_pair():
+    # B against A reads the verdict and null-space dimension of A against B
+    a, b = _diagonal(1000.0, 0.0), _diagonal(1000.0, 1e-6)
+    there, back = ph.coincide(a, b, 0), ph.coincide(b, a, 0)
+    assert (there.verdict, there.nullspace_dim) == (back.verdict, back.nullspace_dim)
+    assert (back.verdict, back.nullspace_dim) == ("indeterminate", 2)
+
+
 def test_coincide_rejects_different_axis_counts(corpus_artifacts):
     # checked before the ranks, which differ here too
     one_axis = _cert_phi(corpus_artifacts["z-minus-z1"])
@@ -136,6 +144,15 @@ def _tuples(rng, kind):
         q[:2, :2], q[2:, 2:] = _unitary(rng, 2), _unitary(rng, 3)
         coeffs = [[_random(rng, (5, 5)) * mask for _ in range(3)] for _ in range(2)]
         conj = [[q @ c @ q.conj().T for c in axis] for axis in coeffs]
+    elif kind == "repeated":
+        # a 3 × 3 summand repeated, X ⊕ X, and its conjugate by a unitary:
+        # every eigenvalue of a Hermitian element is double, and τ is q·(M ⊗ I)
+        q = _unitary(rng, 6)
+        coeffs = []
+        for _ in range(2):
+            summand = [_random(rng, (3, 3)) for _ in range(3)]
+            coeffs.append([np.kron(np.eye(2), c) for c in summand])
+        conj = [[q @ c @ q.conj().T for c in axis] for axis in coeffs]
     elif kind == "dense":
         q = _unitary(rng, 5)
         coeffs = [[_random(rng, (5, 5)) for _ in range(3)] for _ in range(2)]
@@ -158,19 +175,26 @@ def _tuples(rng, kind):
 
 @pytest.mark.parametrize(
     "kind, dim, blocks",
-    [("block-diagonal", 2, 4), ("dense", 1, 1), ("zero", 16, 0), ("unequal-rank", 1, 1)],
+    [
+        ("block-diagonal", 2, 4),
+        ("dense", 1, 1),
+        ("zero", 16, 0),
+        ("unequal-rank", 1, 1),
+        ("repeated", 4, 2),
+    ],
 )
 def test_sylvester_nullspace_matches_dense_oracle(kind, dim, blocks):
-    # τ of a 2 + 3 block-diagonal pair splits into its four blocks; the zero
-    # tuples' stack has no entries, so every column is null
+    # τ of a 2 + 3 block-diagonal pair splits into the four blocks of the
+    # whole stack; the zero tuples' stack has no entries, so every τ is null
     phis_a, phis_b = _tuples(np.random.default_rng(3), kind)
-    assert len(list(_pattern_blocks(sylvester_stack(phis_a, phis_b, 2)))) == blocks
-    null, s = ph.sylvester_nullspace(phis_a, phis_b, 2)
-    reference, s_reference = sylvester_nullspace_dense(phis_a, phis_b, 2)
+    stack = sylvester_stack(phis_a, phis_b, 2)
+    assert len(list(_pattern_blocks(stack))) == blocks
+    null, cut = ph.sylvester_nullspace(phis_a, phis_b, 2)
+    reference, _ = sylvester_nullspace_dense(phis_a, phis_b, 2)
     assert null.shape[1] == reference.shape[1] == dim
     projector = null @ null.conj().T - reference @ reference.conj().T
     assert np.linalg.norm(projector, 2) < 1e-10
-    assert np.abs(s - s_reference).max() < 1e-10 * max(1.0, s_reference[0])
+    assert np.linalg.norm(stack @ null, axis=0).max() <= cut
 
 
 def _reordered_pair(pool_member, label):
@@ -186,37 +210,33 @@ def _reordered_pair(pool_member, label):
     return tuples, w.n_certified, trusted
 
 
-def _pruned(a) -> Coo:
-    """The nonzero entries of the dense array or triplet ``a``, by row, then
-    column."""
-    if not isinstance(a, Coo):
-        a = Coo.from_dense(a)
-    nonzero = a.vals != 0
-    r, c, v = a.rows[nonzero], a.cols[nonzero], a.vals[nonzero]
-    order = np.lexsort((c, r))
-    return Coo(a.shape, r[order], c[order], v[order])
-
-
 @pytest.mark.parametrize(
     "kind", ["block-diagonal", "dense", "zero", "unequal-rank", "n2-cmp-00"]
 )
 def test_sylvester_stack_equals_the_kronecker_stack(kind, pool_member, monkeypatch):
-    # the stack placed by index arithmetic holds the coordinates and values
-    # of (Xᵀ⊗I − I⊗Y) stacked over the equations, exactly
+    # the reduced stack is (Xᵀ⊗I − I⊗Y) stacked over the equations, rotated
+    # into the eigenbases of H_X and H_Y and restricted to the matched pairs
     if kind == "n2-cmp-00":
         (phis_a, phis_b), _, trusted = _reordered_pair(pool_member, kind)
     else:
         (phis_a, phis_b), trusted = _tuples(np.random.default_rng(3), kind), 2
-    stacks = []
-    block_svds = classify.block_svds
-    monkeypatch.setattr(classify, "block_svds", lambda a: stacks.append(a) or block_svds(a))
-    ph.sylvester_nullspace(phis_a, phis_b, trusted)
-    got, want = _pruned(stacks[0]), _pruned(sylvester_stack(phis_a, phis_b, trusted))
+    eighs, stacks = [], []
+    eigh, qr = np.linalg.eigh, np.linalg.qr
+    monkeypatch.setattr(np.linalg, "eigh", lambda h: eighs.append(eigh(h)) or eighs[-1])
+    monkeypatch.setattr(np.linalg, "qr", lambda a, **kw: stacks.append(a) or qr(a, **kw))
+    _, cut = ph.sylvester_nullspace(phis_a, phis_b, trusted)
+    (lx, ux), (ly, uy) = eighs
+    a, b = np.nonzero(np.abs(ly[:, None] - lx) <= cut)
+    rb = uy.shape[0]
+    rotation = np.kron(ux.T, uy.conj().T)
+    whole = sylvester_stack(phis_a, phis_b, trusted)
+    equations = whole.reshape(-1, rotation.shape[0], whole.shape[1])
+    rotated = rotation @ equations @ np.kron(ux.conj(), uy)
+    want = rotated[:, :, b * rb + a].reshape(-1, a.size)
+    (got,) = stacks
     assert got.shape == want.shape
-    assert np.array_equal(got.rows, want.rows)
-    assert np.array_equal(got.cols, want.cols)
-    assert np.array_equal(got.vals, want.vals)
-    assert (got.vals.size > 0) == (kind != "zero")
+    assert np.abs(got - want).max() <= 1e-12
+    assert (np.abs(got).max() > 0) == (kind != "zero")
 
 
 def test_coincide_tau_depends_on_the_null_space_not_its_basis(monkeypatch):
@@ -238,14 +258,12 @@ def test_coincide_tau_depends_on_the_null_space_not_its_basis(monkeypatch):
     assert np.abs(after.tau - before.tau).max() < 1e-10
 
 
-def test_sylvester_factors_one_pattern_block_at_a_time(pool_member, monkeypatch):
-    # The *-closed stack of n2-cmp-00 against its reordered copy is 8000 × 400,
-    # and Φ's exact zeros split it into blocks of at most 68 columns: each is
-    # factored on its own, never the whole stack.
+def test_sylvester_factors_only_the_matched_unknowns(pool_member, monkeypatch):
+    # The *-closed stack of n2-cmp-00 against its reordered copy has 400
+    # unknowns; the seeded Hermitian elements match each of their 20
+    # eigenvalues once, so the reduced stack has 20 columns and the whole
+    # stack is never factored.
     tuples, nc, trusted = _reordered_pair(pool_member, "n2-cmp-00")
-    blocks = list(_pattern_blocks(sylvester_stack(*tuples, trusted)))
-    largest = max(cols.size for _, cols, _ in blocks)
-    assert largest < nc * nc
     factored = []
     svd = np.linalg.svd
 
@@ -255,7 +273,7 @@ def test_sylvester_factors_one_pattern_block_at_a_time(pool_member, monkeypatch)
 
     monkeypatch.setattr(np.linalg, "svd", spy)
     assert ph.coincide(*tuples, trusted).verdict == "coincide"
-    assert max(factored) <= largest
+    assert max(factored) == nc == 20
 
 
 def _n3_artifacts():

@@ -517,6 +517,32 @@ def test_empty_or_repeated_pipeline_exit_one(capsys, tmp_path, pipeline):
     assert err == f"error: a pipeline names one or more steps, each once, not {list(pipeline)}\n"
 
 
+@pytest.mark.parametrize(
+    "first, second",
+    [(("n2-cmp-00", False), ("n2-cmp-00", True)), (("n2-cmp-01", False), ("n2-cmp-02", False))],
+    ids=["reordered", "distinct"],
+)
+def test_compare_swapped_gives_the_same_answer(pool_member, tmp_path, capsys, first, second):
+    # B against A reads the verdict and null-space dimension of A against B,
+    # through coincide and through the command
+    paths = []
+    for k, (label, reordered) in enumerate((first, second)):
+        paths.append(tmp_path / f"{k}.json")
+        dump_scenario(pool_member(label, reordered)["scenario"], paths[-1])
+    scenarios = [load_scenario(p) for p in paths]
+    phis = [cli._certified_phis(sc, None, cli.DEFAULT_MAX_DIM)[0] for sc in scenarios]
+    trusted = scenarios[0].grade.outer_cap - scenarios[0].grade.safe_margin
+    answers = []
+    for pair, order in ((phis, paths), (phis[::-1], paths[::-1])):
+        cert = ph.coincide(*pair, trusted)
+        code, out, _ = run_cli(["compare", *order, "--quiet"], capsys)
+        written = json.loads(out)["certificate"]
+        assert (written["verdict"], written["nullspace_dim"]) == (cert.verdict, cert.nullspace_dim)
+        answers.append((code, cert.verdict, cert.nullspace_dim))
+    assert answers[0] == answers[1]
+    assert answers[0][:2] == ((0, "coincide") if first[0] == second[0] else (2, "distinct"))
+
+
 def test_compare_self_coincides(capsys):
     code, out, _ = run_cli(
         [

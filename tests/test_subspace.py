@@ -25,8 +25,6 @@ from polyhardy.subspace import (
     _slice,
     _wandering,
     block_span,
-    block_svds,
-    null_basis,
     outer_degrees,
 )
 from .oracles import (
@@ -480,33 +478,6 @@ def test_block_kernels_equal_dense_on_connected_pattern():
         keep = np.arange(a.shape[0]) > 0
         dense = basis @ null_columns(basis[~keep])
         assert np.array_equal(_slice(Coo.from_dense(basis), keep).toarray(), dense)
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_block_svds_factor_tall_blocks_through_r(seed, monkeypatch):
-    # two tall blocks, one of rank below its width, a square and a wide one;
-    # only the tall ones are factored through R, and the singular values and
-    # the null space are those of the dense SVD of the whole matrix
-    rng = np.random.default_rng(seed)
-    blocks = [(30, 6, 6, 1.0), (20, 7, 4, 10.0), (5, 5, 5, 1.0), (3, 8, 3, 1.0)]
-    a = _scattered_blocks(rng, blocks, zero_rows=2, zero_cols=3)
-    qr, factored = np.linalg.qr, []
-
-    def spy(b, *args, **kwargs):
-        factored.append(b.shape)
-        return qr(b, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "qr", spy)
-    svds = block_svds(a)
-    assert sorted(factored) == [(20, 7), (30, 6)]
-    _, s_dense, vh = np.linalg.svd(a)
-    s = np.sort(np.concatenate([sv for _, sv, _ in svds]))[::-1]
-    assert np.abs(s - s_dense[: s.size]).max() <= 1e-12 * s_dense[0]
-    cut = 1e-10 * s_dense[0]
-    null = null_basis(a.shape[1], svds, cut).toarray()
-    dense = vh[(s_dense > cut).sum() :].conj().T
-    assert null.shape == dense.shape == (a.shape[1], 3 + 5 + 3)
-    assert np.linalg.norm(null @ null.conj().T - dense @ dense.conj().T, 2) < 1e-10
 
 
 def test_orthonormality_guard_reads_the_frobenius_norm(g1):
