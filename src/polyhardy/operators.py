@@ -24,7 +24,7 @@ from .grading import Grade
 # symbols read off them, whose norms are of order one; the span cut is scaled by
 # max(1, s₀), s₀ the largest singular value, and the Sylvester cuts by max(1, β),
 # β a bound of the whole Sylvester stack's s₀.
-RANK_CUT = 1e-10  # singular values of spans, slices, wandering null spaces and the probe
+RANK_CUT = 1e-10  # singular values of spans, slices, wandering null spaces, the probe and K_t
 SUPPORT_CUT = 1e-12  # entry moduli of a unit column that count toward its outer degree
 PIVOT_CUT = 1e-8  # gauge pivots, times the smallest kept singular value of their stratum
 ORTHONORMAL_TOL = 1e-10  # Frobenius norm of SᴴS − I that a SubspaceBasis accepts

@@ -15,11 +15,20 @@ layout of :func:`canonical_basis`, which depends on the subspace alone, not
 on the basis it was computed from. The slice and both layouts take one
 split, :func:`_row_split` (one SVD of a set of each block's rows), and one
 placement, :func:`_place`.
+
+Homogeneous generators also have a graded form that needs no enlarged
+grade: their inverse system K_t = I_t^⊥, degree by degree
+(:func:`inverse_system`). :func:`orbit_stability` reads the exact dimension
+of [f] ∩ caps off it, and :func:`wold_reconstruction` the Wold residual.
+Inhomogeneous generators have no grading and keep the margin + 1 probe and
+the Wold grade.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -46,6 +55,15 @@ class Provenance:
     generators: tuple[HardyVector, ...] = ()
     margin: int = 0
     working_basis: Coo | None = field(default=None, compare=False, repr=False)
+
+    @cached_property
+    def graded_system(self) -> tuple[Coo, ...] | None:
+        """The inverse system of the generators (:func:`inverse_system`) if
+        every one is homogeneous, else None; solved on first use and kept,
+        so the stability flag and the Wold check share one solve."""
+        if not self.generators or not _homogeneous(self.generators):
+            return None
+        return inverse_system(self.generators, self.generators[0].grade)
 
 
 @dataclass(frozen=True)
@@ -98,9 +116,10 @@ class InvarianceReport:
 
 @dataclass(frozen=True)
 class WoldReport:
-    """``kept_dim`` is the number of Wold-grade positions the check factored
-    (see :func:`_orbit`); it is a cost, not an answer, so it is
-    left out of the encoded report."""
+    """``kept_dim`` is the number of positions the check works in: the
+    Wold-grade positions it factored (see :func:`_orbit`), or on the graded
+    path those of the degree spaces P_t ⊗ E it reads (:func:`_graded_wold`);
+    it is a cost, not an answer, so it is left out of the encoded report."""
 
     residual: float
     verdict: bool
@@ -443,23 +462,36 @@ def orbit_stability(
     grade: Grade,
     working_margin: int = DEFAULT_MARGIN,
 ) -> tuple[SubspaceBasis, bool]:
-    """Orbit plus the margin-stability flag: whether the capped slice keeps
-    its dimension when spanned at margin + 1.
+    """Orbit plus the margin-stability flag: whether the capped slice has
+    the dimension of [f] ∩ caps.
 
-    The probe needs only that dimension, so it counts, block by block of the
-    probe orbit (:func:`_orbit`), the columns of the slice to the caps
-    (:func:`_slice`): a block's column count less the rank of its rows off
-    the caps. It forms no basis of the slice.
+    For homogeneous generators that dimension is exact, read off their
+    inverse system (:func:`_exact_dim`), which the orbit's provenance keeps
+    for the Wold check. Otherwise it is the dimension of the slice spanned
+    at margin + 1 (:func:`_probe_dim`).
     """
     base = orbit_span(generators, grade, working_margin)
-    gp = working_grade(grade, working_margin + 1)
+    system = base.provenance.graded_system
+    if system is None:
+        return base, _probe_dim(base) == base.dim
+    return base, _exact_dim(grade, system) == base.dim
+
+
+def _probe_dim(s: SubspaceBasis) -> int:
+    """Dimension of the capped slice of the orbit basis ``s``'s generators
+    spanned at its margin + 1. It counts, block by block of the probe orbit
+    (:func:`_orbit`), the columns of the slice to the caps (:func:`_slice`):
+    a block's column count less the rank of its rows off the caps. It forms
+    no basis of the slice."""
+    grade, prov = s.grade, s.provenance
+    gp = working_grade(grade, prov.margin + 1)
     inside = _inside_caps(grade, gp)
-    orbit, _ = _orbit(gp, base.provenance.generators, np.flatnonzero(inside))
+    orbit, _ = _orbit(gp, prov.generators, np.flatnonzero(inside))
     dim = 0
     for rows, _, x in _pattern_blocks(orbit):
         outside = np.linalg.svd(x[~inside[rows]], compute_uv=False)
         dim += x.shape[1] - int((outside > RANK_CUT).sum())
-    return base, dim == base.dim
+    return dim
 
 
 def _wandering(grade: Grade, basis: Coo) -> Coo:
@@ -624,31 +656,282 @@ def _orbit(big: Grade, generators: Sequence[HardyVector], reads: np.ndarray) -> 
     return block_span(orbit), kept_rows
 
 
-def wold_reconstruction(s: SubspaceBasis, tolerance: float = VERDICT_TOL) -> WoldReport:
-    """Residual of ``P_S − Σ_m M_z^m P_W M_z^{*m}`` on the target safe band,
-    computed at :func:`wold_grade` on the orbit's pattern components that the
-    residual reads (:func:`_orbit`)."""
-    prov = s.provenance
-    if prov.kind != "orbit" or not prov.generators:
-        raise GradeError("wold reconstruction needs orbit provenance")
-    e = safe_band(s.grade)
-    gb = wold_grade(s.grade)
-    # The residual reads the target safe band E only: ‖B_E B_Eᴴ − K Kᴴ‖ with
-    # B_E = sb[E] and K = [(M_z^m wc)[E]]_m. E is closed under lowering the
-    # outer degree, so M_z^m is taken at E's grade and applied to wc[E].
+def _total_degree(g: HardyVector) -> int | None:
+    """The total degree a + Σb that every monomial of ``g`` has, or None if
+    ``g`` is not homogeneous."""
+    degrees = {k.outer + sum(k.inner) for k in g.coeffs}
+    return degrees.pop() if len(degrees) == 1 else None
+
+
+def _homogeneous(generators: Sequence[HardyVector]) -> bool:
+    """Whether every generator is homogeneous, so that the graded path
+    (:func:`inverse_system`) serves them."""
+    return all(_total_degree(g) is not None for g in generators)
+
+
+@lru_cache(maxsize=None)
+def _degree_monomials(count: int, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """The exponents of the degree-t monomials in ``count`` variables in
+    lexicographic order, and their keys, each exponent tuple read as the
+    digits of a base-(t+1) number, ascending with them. Each tuple is the
+    gaps between the bars of a stars-and-bars word, and
+    ``itertools.combinations`` gives the bar positions in that order."""
+    bars = np.array(list(itertools.combinations(range(t + count - 1), count - 1)), dtype=int)
+    ends = np.full((len(bars), 1), t + count - 1)
+    table = np.diff(np.hstack([-np.ones_like(ends), bars, ends]), axis=1) - 1
+    keys = table @ (t + 1) ** np.arange(count - 1, -1, -1)
+    table.flags.writeable = keys.flags.writeable = False
+    return table, keys
+
+
+def _degree_index(t: int, exponents: np.ndarray) -> np.ndarray:
+    """Places of the degree-t monomials ``exponents`` (last axis: one
+    exponent per variable) in :func:`_degree_monomials`."""
+    count = exponents.shape[-1]
+    keys = exponents @ (t + 1) ** np.arange(count - 1, -1, -1)
+    return np.searchsorted(_degree_monomials(count, t)[1], keys)
+
+
+@lru_cache(maxsize=None)
+def _raise_map(count: int, t: int) -> np.ndarray:
+    """Row v: the place in the degree-t monomials of each degree-(t−1)
+    monomial times variable v (0 is z)."""
+    low = _degree_monomials(count, t - 1)[0]
+    out = _degree_index(t, low[None] + np.eye(count, dtype=int)[:, None])
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=None)
+def _later_variables(count: int, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """For each degree-t monomial: the first variable with a positive
+    exponent, and a mask of the later variables with one."""
+    positive = _degree_monomials(count, t)[0] > 0
+    first = np.argmax(positive, axis=1)
+    later = positive & (np.arange(count) > first[:, None])
+    first.flags.writeable = later.flags.writeable = False
+    return first, later
+
+
+@lru_cache(maxsize=None)
+def _graded_positions(grade: Grade) -> np.ndarray:
+    """The row of each position of ``grade`` in ⊕_t P_t ⊗ E, t = 0, 1, …,
+    each P_t ⊗ E laid out by monomial (:func:`_degree_monomials`), then
+    coordinate: the rows of :func:`_diagonal` of an inverse system."""
+    count, d = grade.n + 1, grade.coeff_dim
+    exponents = grade.exponents
+    degree = exponents[:, :-1].sum(axis=1)
+    sizes = [len(_degree_monomials(count, t)[0]) * d for t in range(degree.max() + 1)]
+    place = np.empty(grade.dim, dtype=int)
+    for t in np.unique(degree).tolist():
+        at = degree == t
+        place[at] = _degree_index(t, exponents[at, :-1])
+    out = np.cumsum([0, *sizes])[degree] + place * d + exponents[:, -1]
+    out.flags.writeable = False
+    return out
+
+
+def _raised(k: Coo, count: int, d: int, t: int, v: int) -> Coo:
+    """M_v·K for K over the rows of P_{t−1} ⊗ E: multiplication by variable
+    ``v``, over the rows of P_t ⊗ E, which nothing truncates."""
+    size = len(_degree_monomials(count, t)[0]) * d
+    rows = _raise_map(count, t)[v, k.rows // d] * d + k.rows % d
+    return Coo((size, k.shape[1]), rows, k.cols, k.vals)
+
+
+def _triplets(shape: tuple[int, int], pieces) -> Coo:
+    """One :class:`Coo` of the ``(rows, cols, vals)`` pieces, which share no
+    place."""
+    rows, cols, vals = [np.concatenate(part) for part in zip(*pieces)] or [np.zeros(0, int)] * 3
+    return Coo(shape, rows, cols, vals.astype(complex))
+
+
+def _vstack(mats: Sequence[Coo]) -> Coo:
+    """The matrices one below another; they share their column count."""
+    rows = np.cumsum([0] + [m.shape[0] for m in mats])
+    pieces = [(m.rows + r, m.cols, m.vals) for m, r in zip(mats, rows)]
+    return _triplets((rows[-1], mats[0].shape[1]), pieces)
+
+
+def _diagonal(mats: Sequence[Coo]) -> Coo:
+    """The direct sum of the matrices, one after another along the
+    diagonal."""
+    rows, cols = (np.cumsum([0] + [m.shape[axis] for m in mats]) for axis in (0, 1))
+    pieces = [(m.rows + r, m.cols + c, m.vals) for m, r, c in zip(mats, rows, cols)]
+    return _triplets((rows[-1], cols[-1]), pieces)
+
+
+def _lifted_null(constraints: Sequence[Coo], lift: Coo) -> Coo:
+    """Orthonormal basis of lift·null(a), a the ``constraints`` one below
+    another, for a ``lift`` that is injective and well conditioned on
+    null(a), in one pass over the pattern blocks of [a; lift]. Each block's
+    rows of ``a`` are solved by one SVD, cut at ``RANK_CUT·max(1, s₀)`` with
+    s₀ over all blocks, and its rows of ``lift`` times that null space are
+    orthonormalized by one QR. Different blocks' lifts have disjoint rows,
+    so they are orthogonal."""
+    m = sum(c.shape[0] for c in constraints)
+    svds = []
+    for rows, _, block in _pattern_blocks(_vstack([*constraints, lift])):
+        own = rows < m
+        x = block[own]
+        # a wide x needs the whole V for its null space
+        _, s, vh = np.linalg.svd(x, full_matrices=x.shape[0] < x.shape[1])
+        svds.append((rows[~own] - m, block[~own], s, vh))
+    cut = RANK_CUT * max(1.0, max((s.max(initial=0.0) for *_, s, _ in svds), default=0.0))
+    pieces = []
+    for at, lifted, s, vh in svds:
+        null = vh[int((s > cut).sum()) :].conj().T
+        pieces.append((at, np.linalg.qr(lifted @ null)[0].T))
+    return _place(lift.shape[0], pieces)
+
+
+def _backward_shifts(k: Coo, count: int, d: int, t: int) -> tuple[Coo, Coo]:
+    """For K = K_{t−1}, with unknowns c = (c_0, …, c_n) the coordinates of
+    the backward shifts M_v^*·g = K·c_v of a g in P_t ⊗ E: the map c ↦ g,
+    which reads g[β] off the first variable v with β_v > 0, and the
+    equations that every later variable w with β_w > 0 reads the same
+    coefficient, (M_v K c_v)[β] = (M_w K c_w)[β], one row (w, β) each."""
+    size, width = len(_degree_monomials(count, t)[0]) * d, k.shape[1]
+    first, later = _later_variables(count, t)
+    variable = np.arange(count)[:, None]
+    # entry e of M_v·K, at [v, e]: its monomial β, its row (β, coordinate)
+    # and its unknown
+    beta = _raise_map(count, t)[:, k.rows // d]
+    rows = beta * d + k.rows % d
+    cols = k.cols + width * variable
+    own = first[beta] == variable
+    v, e = np.nonzero(own)
+    i, w = np.nonzero(later[beta[v, e]])
+    ov, oe = np.nonzero(~own)
+    lift = Coo((size, count * width), rows[v, e], cols[v, e], k.vals[e])
+    equations = [
+        (w * size + rows[v[i], e[i]], cols[v[i], e[i]], k.vals[e[i]]),
+        (ov * size + rows[ov, oe], cols[ov, oe], -k.vals[oe]),
+    ]
+    return lift, _triplets((count * size, count * width), equations)
+
+
+def inverse_system(generators: Sequence[HardyVector], grade: Grade) -> tuple[Coo, ...]:
+    """Macaulay's inverse system of homogeneous generators: for t = 0 … D +
+    nN, an orthonormal basis K_t of I_t^⊥ in P_t ⊗ E, where I_t is the span
+    of the z^α·f_j of total degree t. So [f] ∩ caps is ⊕_t (I_t ∩ box_t),
+    exactly. P_t ⊗ E is laid out by monomial (:func:`_degree_monomials`),
+    then coordinate.
+
+    g lies in K_t if and only if M_v^*·g lies in K_{t−1} for every variable
+    v and g ⊥ every generator of degree t. So the unknowns are the
+    coordinates c_v of M_v^*·g = K_{t−1}·c_v, and K_t is the lift of the
+    null space of the equations of :func:`_backward_shifts` and the rows
+    f_jᴴ·lift (:func:`_lifted_null`), block by block of its nonzero
+    pattern. The lift is injective on that null space and well conditioned:
+    each c_v is read back off g as M_v^*·g, so ‖c‖² ≤ (n+1)·‖g‖². At degree
+    0, P_0 ⊗ E is E and g is its own unknown."""
+    count, d = grade.n + 1, grade.coeff_dim
+    forms: dict[int, list] = {}
+    for g in generators:
+        t = _total_degree(g)
+        dual = np.zeros(len(_degree_monomials(count, t)[0]) * d, dtype=complex)
+        for key, c in g.coeffs.items():
+            dual[_degree_index(t, np.array([key.outer, *key.inner])) * d + key.coord] = np.conj(c)
+        forms.setdefault(t, []).append(dual)
+    every = np.arange(d)
+    lift, equations = Coo((d, d), every, every, np.ones(d, complex)), _triplets((0, d), [])
+    system: list[Coo] = []
+    for t in range(grade.outer_cap + grade.n * grade.inner_cap + 1):
+        if t:
+            lift, equations = _backward_shifts(system[-1], count, d, t)
+        duals = np.array(forms.get(t, [])).reshape(-1, lift.shape[0])
+        rows = np.zeros((lift.shape[1], len(duals)), dtype=complex)
+        np.add.at(rows, lift.cols, (duals[:, lift.rows] * lift.vals).T)
+        system.append(_lifted_null([equations, Coo.from_dense(rows.T)], lift))
+    return tuple(system)
+
+
+def _exact_dim(grade: Grade, system: Sequence[Coo]) -> int:
+    """dim([f] ∩ caps) from the inverse system: the caps' dimension less the
+    rank of ⊕_t K_t on the caps rows, block by block."""
+    on_caps = _diagonal(system).take_rows(_graded_positions(grade))
+    rank = 0
+    for *_, x in _pattern_blocks(on_caps):
+        rank += int((np.linalg.svd(x, compute_uv=False) > RANK_CUT).sum())
+    return grade.dim - rank
+
+
+def _graded_wold(grade: Grade, system: Sequence[Coo]) -> tuple[float, int]:
+    """The Wold residual on the safe band E read off the inverse system, and
+    the number of degree-space positions it reads.
+
+    P_S on E is I − ⊕_t K_tK_tᴴ. With nothing truncated, the degree-t part
+    of W = S ⊖ zS is W_t = C_t·null(K_tᴴC_t) for the orthonormal C_t =
+    [e_β : β_0 = 0 | M_z·K_{t−1}], the complement of z·I_{t−1}. The residual
+    is ‖P_S[E] − KKᴴ‖ with K = ``outer_powers(E, W[E])``, as on the orbit
+    path. Every degree is one diagonal block of ⊕_t K_t and ⊕_t W_t, so
+    each null space is one SVD of the small overlap K_tᴴC_t, whose singular
+    values are at most 1, cut at ``RANK_CUT``; C_t is orthonormal, so W_t
+    is. Every degree is also one diagonal block of the residual, so its
+    2-norm is the largest of the degree blocks' norms, each read on the
+    columns that reach the block (the others vanish on it exactly)."""
+    band = safe_band(grade)
+    count, d = grade.n + 1, grade.coeff_dim
+    ws = []
+    top = band.outer_cap + grade.n * band.inner_cap
+    for t in range(top + 1):
+        table = _degree_monomials(count, t)[0]
+        units = (np.flatnonzero(table[:, 0] == 0)[:, None] * d + np.arange(d)).ravel()
+        c = Coo((len(table) * d, units.size), units, np.arange(units.size), np.ones(units.size))
+        c = (hstack([c, _raised(system[t - 1], count, d, t, 0)]) if t else c).toarray()
+        _, s, vh = np.linalg.svd(system[t].toarray().conj().T @ c)
+        ws.append(Coo.from_dense(c @ vh[int((s > RANK_CUT).sum()) :].conj().T))
+    k, w = _diagonal(system[: top + 1]), _diagonal(ws)
+    on_band = _graded_positions(band)
+    kb, kw = k.take_rows(on_band).toarray(), outer_powers(band, w.take_rows(on_band).toarray())
+    degree = band.exponents[:, :-1].sum(axis=1)
+    residual = 0.0
+    for t in np.unique(degree).tolist():
+        x, y = kb[degree == t], kw[degree == t]
+        x, y = x[:, x.any(axis=0)], y[:, y.any(axis=0)]
+        block = np.eye(len(x)) - x @ x.conj().T - y @ y.conj().T
+        residual = max(residual, spectral_norm(block))
+    return residual, k.shape[0]
+
+
+def _orbit_wold(grade: Grade, generators: Sequence[HardyVector]) -> tuple[float, int]:
+    """The Wold residual on the safe band E computed at :func:`wold_grade`
+    on the orbit's pattern components that it reads (:func:`_orbit`), and
+    the number of Wold-grade positions it factored. It serves generators
+    without a grading; for homogeneous ones it is the tests' reference.
+
+    The residual is ‖B_E B_Eᴴ − K Kᴴ‖ with B_E = sb[E] and K = [(M_z^m
+    wc)[E]]_m. E is closed under lowering the outer degree, so M_z^m is
+    taken at E's grade and applied to wc[E]."""
+    e, gb = safe_band(grade), wold_grade(grade)
     band = embedding_positions(e, gb)
-    sb, kept_dim = _orbit(gb, prov.generators, band)
+    sb, kept_dim = _orbit(gb, generators, band)
     wb = _wandering(gb, sb)
     inside_caps = np.all(gb.exponents[:, :-1] < gb.degree_caps, axis=1)
     k = outer_powers(e, _slice(wb, inside_caps).take_rows(band).toarray())
     b = sb.take_rows(band).toarray()
-    residual = spectral_norm(b @ b.conj().T - k @ k.conj().T)
+    return spectral_norm(b @ b.conj().T - k @ k.conj().T), kept_dim
+
+
+def wold_reconstruction(s: SubspaceBasis, tolerance: float = VERDICT_TOL) -> WoldReport:
+    """Residual of ``P_S − Σ_m M_z^m P_W M_z^{*m}`` on the target safe band:
+    for homogeneous generators read degree by degree off their inverse
+    system (:func:`_graded_wold`, with :attr:`Provenance.graded_system`),
+    for any other at the Wold grade (:func:`_orbit_wold`)."""
+    prov = s.provenance
+    if prov.kind != "orbit" or not prov.generators:
+        raise GradeError("wold reconstruction needs orbit provenance")
+    if prov.graded_system is not None:
+        residual, kept_dim = _graded_wold(s.grade, prov.graded_system)
+    else:
+        residual, kept_dim = _orbit_wold(s.grade, prov.generators)
     return WoldReport(
         residual=residual,
         verdict=residual < tolerance,
         tolerance=tolerance,
-        reconstruction_caps=gb.outer_cap,
-        safe_band_dim=e.dim,
+        reconstruction_caps=wold_grade(s.grade).outer_cap,
+        safe_band_dim=safe_band(s.grade).dim,
         kept_dim=kept_dim,
     )
 

@@ -12,16 +12,19 @@ the block kernels (``subspace.block_span``, ``subspace._slice``) are tested
 against; ``subspace._wandering`` is tested against ``wandering_reference``.  The classify references form every matrix in full: the
 *-closed Sylvester stack as one dense array factored by one QR, and the
 doubly-commuting words, defect and commutators as dim S × dim S matrices
-whose safe block is read afterwards.
+whose safe block is read afterwards.  The inverse-system reference is an
+integer one: the Hilbert series of generic generators, and the forms that
+feed it have a random coefficient on every monomial of their degree.
 """
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import scipy.linalg
 
-from polyhardy.grading import Grade, HardyVector
+from polyhardy.grading import Grade, HardyVector, MultiIndex
 from polyhardy.operators import CERTIFICATE_TOL, RANK_CUT, shift, shift_matrix
 from polyhardy.subspace import (
     SubspaceBasis,
@@ -255,3 +258,30 @@ def doubly_commuting_dense(s: SubspaceBasis) -> tuple[float, np.ndarray]:
                 word = word @ mat
         total += (-1) ** sum(picks) * (word @ word.conj().T)
     return adj, np.linalg.svd(total[safe, safe], compute_uv=False)
+
+
+def generic_form(grade: Grade, degree: int, rng: np.random.Generator) -> HardyVector:
+    """A homogeneous form of total degree ``degree`` with a random complex
+    coefficient on every monomial of that degree and every coordinate; the
+    caps must hold each such monomial."""
+    coeffs = {}
+    for exps in itertools.product(range(degree + 1), repeat=grade.n + 1):
+        if sum(exps) == degree:
+            for coord in range(grade.coeff_dim):
+                c = complex(rng.normal(), rng.normal())
+                coeffs[MultiIndex(exps[0], exps[1:], coord)] = c
+    return HardyVector(grade, coeffs)
+
+
+def hilbert_coefficients(numerator: dict[int, int], variables: int, top: int) -> list[int]:
+    """The coefficients of s^0 … s^top of numerator(s)/(1 − s)^variables,
+    ``numerator`` mapping each power to its integer coefficient: the
+    coefficient of s^t is Σ_i N_i·C(t − i + variables − 1, variables − 1)."""
+    return [
+        sum(
+            c * math.comb(t - i + variables - 1, variables - 1)
+            for i, c in numerator.items()
+            if i <= t
+        )
+        for t in range(top + 1)
+    ]

@@ -66,7 +66,8 @@ def test_run_exit_zero_and_report_shape(capsys, tmp_path):
     seconds = [*timing["steps"].values(), *timing["verify_checks"].values()]
     assert all(v >= 0 for v in seconds)
     dims = {"target": 36, "working": 64, "probe": 81, "wold": 100, "rebuild": 66}
-    assert timing["grade_dims"] == {**dims, "wold_kept": 20}
+    # z is homogeneous: the graded Wold check reads P_t ⊗ E for t ≤ 8
+    assert timing["grade_dims"] == {**dims, "wold_kept": 45}
     assert timing["peak_rss_mb"] > 0
 
 

@@ -17,7 +17,7 @@ from polyhardy.errors import (
     NotInvariantError,
     NotIsometricError,
 )
-from polyhardy.operators import Coo
+from polyhardy.operators import VERDICT_TOL, Coo
 from polyhardy.reporting import stable_part
 from polyhardy.subspace import (
     _components,
@@ -288,6 +288,9 @@ def test_wold_check_shifts_nothing_dense_at_the_wold_grade(
     for s in (corpus_artifacts["pair-n2"]["s"], n3):
         wold[:] = [subspace.wold_grade(s.grade)]
         assert ph.wold_reconstruction(s).verdict
+        # the orbit path, which these homogeneous generators no longer take
+        residual, _ = subspace._orbit_wold(s.grade, s.provenance.generators)
+        assert residual < VERDICT_TOL
 
 
 def test_wold_block_residual_matches_dense_when_verdict_fails():
@@ -305,7 +308,10 @@ def test_wold_block_residual_matches_dense_when_verdict_fails():
 def test_wold_factors_only_blocks_the_safe_band_reads(corpus_artifacts, monkeypatch):
     # pair-n2's safe band has total degree at most 9, so the Wold check
     # factors the blocks up to there; the degree-10 block has 66 rows, and
-    # the cube-shaped Wold grade holds blocks of up to 91.
+    # the cube-shaped Wold grade holds blocks of up to 91. This is the orbit
+    # path's Wold check, which inhomogeneous generators take; homogeneous
+    # ones such as pair-n2's take the graded path, whose stack has other
+    # shapes (tests/test_graded.py).
     rows = []
     svd = np.linalg.svd
 
@@ -313,9 +319,10 @@ def test_wold_factors_only_blocks_the_safe_band_reads(corpus_artifacts, monkeypa
         rows.append(a.shape[-2])
         return svd(a, *args, **kwargs)
 
+    s = corpus_artifacts["pair-n2"]["s"]
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
-    report = ph.wold_reconstruction(corpus_artifacts["pair-n2"]["s"])
-    assert report.verdict
+    residual, _ = subspace._orbit_wold(s.grade, s.provenance.generators)
+    assert residual < VERDICT_TOL
     assert rows and max(rows) <= 66
 
 
