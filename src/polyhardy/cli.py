@@ -39,6 +39,7 @@ from .subspace import (
     DEFAULT_MARGIN,
     build_from_theta,
     check_invariant,
+    homogeneous,
     max_principal_angle_sine,
     orbit_span,
     orbit_stability,
@@ -51,6 +52,7 @@ from .subspace import (
 
 DEFAULT_MAX_DIM = 20000
 _BUILT_BY = {"probe": "orbit", "wold": "verify", "rebuild": "verify"}
+_MARGIN_ONLY = ("probe", "wold")  # grades the graded path of homogeneous input never builds
 # by exit code: a selftest scenario's outcome, and an error's stderr prefix
 _OUTCOME = {0: "PASS", 1: "REFUSED", 2: "FAIL"}
 _PREFIX = {1: "error", 2: "verdict failure"}
@@ -93,7 +95,9 @@ def _prepare(
     given) and the parsed generators, after the margin check, the
     trusted-range check and the capacity guard on the grades that the
     pipeline ``steps`` build: target and working always, the probe with
-    ``orbit``, the Wold and rebuild grades with ``verify``."""
+    ``orbit``, the Wold and rebuild grades with ``verify``, but neither the
+    probe nor the Wold grade for homogeneous generators, whose stability
+    flag and Wold check read the inverse system instead."""
     margin = int(scenario.option("margin", DEFAULT_MARGIN) if margin is None else margin)
     if margin < 0:
         raise GradeError("working margin must be nonnegative")
@@ -102,12 +106,14 @@ def _prepare(
         raise DegenerateInputError(
             "the safe margin leaves the safe band or the trusted range empty"
         )
+    generators = [parse_polynomial(text, grade) for text in scenario.generators]
+    skipped = _MARGIN_ONLY if homogeneous(generators) else ()
     for name, dim in _grade_dims(grade, margin).items():
-        if dim > max_dim and _BUILT_BY.get(name) in (None, *steps):
+        if dim > max_dim and _BUILT_BY.get(name) in (None, *steps) and name not in skipped:
             raise CapacityError(
                 f"{name} grade needs ambient dimension {dim} > limit {max_dim}"
             )
-    return margin, [parse_polynomial(text, grade) for text in scenario.generators]
+    return margin, generators
 
 
 def _lap_timer():

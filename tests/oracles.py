@@ -285,3 +285,43 @@ def hilbert_coefficients(numerator: dict[int, int], variables: int, top: int) ->
         )
         for t in range(top + 1)
     ]
+
+
+def degree_monomials(variables: int, t: int) -> list[tuple[int, ...]]:
+    """The exponent tuples of total degree t in lexicographic order, built
+    here so that no oracle reads the package's order."""
+    return sorted(e for e in itertools.product(range(t + 1), repeat=variables) if sum(e) == t)
+
+
+def backward_shift_stack(low: np.ndarray, variables: int, d: int, t: int, duals=()):
+    """One degree of the inverse system laid out densely, from K_{t−1} =
+    ``low`` (over P_{t−1} ⊗ E, keys by monomial, then coordinate). The
+    unknowns are c = (c_0, …, c_n), c_v the coordinates of M_v^*·g in
+    K_{t−1}, one block of K_{t−1}'s width each. Returns the stack, the key
+    of each of its rows, and the lift c ↦ g with g[β] = (M_v K c_v)[β] for
+    the first v with β_v > 0. The stack holds the equations (M_v K c_v)[β] =
+    (M_w K c_w)[β] for each later w with β_w > 0, then f_jᴴ·lift for each
+    dual f_j (a vector over P_t ⊗ E), whose key is its first nonzero one."""
+    upper = degree_monomials(variables, t)
+    lower = {e: i for i, e in enumerate(degree_monomials(variables, t - 1))}
+    k = low.shape[1]
+
+    def shifted(beta, v, e):
+        below = list(beta)
+        below[v] -= 1
+        out = np.zeros(variables * k, dtype=complex)
+        out[v * k : (v + 1) * k] = low[lower[tuple(below)] * d + e]
+        return out
+
+    lift = np.zeros((len(upper) * d, variables * k), dtype=complex)
+    rows, keys = [], []
+    for i, beta in enumerate(upper):
+        first, *later = [v for v in range(variables) if beta[v]]
+        for e in range(d):
+            lift[i * d + e] = shifted(beta, first, e)
+            rows += [lift[i * d + e] - shifted(beta, w, e) for w in later]
+            keys += [i * d + e] * len(later)
+    for f in duals:
+        rows.append(np.conj(f) @ lift)
+        keys.append(int(np.flatnonzero(f)[0]))
+    return np.array(rows).reshape(-1, variables * k), np.array(keys, dtype=int), lift

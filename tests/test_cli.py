@@ -276,27 +276,39 @@ def test_capacity_guard_exit_one(capsys):
     assert "limit" in err
 
 
-def test_capacity_guard_counts_probe_grade(capsys):
+def test_capacity_guard_counts_probe_grade(capsys, tmp_path):
     # working grade 27^3 = 19683 fits the default limit; the stability probe
-    # spans at margin + 1, 28^3 = 21952
-    argv = ["run", SCENARIOS / "pair-n2.json", "--margin", "22"]
-    code, out, err = run_cli(argv, capsys)
+    # of inhomogeneous generators spans at margin + 1, 28^3 = 21952
+    unit = load_scenario(SCENARIOS / "pair-n2.json")
+    path = tmp_path / "inhomogeneous-n2.json"
+    dump_scenario(dataclasses.replace(unit, generators=("2 + z1", "z - z2")), path)
+    code, out, err = run_cli(["run", path, "--margin", "22"], capsys)
     assert code == 1
     assert out == ""
     assert err == "error: probe grade needs ambient dimension 21952 > limit 20000\n"
+    # homogeneous generators read the stability flag off the inverse system
+    # and build no probe grade, so the same margin is admitted
+    margin, generators = cli._prepare(unit, 22, cli.DEFAULT_MAX_DIM, unit.pipeline)
+    assert margin == 22 and len(generators) == 2
 
 
-def test_compare_guards_only_the_grades_it_builds(capsys):
+def test_compare_guards_only_the_grades_it_builds(capsys, tmp_path):
     # z − z1 at D=N=5, margin 2: working grade 64, probe 81, rebuild 66 and
     # Wold 100 positions; compare builds only the target and working grades
     path = SCENARIOS / "z-minus-z1.json"
     code, out, _ = run_cli(["compare", path, path, "--max-dim", "81", "--quiet"], capsys)
     assert code == 0
     assert json.loads(out)["certificate"]["verdict"] == "coincide"
-    code, out, err = run_cli(["run", path, "--max-dim", "81"], capsys)
+    # an inhomogeneous run builds the Wold grade; a homogeneous one does not
+    other = tmp_path / "two-plus-z1.json"
+    dump_scenario(dataclasses.replace(load_scenario(path), generators=("2 + z1",)), other)
+    code, out, err = run_cli(["run", other, "--max-dim", "81"], capsys)
     assert code == 1
     assert out == ""
     assert err == "error: wold grade needs ambient dimension 100 > limit 81\n"
+    code, out, _ = run_cli(["run", path, "--max-dim", "81", "--quiet"], capsys)
+    assert code == 0
+    assert json.loads(out)["verdicts"]["all"]
 
 
 def test_run_guards_only_the_grades_its_pipeline_builds(capsys, tmp_path):

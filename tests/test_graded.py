@@ -1,10 +1,12 @@
 """The graded path of homogeneous generators: the inverse system K_t, the
 exact dimension behind the stability flag and the graded Wold check, against
-the Hilbert series, the orbit path and presentation changes."""
+the Hilbert series, the orbit path and presentation changes; and the pieces
+the inverse system is solved on, against the dense stack of each degree."""
 from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ import polyhardy as ph
 from polyhardy import subspace
 from polyhardy.cli import run_pipeline
 from polyhardy.reporting import stable_part
-from .oracles import generic_form, hilbert_coefficients
+from .oracles import backward_shift_stack, generic_form, hilbert_coefficients
 from .test_cli import SCENARIOS, run_cli
 from .test_subspace import NAMED, _stable_close
 
@@ -209,7 +211,100 @@ def test_z_alone_solves_in_small_blocks(monkeypatch):
     system = subspace.inverse_system(generators, grade)
     monkeypatch.undo()
     assert widths and max(widths) <= grade.n + 1
+    # the singleton pieces have few shapes per degree, each one stacked SVD
+    assert len(widths) <= 200
     assert [k.shape[1] for k in system] == hilbert_coefficients({0: 1, 1: -1}, 4, 12)
     unit = ph.load_scenario(SCENARIOS / "z.json")
     scenario = dataclasses.replace(unit, grade=grade)
     assert _assert_paths_agree(scenario)
+
+
+def _generators(label: str, pool_member) -> tuple[ph.Grade, list]:
+    """The cleaned generators of a named scenario or pool member."""
+    if label in {path.stem for path in NAMED}:
+        scenario = ph.load_scenario(SCENARIOS / f"{label}.json")
+    else:
+        scenario = pool_member(label)["scenario"]
+    grade = scenario.grade
+    generators = [ph.parse_polynomial(t, grade) for t in scenario.generators]
+    return grade, list(ph.orbit_span(generators, grade, 2).provenance.generators)
+
+
+# the named scenarios and one member of each pool shape
+PIECED = [path.stem for path in NAMED] + ["n1-d1-05", "n1-d2-02", "n2-lin-03", "n2-cmp-00"]
+
+
+@pytest.mark.parametrize("label", PIECED)
+def test_every_multiple_lies_in_one_piece(pool_member, label):
+    grade, generators = _generators(label, pool_member)
+    system = subspace.inverse_system(generators, grade)
+    for t, k in enumerate(system):
+        pieces = k.layout.pieces(t)
+        for g in generators:
+            for column in _ideal_columns([g], grade, t).T:
+                assert np.unique(pieces[np.flatnonzero(column)]).size == 1
+
+
+@pytest.mark.parametrize("label", PIECED)
+def test_stack_components_are_the_pieces_with_unknowns(pool_member, label):
+    # each pattern component of the dense degree-t stack [stack; lift] lies
+    # in one piece, and there is one per piece that carries unknowns
+    grade, generators = _generators(label, pool_member)
+    system = subspace.inverse_system(generators, grade)
+    count, d = grade.n + 1, grade.coeff_dim
+    for t in range(1, len(system)):
+        low = system[t - 1]
+        if not low.shape[1]:
+            break
+        own = [g for g in generators if subspace._total_degree(g) == t]
+        duals = [_ideal_columns([g], grade, t)[:, 0] for g in own]
+        stack, keys, lift = backward_shift_stack(low.toarray(), count, d, t, duals)
+        rows, cols = np.nonzero(np.vstack([stack, lift]))
+        m, n = stack.shape[0] + lift.shape[0], lift.shape[1]
+        _, labels = subspace._components(rows, cols, m, n)
+        pieces = system[t].layout.pieces(t)
+        row_piece = pieces[np.concatenate([keys, np.arange(lift.shape[0])])]
+        with_unknowns = np.unique(labels[m:][np.abs(np.vstack([stack, lift])).sum(axis=0) > 0])
+        for component in with_unknowns:
+            assert np.unique(row_piece[labels[:m] == component]).size == 1
+        carrying = sum(
+            int((low.widths[group.sources].sum(axis=1) > 0).sum())
+            for group in system[t].layout.for_degree(t)[0]
+        )
+        assert carrying == with_unknowns.size
+
+
+@pytest.mark.parametrize("label", ["one", "full-rank2", "n1-d1-00"])
+def test_recursion_stops_at_the_first_empty_degree(monkeypatch, pool_member, label):
+    # after the first empty K_t no degree is solved and no LAPACK routine
+    # runs; every later K_t is empty with the rows of P_t ⊗ E
+    grade, generators = _generators(label, pool_member)
+    solving, solved, calls = [None], [], []
+    solve = subspace._solve_degree
+
+    def spy_solve(layout, t, *args):
+        solving[0] = t
+        solved.append(t)
+        out = solve(layout, t, *args)
+        solving[0] = None
+        return out
+
+    def spy(routine):
+        def recorded(*args, **kwargs):
+            calls.append(solving[0])
+            return routine(*args, **kwargs)
+        return recorded
+
+    monkeypatch.setattr(subspace, "_solve_degree", spy_solve)
+    for name in ("svd", "eigh", "qr"):
+        monkeypatch.setattr(np.linalg, name, spy(getattr(np.linalg, name)))
+    system = subspace.inverse_system(generators, grade)
+    monkeypatch.undo()
+    dims = [k.shape[1] for k in system]
+    first = dims.index(0)
+    assert solved == list(range(first + 1))
+    assert calls and None not in calls and max(calls) == first
+    assert first == (0 if label in ("one", "full-rank2") else 1)
+    for t, k in enumerate(system[first:], first):
+        size = math.comb(t + grade.n, grade.n) * grade.coeff_dim
+        assert k.shape == (size, 0) and k.toarray().shape == (size, 0)

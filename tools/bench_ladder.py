@@ -43,8 +43,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 from run import environment  # noqa: E402  the env record perfbench prints
 
-# (label, n, D = N, d_E); n=3 D=N=4 waits until the capacity guard counts
-# the Wold check's kept positions, not the cube-shaped Wold grade
+# (label, n, D = N, d_E)
 GENERATED = [
     ("n1-D10", 1, 10, 1),
     ("n1-D6-dE2", 1, 6, 2),
@@ -52,6 +51,7 @@ GENERATED = [
     ("n2-D6", 2, 6, 1),
     ("n2-D8", 2, 8, 1),
     ("n3-D3", 3, 3, 1),
+    ("n3-D4", 3, 4, 1),
 ]
 
 
