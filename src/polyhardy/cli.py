@@ -30,6 +30,7 @@ from .blh import (
 )
 from .classify import coincide, doubly_commuting_classification
 from .errors import CapacityError, DegenerateInputError, GradeError, PipelineError, ToolkitError
+from .graded import homogeneous
 from .grading import Grade, HardyVector
 from .operators import ANGLE_TOL, VERDICT_TOL
 from .parsing import parse_polynomial
@@ -39,7 +40,6 @@ from .subspace import (
     DEFAULT_MARGIN,
     build_from_theta,
     check_invariant,
-    homogeneous,
     max_principal_angle_sine,
     orbit_span,
     orbit_stability,

@@ -1,4 +1,5 @@
-"""Multiplication shifts as index maps, and the sparse matrices they act on.
+"""Multiplication shifts as index maps, the sparse matrices they act on, and
+the connected components of those matrices' patterns.
 
 A shift is a partial permutation of the monomial basis, so it is applied as
 a gather over :meth:`Grade.shift_map` and never formed as a matrix: on the
@@ -90,6 +91,43 @@ def hstack(mats: Sequence[Coo]) -> Coo:
         np.concatenate([m.cols + k for m, k in zip(mats, offsets)]),
         np.concatenate([m.vals for m in mats]),
     )
+
+
+def _grouped(labels: np.ndarray, count: int):
+    """Indices sorted by label, each label's start and size in that order,
+    and each index's place among those of its label."""
+    order = np.argsort(labels, kind="stable")
+    sizes = np.bincount(labels, minlength=count)
+    start = np.cumsum(sizes) - sizes
+    place = np.empty(labels.size, dtype=int)
+    place[order] = np.arange(labels.size) - start[labels[order]]
+    return order, start, sizes, place
+
+
+def _components(r: np.ndarray, c: np.ndarray, m: int, n: int) -> tuple[int, np.ndarray]:
+    """Connected components of the pattern of the entries at rows ``r`` and
+    columns ``c`` of an m × n matrix, as one bipartite graph: their count
+    and the labels of rows 0..m-1 then columns 0..n-1, numbered in the order
+    of each component's smallest node.
+
+    Each round hooks every root that is the larger end of an edge between
+    two roots under the smallest root across such an edge, then pointer
+    jumping points every node at its root. A node's root is never above it,
+    so each root ends as the smallest node of its component."""
+    u, v = r, c + m
+    root = np.arange(m + n)
+    while True:
+        ru, rv = root[u], root[v]
+        if np.array_equal(ru, rv):
+            break
+        np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv))
+        while True:
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root = up
+    first = root == np.arange(m + n)
+    return int(first.sum()), (np.cumsum(first) - 1)[root]
 
 
 def shift(grade: Grade, axis: int, x):

@@ -8,7 +8,7 @@ Every span, slice and wandering space runs block by block, with one pass
 over the pattern blocks of its input (:func:`block_span`, :func:`_slice`,
 :func:`_wandering`); between them a matrix is held as a
 :class:`~polyhardy.operators.Coo` triplet of numpy index arrays, and its
-blocks are found by :func:`_components`.  A basis that leaves this module is orthonormal in the
+blocks are found by :func:`~polyhardy.operators._components`.  A basis that leaves this module is orthonormal in the
 [safe-supported | rest] layout of :func:`split_basis`.  The symbols are
 read off the wandering basis alone, so only it is put in the canonical
 layout of :func:`canonical_basis`, which depends on the subspace alone, not
@@ -17,29 +17,27 @@ split, :func:`_row_split` (one SVD of a set of each block's rows), and one
 placement, :func:`_place`.
 
 Homogeneous generators also have a graded form that needs no enlarged
-grade: their inverse system K_t = I_t^⊥, degree by degree
-(:func:`inverse_system`), solved on the pieces of the finest grading in
-which every generator is homogeneous (:func:`_pieces`), the pieces of one
-shape by one stacked factorization, and stopped at the first empty K_t.
-:func:`orbit_stability` reads the exact dimension of [f] ∩ caps off it,
-and :func:`wold_reconstruction` the Wold residual, piece by piece too.
-Inhomogeneous generators have no grading and keep the margin + 1 probe and
-the Wold grade.
+grade: their inverse system K_t = I_t^⊥ (:mod:`polyhardy.graded`), which
+an orbit's provenance keeps. :func:`orbit_stability` reads the exact
+dimension of [f] ∩ caps off it, and :func:`wold_reconstruction` the Wold
+residual. Inhomogeneous generators have no grading and keep the margin + 1
+probe and the Wold grade.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from functools import cached_property
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import DegenerateInputError, GradeError, NotInvariantError, NotIsometricError
-from .grading import Grade, HardyVector, MultiIndex
+from .graded import PieceBasis, _exact_dim, _graded_wold, homogeneous, inverse_system
+from .grading import Grade, HardyVector
 from .operators import ORTHONORMAL_TOL, PIVOT_CUT, RANK_CUT, SUPPORT_CUT, VERDICT_TOL
-from .operators import Coo, hstack, monomial_multiples, outer_powers, shift, spectral_norm
+from .operators import Coo, _components, _grouped, hstack, monomial_multiples, outer_powers
+from .operators import shift, spectral_norm
 
 DEFAULT_MARGIN = 2
 
@@ -65,8 +63,8 @@ class Provenance:
         every one is homogeneous, else None: one :class:`PieceBasis` K_t per
         degree t = 0 … D + nN, with ``.shape`` and ``.toarray()`` and
         orthonormal columns, empty from the first empty degree on. Solved on
-        first use and kept, so the stability flag and the Wold check share
-        one solve and its pieces."""
+        first use and kept with the orbit, so the stability flag and the
+        Wold check share one solve."""
         if not homogeneous(self.generators):
             return None
         return inverse_system(self.generators, self.generators[0].grade)
@@ -133,43 +131,6 @@ class WoldReport:
     reconstruction_caps: int
     safe_band_dim: int
     kept_dim: int = field(metadata={"encode": False})
-
-
-def _grouped(labels: np.ndarray, count: int):
-    """Indices sorted by label, each label's start and size in that order,
-    and each index's place among those of its label."""
-    order = np.argsort(labels, kind="stable")
-    sizes = np.bincount(labels, minlength=count)
-    start = np.cumsum(sizes) - sizes
-    place = np.empty(labels.size, dtype=int)
-    place[order] = np.arange(labels.size) - start[labels[order]]
-    return order, start, sizes, place
-
-
-def _components(r: np.ndarray, c: np.ndarray, m: int, n: int) -> tuple[int, np.ndarray]:
-    """Connected components of the pattern of the entries at rows ``r`` and
-    columns ``c`` of an m × n matrix, as one bipartite graph: their count
-    and the labels of rows 0..m-1 then columns 0..n-1, numbered in the order
-    of each component's smallest node.
-
-    Each round hooks every root that is the larger end of an edge between
-    two roots under the smallest root across such an edge, then pointer
-    jumping points every node at its root. A node's root is never above it,
-    so each root ends as the smallest node of its component."""
-    u, v = r, c + m
-    root = np.arange(m + n)
-    while True:
-        ru, rv = root[u], root[v]
-        if np.array_equal(ru, rv):
-            break
-        np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv))
-        while True:
-            up = root[root]
-            if np.array_equal(up, root):
-                break
-            root = up
-    first = root == np.arange(m + n)
-    return int(first.sum()), (np.cumsum(first) - 1)[root]
 
 
 def _pattern_blocks(a) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -662,558 +623,6 @@ def _orbit(big: Grade, generators: Sequence[HardyVector], reads: np.ndarray) -> 
     return block_span(orbit), kept_rows
 
 
-def _total_degree(g: HardyVector) -> int | None:
-    """The total degree a + Σb that every monomial of ``g`` has, or None if
-    ``g`` is not homogeneous."""
-    degrees = {k.outer + sum(k.inner) for k in g.coeffs}
-    return degrees.pop() if len(degrees) == 1 else None
-
-
-def homogeneous(generators: Sequence[HardyVector]) -> bool:
-    """Whether the generators, zero ones dropped as :func:`orbit_span` drops
-    them, are at least one and each homogeneous, so that the graded path
-    (:func:`inverse_system`) serves them."""
-    nonzero = [g for g in generators if g.coeffs]
-    return bool(nonzero) and all(_total_degree(g) is not None for g in nonzero)
-
-
-@lru_cache(maxsize=None)
-def _degree_monomials(count: int, t: int) -> tuple[np.ndarray, np.ndarray]:
-    """The exponents of the degree-t monomials in ``count`` variables in
-    lexicographic order, and their keys, each exponent tuple read as the
-    digits of a base-(t+1) number, ascending with them. Each tuple is the
-    gaps between the bars of a stars-and-bars word, and
-    ``itertools.combinations`` gives the bar positions in that order."""
-    bars = np.array(list(itertools.combinations(range(t + count - 1), count - 1)), dtype=int)
-    ends = np.full((len(bars), 1), t + count - 1)
-    table = np.diff(np.hstack([-np.ones_like(ends), bars, ends]), axis=1) - 1
-    keys = table @ (t + 1) ** np.arange(count - 1, -1, -1)
-    table.flags.writeable = keys.flags.writeable = False
-    return table, keys
-
-
-def _degree_index(t: int, exponents: np.ndarray) -> np.ndarray:
-    """Places of the degree-t monomials ``exponents`` (last axis: one
-    exponent per variable) in :func:`_degree_monomials`."""
-    count = exponents.shape[-1]
-    keys = exponents @ (t + 1) ** np.arange(count - 1, -1, -1)
-    return np.searchsorted(_degree_monomials(count, t)[1], keys)
-
-
-def _graded_key(exponents: np.ndarray, top: int) -> np.ndarray:
-    """Each monomial's total degree, then its exponents, read as the digits
-    of a base-(top+1) number: ascending by degree, then lexicographically."""
-    digits = np.concatenate([exponents.sum(axis=-1, keepdims=True), exponents], axis=-1)
-    return digits @ (top + 1) ** np.arange(digits.shape[-1] - 1, -1, -1)
-
-
-@lru_cache(maxsize=None)
-def _graded_monomials(count: int, top: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The monomials of degree ≤ ``top`` in ``count`` variables, each degree
-    in the order of :func:`_degree_monomials`; the place of each degree's
-    first monomial, t = 0 … top + 1; and their keys (:func:`_graded_key`),
-    ascending with them."""
-    tables = [_degree_monomials(count, t)[0] for t in range(top + 1)]
-    table = np.vstack(tables)
-    first = np.cumsum([0] + [len(x) for x in tables])
-    keys = _graded_key(table, top)
-    table.flags.writeable = first.flags.writeable = keys.flags.writeable = False
-    return table, first, keys
-
-
-@lru_cache(maxsize=None)
-def _graded_positions(grade: Grade) -> np.ndarray:
-    """The key of each position of ``grade`` in ⊕_t P_t ⊗ E, t = 0 … D +
-    nN: the monomials by degree (:func:`_graded_monomials`), then the
-    coordinate."""
-    top = grade.outer_cap + grade.n * grade.inner_cap
-    exponents = grade.exponents
-    keys = _graded_key(exponents[:, :-1], top)
-    place = np.searchsorted(_graded_monomials(grade.n + 1, top)[2], keys)
-    out = place * grade.coeff_dim + exponents[:, -1]
-    out.flags.writeable = False
-    return out
-
-
-def _support_table(support: Sequence[MultiIndex]) -> tuple[np.ndarray, np.ndarray]:
-    """The exponents (z first) and the coordinate of each key of a
-    generator's support."""
-    return np.array([[k.outer, *k.inner] for k in support]), np.array([k.coord for k in support])
-
-
-def _pieces(supports, count: int, d: int, top: int) -> np.ndarray:
-    """The piece of each key (monomial ⊗ coordinate) of degree ≤ ``top``,
-    keys laid out as by :func:`_graded_positions`, for homogeneous
-    generators with the key sets ``supports``. Two keys share a piece when
-    one multiple z^α·f_j holds both, so a piece lies in one degree, and a
-    key that no multiple holds is a piece of its own. Pieces are numbered by
-    their first key, so each degree's pieces are one range. Each I_t is the
-    direct sum of the spans of the multiples in its pieces, so every degree
-    of the inverse system is block diagonal by them."""
-    table, first, keys = _graded_monomials(count, top)
-    rows, cols, multiples = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)], 0
-    for support in supports:
-        exponents, coords = _support_table(support)
-        alphas = table[: first[top - exponents[0].sum() + 1]]
-        held = np.searchsorted(keys, _graded_key(alphas[:, None] + exponents, top))
-        rows.append((held * d + coords).ravel())
-        cols.append(np.repeat(np.arange(multiples, multiples + len(alphas)), len(coords)))
-        multiples += len(alphas)
-    size = len(table) * d
-    return _components(np.concatenate(rows), np.concatenate(cols), size, multiples)[1][:size]
-
-
-def _shape_groups(live: np.ndarray, *sizes: np.ndarray) -> list[np.ndarray]:
-    """The pieces ``live`` grouped by shape, ``sizes[k][p]`` the k-th size
-    of piece p; each group ascending."""
-    code = np.zeros(live.size, dtype=int)
-    for size in sizes:
-        code = code * (int(size.max(initial=0)) + 1) + size[live]
-    order = np.argsort(code, kind="stable")
-    code, live = code[order], live[order]
-    cuts = [0, *(np.flatnonzero(code[1:] != code[:-1]) + 1).tolist(), live.size]
-    return [live[a:b] for a, b in zip(cuts, cuts[1:]) if b > a]
-
-
-class _Layout:
-    """How the inverse system of homogeneous generators is solved piece by
-    piece (:func:`_pieces`), for the degrees 0 … top, read off the
-    generators alone.
-
-    The unknowns of a piece p of degree t are the pairs (v, q): q a piece of
-    degree t − 1 with q + e_v ⊆ p, whose K_{t−1,q}·c gives M_v^*·g on q.
-    Each key β ∈ p is read off its first variable v with β_v > 0 (its
-    lift), and each later variable w with β_w > 0 gives an equation: the
-    two backward shifts agree on β. At degree 0, P_0 ⊗ E is E and each key
-    is a pair of its own, read off a unit source. Every pair is laid out
-    ``width`` columns wide, the widest K_{t−1,q} of the degree, so a
-    piece's stack [equations; duals] and its lift are dense m × a·width
-    and h × a·width blocks, and pieces of one shape are grouped.
-
-    ``eq`` holds, per equation row of the degree, the places of its two
-    terms, +K_{t−1}[source] in the pair of the lift and −K_{t−1}[source]
-    in the pair of the later variable, and ``lift`` the place and source of
-    each key's lift, all in units of ``width``; ``lift_z`` marks the lifts
-    read off z."""
-
-    def __init__(self, supports, grade: Grade):
-        count, d = grade.n + 1, grade.coeff_dim
-        top = grade.outer_cap + grade.n * grade.inner_cap
-        table, first, monomial_keys = _graded_monomials(count, top)
-        labels = _pieces(supports, count, d, top)
-        pieces = int(labels.max()) + 1
-        key_at = first * d
-        key_degree = np.repeat(np.arange(top + 1), np.diff(key_at))
-        order, start, height, place = _grouped(labels, pieces)
-        degree = key_degree[order[start]]
-        piece_at = np.searchsorted(degree, np.arange(top + 2))
-        # each key β with β_v > 0 and the key of β − e_v; the first such v
-        # leads; degree 0 reads each key off a unit source of its own
-        positive = table > 0
-        monomial, v = np.nonzero(positive)
-        below = _graded_key(table[monomial] - np.eye(count, dtype=int)[v], top)
-        coords = np.arange(d)
-        key = (monomial[:, None] * d + coords).ravel()
-        src = (np.searchsorted(monomial_keys, below)[:, None] * d + coords).ravel()
-        v = np.repeat(v, d)
-        lead = np.concatenate([np.ones(d, dtype=bool), v == np.argmax(positive, axis=1)[key // d]])
-        src_piece = np.concatenate([pieces + coords, labels[src]])
-        src = np.concatenate([coords, src - key_at[key_degree[key] - 1]])
-        key, v = np.concatenate([coords, key]), np.concatenate([np.zeros(d, dtype=int), v])
-        piece = labels[key]
-        code, pair = np.unique((piece * count + v) * (pieces + d) + src_piece, return_inverse=True)
-        pair_piece = code // (count * (pieces + d))
-        pair_at = np.searchsorted(pair_piece, np.arange(pieces + 1))
-        pair = pair - pair_at[piece]
-        source = code % (pieces + d)
-        pair_degree = degree[pair_piece]
-        self.sources = source - np.where(pair_degree, piece_at[pair_degree - 1], pieces)
-        a = np.diff(pair_at)
-        # the pairs read off z come first in each piece (degree 0 has none)
-        z_pair = (code // (pieces + d)) % count == 0
-        self.z = np.bincount(pair_piece[z_pair & (pair_degree > 0)], minlength=pieces)
-        # equations: the incidences that do not lead, placed in their piece
-        eq_piece = piece[~lead]
-        *_, m, row = _grouped(eq_piece, pieces)
-        lead_pair, lead_src = pair[lead], src[lead]
-        eq_key = key[~lead]
-        # duals: one row each after the equations of the generator's piece
-        self.dual_keys = []
-        for support in supports:
-            exponents, coords = _support_table(support)
-            t = int(exponents[0].sum())
-            self.dual_keys.append(_degree_index(t, exponents) * d + coords + key_at[t])
-        self.dual_piece = labels[[keys[0] for keys in self.dual_keys]]
-        *_, r, self.dual_row = _grouped(self.dual_piece, pieces)
-        # pieces of one degree and shape, consecutive in the degree's stacks
-        self.groups = _shape_groups(np.arange(pieces), degree, m, r, a, height)
-        by_shape = np.concatenate(self.groups)
-        starts = np.searchsorted(degree[by_shape], np.arange(top + 2))
-        eq_base, eq_size = _bases(by_shape, m * a, starts)
-        lift_base, lift_size = _bases(by_shape, height * a, starts)
-        row_base = eq_base[eq_piece] + row * a[eq_piece]
-        self.eq = np.stack([row_base + lead_pair[eq_key], row_base + pair[~lead]], axis=1)
-        self.eq_src = np.stack([lead_src[eq_key], src[~lead]], axis=1)
-        self.lift = lift_base[labels] + place * a[labels] + lead_pair
-        self.lift_src, self.lift_z = lead_src, (v[lead] == 0) & (key_degree > 0)
-        self.eq_at = np.searchsorted(key_degree[eq_key], np.arange(top + 2))
-        self.key_at, self.piece_at, self.labels = key_at, piece_at, labels
-        self.order, self.start, self.height, self.m, self.r, self.a = order, start, height, m, r, a
-        self.pair_at, self.degree = pair_at, degree
-        self.eq_size, self.lift_size = eq_size, lift_size
-        self.eq_base, self.lift_base = eq_base, lift_base
-        group_degree = [int(degree[ids[0]]) for ids in self.groups]
-        self.group_at = np.searchsorted(group_degree, np.arange(top + 2))
-        self.on_caps = np.zeros(labels.size, dtype=bool)
-        self.on_caps[_graded_positions(grade)] = True
-        self.on_band = np.sort(_graded_positions(safe_band(grade)))
-        # the key z raises each key of degree < top to
-        self.raise_z = np.full(labels.size, -1)
-        z_keys = np.flatnonzero(self.lift_z)
-        self.raise_z[self.lift_src[z_keys] + key_at[key_degree[z_keys] - 1]] = z_keys
-        self._degrees: dict[int, list] = {}
-
-    def pieces(self, t: int) -> np.ndarray:
-        """The piece of each key of degree t, numbered from 0."""
-        at = slice(self.key_at[t], self.key_at[t + 1])
-        return self.labels[at] - self.piece_at[t]
-
-    def for_degree(self, t: int) -> tuple:
-        """The groups of pieces of degree t with one shape (:class:`_Group`),
-        and the places, sources and signs of the terms of the degree's
-        equations and lifts in one buffer of ``size`` places of width,
-        equations first; built on first use and kept."""
-        if t not in self._degrees:
-            out = []
-            for ids in self.groups[self.group_at[t] : self.group_at[t + 1]]:
-                p, h, a = ids[0], int(self.height[ids[0]]), int(self.a[ids[0]])
-                keys = self.order[self.start[ids, None] + np.arange(h)]
-                sources = self.sources[self.pair_at[ids, None] + np.arange(a)]
-                placed = []
-                mine = np.flatnonzero(np.isin(self.dual_piece, ids)) if self.r[p] else []
-                for j in mine:
-                    g = int(np.searchsorted(ids, self.dual_piece[j]))
-                    cols = np.searchsorted(keys[g], self.dual_keys[j])
-                    placed.append((j, g, int(self.dual_row[j]), cols))
-                # each piece's caps rows first, cut to the most of them
-                caps = self.on_caps[keys]
-                count = caps.sum(axis=1)
-                on_caps = np.take_along_axis(keys, np.argsort(~caps, axis=1, kind="stable"), axis=1)
-                # the unit columns e_β, β_0 = 0, of each piece
-                free = ~self.lift_z[keys]
-                units = np.zeros((ids.size, h, free.sum(axis=1).max()))
-                gi, ki = np.nonzero(free)
-                units[gi, ki, np.cumsum(free, axis=1)[gi, ki] - 1] = 1
-                keys -= self.key_at[t]
-                out.append(
-                    _Group(
-                        ids - self.piece_at[t], keys, sources, int(self.r[p]), placed,
-                        int(self.m[p]), a, int(self.z[ids].max()),
-                        int(self.eq_base[p]), int(self.lift_base[p]),
-                        on_caps[:, : count.max()] - self.key_at[t],
-                        np.arange(count.max()) < count[:, None], units, free.any(axis=1),
-                    )
-                )
-            rows = slice(self.eq_at[t], self.eq_at[t + 1])
-            keys = slice(self.key_at[t], self.key_at[t + 1])
-            # the equations' terms, then the lifts, in one stacked buffer
-            base = np.concatenate([self.eq[rows].ravel(), self.eq_size[t] + self.lift[keys]])
-            src = np.concatenate([self.eq_src[rows].ravel(), self.lift_src[keys]])
-            sign = np.ones(base.size)
-            sign[1 : 2 * (rows.stop - rows.start) : 2] = -1
-            size = int(self.eq_size[t] + self.lift_size[t])
-            self._degrees[t] = out, base, src, sign[:, None], size
-        return self._degrees[t]
-
-    def band(self, t: int) -> tuple[np.ndarray, np.ndarray]:
-        """The keys of degree t on the safe band, and the place of each key
-        of degree t among them, the last place for a key off the band."""
-        ends = np.searchsorted(self.on_band, self.key_at[t : t + 2])
-        here = self.on_band[ends[0] : ends[1]] - self.key_at[t]
-        at = np.full(self.key_at[t + 1] - self.key_at[t] + 1, here.size)
-        at[here] = np.arange(here.size)
-        return here, at
-
-
-class _Group(NamedTuple):
-    """Pieces of one degree whose solves have one shape (:class:`_Layout`):
-    ``ids`` numbered within the degree, ``keys`` (G × h) the keys of each
-    within the degree, ``sources`` (G × a) the piece of degree t − 1 of
-    each pair, ``r`` dual rows each, one ``(generator, piece, row, key
-    places)`` per dual, ``m`` equation rows and ``a`` pairs each, of which
-    at most ``z`` read off z, and the group's first places in the degree's
-    stacked equations and lifts, in units of width. For the exact
-    dimension, ``caps`` (G × c) each piece's keys inside the caps first and
-    ``caps_rows`` which of them are; for the Wold check, ``units`` (G × h
-    × u) the unit columns e_β, β_0 = 0, of each piece and ``free`` whether
-    it has one."""
-
-    ids: np.ndarray
-    keys: np.ndarray
-    sources: np.ndarray
-    r: int
-    duals: list
-    m: int
-    a: int
-    z: int
-    eq_at: int
-    lift_at: int
-    caps: np.ndarray
-    caps_rows: np.ndarray
-    units: np.ndarray
-    free: np.ndarray
-
-
-@lru_cache(maxsize=32)
-def _layout(supports, grade: Grade) -> _Layout:
-    """The :class:`_Layout` of generators with the key sets ``supports`` at
-    ``grade``: it reads no coefficient, so every orbit of one support
-    pattern and grade shares it, as every grade of one shape shares
-    :func:`_degree_monomials`."""
-    return _Layout(supports, grade)
-
-
-def _bases(by_shape: np.ndarray, size: np.ndarray, starts: np.ndarray):
-    """Each piece's first place in its degree's stacked blocks, pieces laid
-    out in the order ``by_shape`` (whose degrees begin at ``starts``) with
-    ``size`` places each; and each degree's total."""
-    sizes = size[by_shape]
-    end = np.cumsum(sizes)
-    before = np.concatenate([[0], end])[starts]
-    base = np.empty(size.size, dtype=int)
-    degree = np.searchsorted(starts, np.arange(by_shape.size), side="right") - 1
-    base[by_shape] = end - sizes - before[degree]
-    return base, np.diff(before)
-
-
-@dataclass(frozen=True)
-class PieceBasis:
-    """K_t, an orthonormal basis over the keys of P_t ⊗ E that is block
-    diagonal by the pieces of degree t (:func:`_pieces`): ``widths`` counts
-    each piece's columns, and row β of ``packed`` holds row β of its
-    piece's block, zero past the piece's width. Columns are numbered piece
-    by piece."""
-
-    packed: np.ndarray
-    widths: np.ndarray
-    layout: _Layout = field(repr=False)
-    degree: int
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.packed.shape[0], int(self.widths.sum())
-
-    def toarray(self) -> np.ndarray:
-        pieces = self.layout.pieces(self.degree)
-        start = np.cumsum(self.widths) - self.widths
-        rows, cols = np.nonzero(np.arange(self.packed.shape[1]) < self.widths[pieces][:, None])
-        out = np.zeros(self.shape, dtype=complex)
-        out[rows, start[pieces[rows]] + cols] = self.packed[rows, cols]
-        return out
-
-
-_SIGNS = np.array([1.0, -1.0])[:, None]  # the two terms of an equation
-
-
-def _gathered(size: int, bases: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """A flat array of ``size`` blocks of the rows' width holding each row
-    of ``rows`` at the block ``bases``; none is placed twice."""
-    width = rows.shape[-1]
-    out = np.zeros(size * width, dtype=complex)
-    out[(bases[..., None] * width + np.arange(width)).ravel()] = rows.ravel()
-    return out
-
-
-def _null_first(vh: np.ndarray) -> np.ndarray:
-    """The stacked V of the stacked Vᴴ ``vh`` with its columns reversed, so
-    that the right singular vectors past the rank come first."""
-    return vh[:, ::-1].conj().transpose(0, 2, 1)
-
-
-def _leading(x: np.ndarray, count: np.ndarray) -> np.ndarray:
-    """The stacked ``x`` with the columns past ``count[g]`` of each x[g]
-    set to zero."""
-    return x * (np.arange(x.shape[2]) < count[:, None])[:, None, :]
-
-
-def _solve_degree(layout: _Layout, t: int, low: np.ndarray, low_widths: np.ndarray, duals):
-    """K_t from K_{t−1}, packed as ``low`` with ``low_widths`` (a unit
-    column per key of E at t = 0), for the generators whose conjugated
-    coefficients are ``duals``: the packed K_t and its widths.
-
-    Each group of pieces of one shape is solved together: its stacks
-    [equations; f_jᴴ·lift] by one stacked SVD, cut at
-    ``RANK_CUT·max(1, s₀)`` with s₀ over all the degree's pieces, and the
-    lifts W of their null vectors orthonormalized by one stacked eigh of
-    WᴴW. A pair padded past its K_{t−1,q} adds zero columns to both the
-    stack and the lift, so the null space gains directions that lift to
-    zero: W keeps the rank Σ_q width_q − rank of the unpadded null space,
-    and the lifted directions' singular values are at least 1/√(n+1),
-    since each c_v is read back off g as M_v^*·g, so K_{t,p} is W·Y·Λ^{−½}
-    on the eigenpairs (Λ, Y) of that many largest eigenvalues."""
-    width = low.shape[1]
-    groups, base, src, sign, size = layout.for_degree(t)
-    terms = _gathered(size, base, low[src] * sign)
-    lift = terms[layout.eq_size[t] * width :]
-    solved = []
-    for group in groups:
-        (g, h), a, m = group.keys.shape, group.a, group.m
-        stack = terms[group.eq_at * width :][: g * m * a * width].reshape(g, m, a * width)
-        lifted = lift[group.lift_at * width :][: g * h * a * width].reshape(g, h, a * width)
-        if group.r:
-            rows_f = np.zeros((g, group.r, h), dtype=complex)
-            for j, slot, row, cols in group.duals:
-                rows_f[slot, row, cols] = duals[j]
-            stack = np.concatenate([stack, rows_f @ lifted], axis=1)
-        # only the pieces whose pairs have columns carry unknowns
-        real = low_widths[group.sources].sum(axis=1)
-        live = np.flatnonzero(real)
-        if live.size < g:
-            stack, lifted, real = stack[live], lifted[live], real[live]
-        if live.size:
-            # a wide stack needs the whole V for its null space
-            s, vh = np.linalg.svd(stack, full_matrices=stack.shape[1] < a * width)[1:]
-            solved.append((group.ids[live], group.keys[live], real, lifted, s, vh))
-    cut = RANK_CUT * max([1.0, *(s.max(initial=0.0) for *_, s, _ in solved)])
-    bases = []
-    for ids, at, real, lifted, s, vh in solved:
-        rank = (s > cut).sum(axis=1)
-        null = lifted.shape[2] - rank
-        w = _leading(lifted @ _null_first(vh)[:, :, : null.max()], null)
-        lam, y = np.linalg.eigh(w.conj().transpose(0, 2, 1) @ w)
-        kept = real - rank
-        # the largest eigenvalues first; the other columns are cut below
-        lam, keep = np.abs(lam[:, ::-1]), np.arange(lam.shape[1]) < kept[:, None]
-        scale = np.divide(1.0, np.sqrt(lam), out=np.zeros_like(lam), where=keep)
-        bases.append((ids, at, kept, w @ (y[:, :, ::-1] * scale[:, None, :])))
-    widths = np.zeros(int(layout.piece_at[t + 1] - layout.piece_at[t]), dtype=int)
-    size = int(layout.key_at[t + 1] - layout.key_at[t])
-    packed = np.zeros((size, max([0, *(k.max() for _, _, k, _ in bases)])), dtype=complex)
-    for ids, at, kept, u in bases:
-        widths[ids] = kept
-        c = min(packed.shape[1], u.shape[2])
-        packed[at[:, :, None], np.arange(c)] = _leading(u[:, :, :c], kept)
-    return packed, widths
-
-
-def inverse_system(generators: Sequence[HardyVector], grade: Grade) -> tuple[PieceBasis, ...]:
-    """Macaulay's inverse system of homogeneous generators: for t = 0 … D +
-    nN, an orthonormal basis K_t of I_t^⊥ in P_t ⊗ E, where I_t is the span
-    of the z^α·f_j of total degree t. So [f] ∩ caps is ⊕_t (I_t ∩ box_t),
-    exactly. P_t ⊗ E is laid out by monomial (:func:`_degree_monomials`),
-    then coordinate.
-
-    g lies in K_t if and only if M_v^*·g lies in K_{t−1} for every variable
-    v and g ⊥ every generator of degree t. So the unknowns are the
-    coordinates c_v of M_v^*·g = K_{t−1}·c_v, and K_t is the lift of the
-    null space of the equations that the backward shifts agree and the rows
-    f_jᴴ·lift, solved piece by piece (:class:`_Layout`,
-    :func:`_solve_degree`). Once K_t is empty, I_t is all of P_t ⊗ E, so
-    every later I is everything and every later K is returned empty, with
-    no solve."""
-    count, d = grade.n + 1, grade.coeff_dim
-    top = grade.outer_cap + grade.n * grade.inner_cap
-    layout = _layout(tuple(tuple(g.coeffs) for g in generators), grade)
-    duals = [np.conj(list(g.coeffs.values())) for g in generators]
-    low, low_widths = np.ones((d, 1), dtype=complex), np.ones(d, dtype=int)
-    system = []
-    for t in range(top + 1):
-        if low.shape[1]:
-            low, low_widths = _solve_degree(layout, t, low, low_widths, duals)
-        else:
-            low = np.zeros((layout.key_at[t + 1] - layout.key_at[t], 0), dtype=complex)
-            low_widths = np.zeros(int(layout.piece_at[t + 1] - layout.piece_at[t]), dtype=int)
-        system.append(PieceBasis(low, low_widths, layout, t))
-    return tuple(system)
-
-
-def _exact_dim(grade: Grade, system: Sequence[PieceBasis]) -> int:
-    """dim([f] ∩ caps) from the inverse system: the caps' dimension less
-    Σ_t Σ_p rank K_{t,p}[caps rows of p], the caps rows of the pieces of
-    one shape ranked by one stacked SVD (a piece with fewer caps rows than
-    the group's most gets zero rows)."""
-    rank = 0
-    for k in system:
-        if k.packed.shape[1]:
-            for group in k.layout.for_degree(k.degree)[0]:
-                block = k.packed[group.caps] * group.caps_rows[:, :, None]
-                rank += int((np.linalg.svd(block, compute_uv=False) > RANK_CUT).sum())
-    return grade.dim - rank
-
-
-def _graded_wold(grade: Grade, system: Sequence[PieceBasis]) -> tuple[float, int]:
-    """The Wold residual on the safe band E read off the inverse system, and
-    the number of degree-space positions it reads.
-
-    P_S on E is I − ⊕_t K_tK_tᴴ. With nothing truncated, the degree-t part
-    of W = S ⊖ zS is W_t = C_t·null(K_tᴴC_t) for the orthonormal C_t =
-    [e_β : β_0 = 0 | M_z·K_{t−1}], the complement of z·I_{t−1}. Both are
-    block diagonal by the pieces of degree t, and M_z·K_{t−1} on a piece is
-    its lift restricted to the keys read off z, so W_{t,p} is solved on the
-    dense blocks of the pieces of one shape by one stacked SVD of the
-    overlaps K_{t,p}ᴴC_{t,p}, whose singular values are at most 1, cut at
-    ``RANK_CUT``. A zero column of C_{t,p} (a padded pair, or an e_β with
-    β_0 > 0 left out) adds a null direction that C maps to zero, so W_{t,p}
-    W_{t,p}ᴴ is unchanged.
-
-    The residual is that of P_S[E] − KKᴴ with K the outer powers [M_z^m
-    W]_m on E, as on the orbit path. Every degree is one diagonal block of
-    it, so its 2-norm is the largest block's; the degree-t block is I −
-    K_tK_tᴴ − S_t on E, S_t = Σ_m M_z^m·W_{t−m}W_{t−m}ᴴ·M_z^{*m}, carried
-    as S_t = W_tW_tᴴ + M_z·S_{t−1}·M_z^*: E is closed under lowering the
-    outer degree, so S_t on E needs only S_{t−1} on E. Once K_{t−1} is
-    empty, K_t is, C_t holds only the e_β and the degree-t block is 0 ⊕ a
-    principal submatrix of the degree-(t−1) block, no larger in norm, so
-    the degrees from t on are not read."""
-    layout = system[0].layout
-    band = safe_band(grade)
-    top = band.outer_cap + grade.n * band.inner_cap
-    key_at = layout.key_at
-    residual, s, below = 0.0, np.zeros((0, 0)), np.zeros(0, dtype=int)
-    t = 0
-    for t in range(top + 1):
-        k = system[t]
-        if t and not system[t - 1].packed.shape[1]:
-            break
-        keys = slice(key_at[t], key_at[t + 1])
-        z = layout.lift_z[keys]
-        # degree 0 reads nothing off z, so its low degree is never read
-        low = system[max(t - 1, 0)]
-        width = low.packed.shape[1]
-        sources = low.packed[layout.lift_src[keys][z]]
-        lift = _gathered(layout.lift_size[t], layout.lift[keys][z], sources)
-        here, at = layout.band(t)
-        s_t = np.zeros((here.size + 1, here.size + 1), dtype=complex)
-        kk = np.zeros_like(s_t)
-        for group in layout.for_degree(t)[0]:
-            (g, h), a = group.keys.shape, group.a
-            # C_{t,p} = [e_β : β_0 = 0 | M_z·K_{t−1} on p]; the pairs read
-            # off z come first among p's pairs
-            lifted = lift[group.lift_at * width :][: g * h * a * width].reshape(g, h, a * width)
-            c = np.concatenate([group.units, lifted[:, :, : group.z * width]], axis=2)
-            kb, place = k.packed[group.keys], at[group.keys]
-            kk[place[:, :, None], place[:, None, :]] = kb @ kb.conj().transpose(0, 2, 1)
-            live = np.flatnonzero(group.free | low.widths[group.sources[:, : group.z]].any(axis=1))
-            if live.size < g:
-                c, kb, place = c[live], kb[live], place[live]
-            if live.size:
-                overlap = kb.conj().transpose(0, 2, 1) @ c
-                wide = overlap.shape[1] < overlap.shape[2]
-                sv, vh = np.linalg.svd(overlap, full_matrices=wide)[1:]
-                null = c.shape[2] - (sv > RANK_CUT).sum(axis=1)
-                w = _leading(c @ _null_first(vh)[:, :, : null.max()], null)
-                s_t[place[:, :, None], place[:, None, :]] = w @ w.conj().transpose(0, 2, 1)
-        s_t, kk = s_t[:-1, :-1], kk[:-1, :-1]
-        raised = at[layout.raise_z[below + key_at[t - 1]] - key_at[t]] if t else below
-        src = np.flatnonzero(raised < here.size)
-        s_t[raised[src, None], raised[src]] += s[src[:, None], src]
-        residual = max(residual, spectral_norm(np.eye(here.size) - kk - s_t))
-        s, below = s_t, here
-    else:
-        t = top + 1
-    return residual, int(key_at[t])
-
-
 def _orbit_wold(grade: Grade, generators: Sequence[HardyVector]) -> tuple[float, int]:
     """The Wold residual on the safe band E computed at :func:`wold_grade`
     on the orbit's pattern components that it reads (:func:`_orbit`), and
@@ -1242,7 +651,7 @@ def wold_reconstruction(s: SubspaceBasis, tolerance: float = VERDICT_TOL) -> Wol
     if prov.kind != "orbit" or not prov.generators:
         raise GradeError("wold reconstruction needs orbit provenance")
     if prov.graded_system is not None:
-        residual, kept_dim = _graded_wold(s.grade, prov.graded_system)
+        residual, kept_dim = _graded_wold(safe_band(s.grade), prov.graded_system)
     else:
         residual, kept_dim = _orbit_wold(s.grade, prov.generators)
     return WoldReport(

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import polyhardy as ph
-from polyhardy import subspace
+from polyhardy import graded, subspace
 from polyhardy.cli import run_pipeline
 from polyhardy.reporting import stable_part
 from .oracles import backward_shift_stack, generic_form, hilbert_coefficients
@@ -64,17 +64,17 @@ def _ideal_columns(generators, grade: ph.Grade, t: int) -> np.ndarray:
     """The z^α·f_j of total degree t as columns over P_t ⊗ E, in the row
     layout of the inverse system."""
     d, count = grade.coeff_dim, grade.n + 1
-    size = len(subspace._degree_monomials(count, t)[0]) * d
+    size = len(graded._degree_monomials(count, t)[0]) * d
     columns = []
     for g in generators:
-        degree = subspace._total_degree(g)
+        degree = graded._total_degree(g)
         for alpha in itertools.product(range(t + 1), repeat=count):
             if sum(alpha) + degree != t:
                 continue
             column = np.zeros(size, dtype=complex)
             for key, c in g.coeffs.items():
                 exps = np.array([key.outer, *key.inner]) + alpha
-                column[subspace._degree_index(t, exps) * d + key.coord] = c
+                column[graded._degree_index(t, exps) * d + key.coord] = c
             columns.append(column)
     return np.array(columns).reshape(-1, size).T
 
@@ -87,7 +87,7 @@ def test_inverse_system_dims_follow_the_hilbert_series(n, cap, d_e, degrees):
     grade = ph.Grade(n, cap, cap, d_e)
     rng = np.random.default_rng(100 * n + 10 * d_e + sum(degrees))
     generators = [generic_form(grade, d, rng) for d in degrees]
-    system = subspace.inverse_system(generators, grade)
+    system = graded.inverse_system(generators, grade)
     top = cap + n * cap
     expected = hilbert_coefficients(_numerator(d_e, degrees), n + 1, top)
     assert [k.shape[1] for k in system] == expected
@@ -111,15 +111,15 @@ def _assert_paths_agree(scenario: ph.Scenario) -> bool:
     system = s.provenance.graded_system
     assert system is not None
     probe = subspace._probe_dim(s)
-    assert subspace._exact_dim(grade, system) == probe
+    assert graded._exact_dim(grade, system) == probe
     assert stable == (probe == s.dim)
-    graded = ph.wold_reconstruction(s)
+    wold = ph.wold_reconstruction(s)
     plain = ph.orbit_span(generators, grade, s.provenance.margin)
     assert plain.provenance == s.provenance
-    assert ph.wold_reconstruction(plain) == graded
+    assert ph.wold_reconstruction(plain) == wold
     residual, _ = subspace._orbit_wold(grade, s.provenance.generators)
-    assert graded.verdict == (residual < graded.tolerance)
-    assert graded.residual <= 1e-13
+    assert wold.verdict == (residual < wold.tolerance)
+    assert wold.residual <= 1e-13
     return stable
 
 
@@ -208,7 +208,7 @@ def test_z_alone_solves_in_small_blocks(monkeypatch):
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", spy)
-    system = subspace.inverse_system(generators, grade)
+    system = graded.inverse_system(generators, grade)
     monkeypatch.undo()
     assert widths and max(widths) <= grade.n + 1
     # the singleton pieces have few shapes per degree, each one stacked SVD
@@ -237,9 +237,9 @@ PIECED = [path.stem for path in NAMED] + ["n1-d1-05", "n1-d2-02", "n2-lin-03", "
 @pytest.mark.parametrize("label", PIECED)
 def test_every_multiple_lies_in_one_piece(pool_member, label):
     grade, generators = _generators(label, pool_member)
-    system = subspace.inverse_system(generators, grade)
+    system = graded.inverse_system(generators, grade)
     for t, k in enumerate(system):
-        pieces = k.layout.pieces(t)
+        pieces = k.pieces
         for g in generators:
             for column in _ideal_columns([g], grade, t).T:
                 assert np.unique(pieces[np.flatnonzero(column)]).size == 1
@@ -248,30 +248,34 @@ def test_every_multiple_lies_in_one_piece(pool_member, label):
 @pytest.mark.parametrize("label", PIECED)
 def test_stack_components_are_the_pieces_with_unknowns(pool_member, label):
     # each pattern component of the dense degree-t stack [stack; lift] lies
-    # in one piece, and there is one per piece that carries unknowns
+    # in one piece, and there is one per piece whose pairs carry unknowns
     grade, generators = _generators(label, pool_member)
-    system = subspace.inverse_system(generators, grade)
+    system = graded.inverse_system(generators, grade)
+    shifts = graded._shifts(generators, grade)
     count, d = grade.n + 1, grade.coeff_dim
     for t in range(1, len(system)):
         low = system[t - 1]
         if not low.shape[1]:
             break
-        own = [g for g in generators if subspace._total_degree(g) == t]
+        own = [g for g in generators if graded._total_degree(g) == t]
         duals = [_ideal_columns([g], grade, t)[:, 0] for g in own]
         stack, keys, lift = backward_shift_stack(low.toarray(), count, d, t, duals)
         rows, cols = np.nonzero(np.vstack([stack, lift]))
         m, n = stack.shape[0] + lift.shape[0], lift.shape[1]
         _, labels = subspace._components(rows, cols, m, n)
-        pieces = system[t].layout.pieces(t)
-        row_piece = pieces[np.concatenate([keys, np.arange(lift.shape[0])])]
+        row_piece = system[t].pieces[np.concatenate([keys, np.arange(lift.shape[0])])]
         with_unknowns = np.unique(labels[m:][np.abs(np.vstack([stack, lift])).sum(axis=0) > 0])
+        carrying = set()
         for component in with_unknowns:
-            assert np.unique(row_piece[labels[:m] == component]).size == 1
-        carrying = sum(
-            int((low.widths[group.sources].sum(axis=1) > 0).sum())
-            for group in system[t].layout.for_degree(t)[0]
-        )
-        assert carrying == with_unknowns.size
+            piece = np.unique(row_piece[labels[:m] == component])
+            assert piece.size == 1
+            carrying.add(int(piece[0]))
+        assert len(carrying) == with_unknowns.size
+        pairs = slice(shifts.pair_at[t], shifts.pair_at[t + 1])
+        wide = low.widths[shifts.pair_q[pairs]] > 0
+        assert carrying == set(shifts.pair_piece[pairs][wide].tolist())
+        # K_t has columns only on pieces that carry unknowns
+        assert set(np.flatnonzero(system[t].widths).tolist()) <= carrying
 
 
 @pytest.mark.parametrize("label", ["one", "full-rank2", "n1-d1-00"])
@@ -280,12 +284,12 @@ def test_recursion_stops_at_the_first_empty_degree(monkeypatch, pool_member, lab
     # runs; every later K_t is empty with the rows of P_t ⊗ E
     grade, generators = _generators(label, pool_member)
     solving, solved, calls = [None], [], []
-    solve = subspace._solve_degree
+    solve = graded._solve_degree
 
-    def spy_solve(layout, t, *args):
+    def spy_solve(shifts, t, *args):
         solving[0] = t
         solved.append(t)
-        out = solve(layout, t, *args)
+        out = solve(shifts, t, *args)
         solving[0] = None
         return out
 
@@ -295,14 +299,15 @@ def test_recursion_stops_at_the_first_empty_degree(monkeypatch, pool_member, lab
             return routine(*args, **kwargs)
         return recorded
 
-    monkeypatch.setattr(subspace, "_solve_degree", spy_solve)
+    monkeypatch.setattr(graded, "_solve_degree", spy_solve)
     for name in ("svd", "eigh", "qr"):
         monkeypatch.setattr(np.linalg, name, spy(getattr(np.linalg, name)))
-    system = subspace.inverse_system(generators, grade)
+    system = graded.inverse_system(generators, grade)
     monkeypatch.undo()
     dims = [k.shape[1] for k in system]
     first = dims.index(0)
-    assert solved == list(range(first + 1))
+    # degree 0 is solved only when a generator has degree 0
+    assert solved == list(range(0 if label in ("one", "full-rank2") else 1, first + 1))
     assert calls and None not in calls and max(calls) == first
     assert first == (0 if label in ("one", "full-rank2") else 1)
     for t, k in enumerate(system[first:], first):
