@@ -339,16 +339,18 @@ def test_criterion_11_capacity_bounds(corpus_artifacts):
     squeeze = ph.isometric_module_map_lower_bound(
         ph.Grade(1, 5, 5, 3), ph.Grade(1, 5, 5, 2)
     )
-    ok = ok and squeeze.verdict
+    ok = ok and squeeze.verdict is True
     ok = ok and squeeze.certificate_bound == 1.0
-    ok = ok and squeeze.optimized_min_residual >= 0.3
+    # and the slot-aligned map keeps an equal coefficient dimension
+    ok = ok and ph.isometric_module_map_lower_bound(
+        ph.Grade(1, 4, 4, 1), ph.Grade(1, 4, 4, 1)
+    ).verdict is False
     _verdict(
         11,
         ok,
         f"partial sums capped (max excess {worst_excess:.2e} ≤ 0 + 1e-10); "
-        f"3→2 squeeze obstructed: optimized residual "
-        f"{squeeze.optimized_min_residual:.2f} ≥ 0.3, counting bound "
-        f"{squeeze.certificate_bound}",
+        f"3→2 squeeze obstructed: counting bound {squeeze.certificate_bound} "
+        f"({squeeze.n_source_columns} columns > dim {squeeze.target_dim})",
     )
 
 

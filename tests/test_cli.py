@@ -419,8 +419,8 @@ def _cli_subprocess(argv: list[str]) -> subprocess.CompletedProcess:
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
-    # only classify.isometric_module_map_lower_bound uses scipy.optimize,
-    # and no command calls it, so no CLI process should pay for its import
+    # the module-map bound decides by proof, with no optimizer behind it,
+    # so no CLI process should pay for importing scipy.optimize
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
     probe = "import sys, polyhardy.cli; print('scipy.optimize' in sys.modules)"
@@ -441,6 +441,23 @@ def test_cli_import_leaves_scipy_sparse_unloaded():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == str([False] * len(modules))
+
+
+def test_package_loads_no_scipy_module():
+    # the runtime needs numpy alone: importing the package and the CLI, and
+    # calling the module-map bound, load no module scipy or scipy.*
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    probe = (
+        "import sys, polyhardy, polyhardy.cli\n"
+        "polyhardy.isometric_module_map_lower_bound("
+        "polyhardy.Grade(1, 5, 5, 4), polyhardy.Grade(1, 5, 5, 3))\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def _dims_and_verdicts(report: dict) -> tuple:

@@ -29,6 +29,24 @@ def test_bench_ladder_writes_timing_rows(tmp_path):
     assert timing["peak_rss_mb"] > 0
 
 
+def test_bench_ladder_failing_rung_keeps_its_timing(tmp_path):
+    # 2 + z1 is invertible, so [f] is all of H², which no capped span
+    # reaches: the Wold verdict fails (exit 2), and the ladder, which has no
+    # gate, records the run like any other
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "tools" / "bench_ladder.py"), "t",
+         "--case", "two-plus-z1", "--out", str(tmp_path)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    [row] = json.loads((tmp_path / "BENCH_t.json").read_text())["cases"]
+    assert row["label"] == "two-plus-z1"
+    assert row["generators"] == ["2 + z1"]
+    assert row["exit_code"] == 2
+    assert row["timing"]["seconds"] > 0
+    assert "error" not in row
+
+
 def test_bench_ladder_compare_rung(tmp_path):
     # n2-D5 against its generators in reverse order: the same subspace
     proc = subprocess.run(

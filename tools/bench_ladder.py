@@ -19,7 +19,8 @@ Python, numpy and scipy versions, and the OpenBLAS thread count, read
 without changing it.
 
 The ladder: every scenario file in ``scenarios/``, then generated cases
-whose generators are ``z - z1, ..., z - zn``, then one ``compare`` rung,
+(``z - z1, ..., z - zn`` at growing n and caps, one dense generic linear
+form at n=3 d_E=2 and the inhomogeneous ``2 + z1``), then one ``compare`` rung,
 ``n2-D5-compare``: ``polyhardy compare`` of the ``n2-D5`` case against
 the same case with its generators in reverse order, three processes like
 every case. Its row holds the exit code, the certificate's verdict, the
@@ -43,15 +44,31 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 from run import environment  # noqa: E402  the env record perfbench prints
 
-# (label, n, D = N, d_E)
+
+def _z_minus_zi(n: int) -> list[str]:
+    """``z - z1, ..., z - zn``."""
+    return [f"z - z{i}" for i in range(1, n + 1)]
+
+
+# (label, n, D = N, d_E, generators)
 GENERATED = [
-    ("n1-D10", 1, 10, 1),
-    ("n1-D6-dE2", 1, 6, 2),
-    ("n2-D5", 2, 5, 1),
-    ("n2-D6", 2, 6, 1),
-    ("n2-D8", 2, 8, 1),
-    ("n3-D3", 3, 3, 1),
-    ("n3-D4", 3, 4, 1),
+    ("n1-D10", 1, 10, 1, _z_minus_zi(1)),
+    ("n1-D6-dE2", 1, 6, 2, _z_minus_zi(1)),
+    ("n2-D5", 2, 5, 1, _z_minus_zi(2)),
+    ("n2-D6", 2, 6, 1, _z_minus_zi(2)),
+    ("n2-D8", 2, 8, 1, _z_minus_zi(2)),
+    ("n3-D3", 3, 3, 1, _z_minus_zi(3)),
+    ("n3-D4", 3, 4, 1, _z_minus_zi(3)),
+    ("n4-D3", 4, 3, 1, _z_minus_zi(4)),
+    # one dense generic linear form: perfbench/workloads.py's
+    # _homogeneous_form(random.Random(5), 3, 1, 2), written out
+    ("n3-D3-dense-dE2", 3, 3, 2, [
+        "(-0.058-1.121i)*z3 + (1.211-0.458i)*z3*e_1 + (1.095-0.581i)*z2"
+        " + (-0.517+0.113i)*z2*e_1 + (-0.856-1.162i)*z1 + (1.061+0.915i)*z1*e_1"
+        " + (0.021+0.969i)*z + (-0.933-0.468i)*z*e_1"
+    ]),
+    # an inhomogeneous generator: it takes the margin path
+    ("two-plus-z1", 1, 5, 1, ["2 + z1"]),
 ]
 
 
@@ -61,11 +78,11 @@ COMPARED = ["n2-D5"]
 
 def ladder() -> list[dict]:
     cases = [json.loads(p.read_text()) for p in sorted((ROOT / "scenarios").glob("*.json"))]
-    for label, n, cap, d_e in GENERATED:
+    for label, n, cap, d_e, generators in GENERATED:
         cases.append({
             "label": label,
             "grade": {"n": n, "D": cap, "N": cap, "d_E": d_e},
-            "generators": [f"z - z{i}" for i in range(1, n + 1)],
+            "generators": generators,
             "options": {"force": True, "margin": 2},
         })
     for case in [c for c in cases if c["label"] in COMPARED]:
