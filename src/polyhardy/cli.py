@@ -282,8 +282,6 @@ def run_pipeline(
 
     verdicts["all"] = all(verdicts.values())
     report["verdicts"] = verdicts
-    # ru_maxrss is in KiB on Linux; it is the peak of the whole process
-    peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     dims = _grade_dims(grade, used_margin)
     if "verify" in steps:
         dims["wold_kept"] = wold.kept_dim
@@ -292,9 +290,24 @@ def run_pipeline(
         "steps": step_s,
         "verify_checks": check_s,
         "grade_dims": dims,
-        "peak_rss_mb": round(peak_kib / 1024, 1),
+        "peak_rss_mb": round(_peak_rss_kib() / 1024, 1),
     }
     return report
+
+
+def _peak_rss_kib() -> int:
+    """This process's peak resident set in KiB: ``VmHWM`` of
+    /proc/self/status, the high-water mark of its own memory. Where that
+    line is missing, ``ru_maxrss`` (KiB on Linux), which also keeps the
+    high-water mark of the process that started this one across exec."""
+    try:
+        with open("/proc/self/status") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1])
+    except OSError:
+        pass
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 
 
 def _emit(report: dict, output: str | None, quiet: bool) -> None:

@@ -366,20 +366,31 @@ def _exact_dim(grade: Grade, system: Sequence[PieceBasis]) -> int:
     return grade.dim - rank
 
 
+def _complement_wandering(k: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """C·null(KᴴC), for K an orthonormal basis of S^⊥ and C one of (z·S)^⊥
+    over the same rows: the orthonormal basis of S ⊖ z·S = S ∩ (z·S)^⊥
+    there. The overlap's singular values are at most 1 and are cut at
+    ``RANK_CUT``; with no K, C is kept whole."""
+    if not k.shape[1] or not c.shape[1]:
+        return c
+    overlap = k.conj().T @ c
+    s, vh = np.linalg.svd(overlap, full_matrices=overlap.shape[0] < overlap.shape[1])[1:]
+    return c @ vh[(s > RANK_CUT).sum() :].conj().T
+
+
 def _graded_wold(band: Grade, system: Sequence[PieceBasis]) -> tuple[float, int]:
     """The Wold residual on the safe band E, the grade ``band``, read off the
     inverse system, and the number of degree-space positions of the band's
     degrees.
 
     P_S on E is I − ⊕_t K_tK_tᴴ. With nothing truncated, the degree-t part
-    of W = S ⊖ zS is W_t = C_t·null(K_tᴴC_t) for the orthonormal C_t =
-    [e_β : β_0 = 0 | M_z·K_{t−1}], the complement of z·I_{t−1}. The keys
-    with β_0 = 0 come first in each degree and the others follow in the
-    order of the keys β − e_0 of degree t − 1 (:func:`_degree_monomials`),
-    so C_t is the block diagonal of I and K_{t−1}, and each degree's null
-    space is one SVD of the overlap K_tᴴC_t, whose singular values are at
-    most 1, cut at ``RANK_CUT``. K_t and C_t are block diagonal by the
-    pieces, so that SVD is the pieces' SVDs together.
+    of W = S ⊖ zS is W_t = C_t·null(K_tᴴC_t) (:func:`_complement_wandering`)
+    for the orthonormal C_t = [e_β : β_0 = 0 | M_z·K_{t−1}], the complement
+    of z·I_{t−1}. The keys with β_0 = 0 come first in each degree and the
+    others follow in the order of the keys β − e_0 of degree t − 1
+    (:func:`_degree_monomials`), so C_t is the block diagonal of I and
+    K_{t−1}. K_t and C_t are block diagonal by the pieces, so the overlap's
+    SVD is the pieces' SVDs together.
 
     The residual is that of P_S[E] − KKᴴ with K the outer powers [M_z^m
     W]_m on E, as on the orbit path. Every degree is one diagonal block of
@@ -400,16 +411,12 @@ def _graded_wold(band: Grade, system: Sequence[PieceBasis]) -> tuple[float, int]
             break
         k = system[t].toarray()
         size, units = k.shape[0], k.shape[0] - low.shape[0]
-        # the overlap K_tᴴC_t, and W_t = C_t·null on the band rows
-        overlap = np.hstack([k[:units].conj().T, k[units:].conj().T @ low])
-        null = np.eye(overlap.shape[1])
-        if k.shape[1]:
-            sv, vh = np.linalg.svd(overlap, full_matrices=overlap.shape[0] < overlap.shape[1])[1:]
-            null = vh[(sv > RANK_CUT).sum() :].conj().T
+        c = np.zeros((size, units + low.shape[1]), dtype=complex)
+        c[:units, :units] = np.eye(units)
+        c[units:, units:] = low
         ends = np.searchsorted(on_band, [at, at + size])
         here = on_band[ends[0] : ends[1]] - at
-        split = np.searchsorted(here, units)
-        w = np.vstack([null[here[:split]], low[here[split:] - units] @ null[units:]])
+        w = _complement_wandering(k, c)[here]
         kb = k[here]
         s_t = w @ w.conj().T
         place = np.full(size, -1)

@@ -3,25 +3,29 @@
 All spans are computed in an enlarged working grade and intersected with the
 target caps by linear algebra, so that linear combinations of high-degree
 orbit elements that cancel back inside the caps are not lost.  Every orbit
-is spanned by :func:`_orbit`, on the pattern components its reader needs.
-Every span, slice and wandering space runs block by block, with one pass
-over the pattern blocks of its input (:func:`block_span`, :func:`_slice`,
-:func:`_wandering`); between them a matrix is held as a
+is spanned by :func:`_orbit`, on the pattern components its reader needs,
+by one SVD per pattern block (:func:`block_span`), and each block is kept
+with its complement K, the rest of its left singular vectors. The orbit's
+slice to the caps (:func:`_orbit_slice`), its wandering space W =
+C·null(KᴴC) (:func:`_wandering`) and the probe count (:func:`_probe_dim`)
+read K block by block, not the span. Between steps a matrix is held as a
 :class:`~polyhardy.operators.Coo` triplet of numpy index arrays, and its
-blocks are found by :func:`~polyhardy.operators._components`.  A basis that leaves this module is orthonormal in the
-[safe-supported | rest] layout of :func:`split_basis`.  The symbols are
+blocks are found by :func:`~polyhardy.operators._components`.  A basis
+that leaves this module is orthonormal in the [safe-supported | rest]
+layout of :func:`split_basis`.  The symbols are
 read off the wandering basis alone, so only it is put in the canonical
 layout of :func:`canonical_basis`, which depends on the subspace alone, not
-on the basis it was computed from. The slice and both layouts take one
-split, :func:`_row_split` (one SVD of a set of each block's rows), and one
-placement, :func:`_place`.
+on the basis it was computed from. The slice of W and both layouts take
+one split, :func:`_row_split` (one SVD of a set of each block's rows), and
+one placement, :func:`_place`.
 
 Homogeneous generators also have a graded form that needs no enlarged
 grade: their inverse system K_t = I_t^⊥ (:mod:`polyhardy.graded`), which
 an orbit's provenance keeps. :func:`orbit_stability` reads the exact
 dimension of [f] ∩ caps off it, and :func:`wold_reconstruction` the Wold
-residual. Inhomogeneous generators have no grading and keep the margin + 1
-probe and the Wold grade.
+residual, whose W_t = C_t·null(K_tᴴC_t) is the same complement formula.
+Inhomogeneous generators have no grading and keep the margin + 1 probe and
+the Wold grade.
 """
 from __future__ import annotations
 
@@ -33,7 +37,8 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import DegenerateInputError, GradeError, NotInvariantError, NotIsometricError
-from .graded import PieceBasis, _exact_dim, _graded_wold, homogeneous, inverse_system
+from .graded import PieceBasis, _complement_wandering, _exact_dim, _graded_wold
+from .graded import homogeneous, inverse_system
 from .grading import Grade, HardyVector
 from .operators import ORTHONORMAL_TOL, PIVOT_CUT, RANK_CUT, SUPPORT_CUT, VERDICT_TOL
 from .operators import Coo, _components, _grouped, hstack, monomial_multiples, outer_powers
@@ -46,16 +51,16 @@ DEFAULT_MARGIN = 2
 class Provenance:
     """How a basis was produced; enough to re-derive working-grade data.
 
-    An orbit basis also carries the orthonormal orbit basis at its working
-    grade, on the pattern components that reach the caps (:func:`_orbit`),
-    as a :class:`Coo` triplet, so the wandering step does not span the same
-    orbit again.
+    An orbit basis also carries its orbit at the working grade, on the
+    pattern components that reach the caps (:func:`_orbit`), as the
+    ``(rows, span, K)`` blocks of :func:`block_span`, so the wandering step
+    neither spans nor factors the same orbit again.
     """
 
     kind: str
     generators: tuple[HardyVector, ...] = ()
     margin: int = 0
-    working_basis: Coo | None = field(default=None, compare=False, repr=False)
+    working_basis: tuple | None = field(default=None, compare=False, repr=False)
 
     @cached_property
     def graded_system(self) -> tuple[PieceBasis, ...] | None:
@@ -185,17 +190,26 @@ def _place(length: int, pieces) -> Coo:
     return Coo((length, widths.size), rows, cols, vals)
 
 
-def block_span(a) -> Coo:
-    """Orthonormal basis of the column span of the dense array or
-    :class:`Coo` ``a``, with one SVD per block of its nonzero pattern.
-    Singular values at or below ``RANK_CUT·max(1, s₀)``, s₀ taken over all
-    blocks, are cut."""
+def block_span(a) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """Each block of the nonzero pattern of the dense array or :class:`Coo`
+    ``a`` factored by one SVD, as ``(rows, span, K)``: orthonormal bases of
+    the block's column span and of its complement over its rows ``rows``,
+    so that ``[span | K]`` is unitary. Singular values at or below
+    ``RANK_CUT·max(1, s₀)``, s₀ taken over all blocks, are cut, and their
+    left vectors join K; so, for a tall block, does every left vector past
+    its column count. The span of ``a`` is the direct sum of the blocks'."""
     svds = [
-        (rows, *np.linalg.svd(block, full_matrices=False)[:2])
+        (rows, *np.linalg.svd(block, full_matrices=block.shape[0] > block.shape[1])[:2])
         for rows, _, block in _pattern_blocks(a)
     ]
     cut = RANK_CUT * max(1.0, max((s.max() for _, _, s in svds), default=0.0))
-    return _place(a.shape[0], [(rows, u[:, s > cut].T) for rows, u, s in svds])
+    return tuple((rows, u[:, : (s > cut).sum()], u[:, (s > cut).sum() :]) for rows, u, s in svds)
+
+
+def _spans(length: int, blocks) -> Coo:
+    """The spans of the orbit ``blocks`` (:func:`block_span`) side by side,
+    a matrix of ``length`` rows."""
+    return _place(length, [(rows, span.T) for rows, span, _ in blocks])
 
 
 def _split(x: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -230,6 +244,25 @@ def _slice(basis, keep: np.ndarray) -> Coo:
     the orthonormal ``basis``: the parts of :func:`_row_split` that vanish
     off ``keep``, orthonormal as they stand."""
     return _place(basis.shape[0], [(at, off.T) for at, off, _ in _row_split(basis, ~keep)])
+
+
+def _orbit_slice(blocks, keep: np.ndarray) -> Coo:
+    """Orthonormal basis of S ∩ {x : x vanishes off ``keep``} for S the
+    direct sum of the spans of the orbit ``blocks`` (:func:`block_span`):
+    on each block, the null space of K[kept rows]ᴴ inside its kept rows,
+    by one SVD cut at ``RANK_CUT``. A block with every row kept gives its
+    span. By the CS decomposition the nontrivial singular values of
+    K[kept rows] are those of span[other rows], so the cut decides as a
+    split of the span would (:func:`_slice`)."""
+    pieces = []
+    for rows, span, k in blocks:
+        at = keep[rows]
+        if at.all():
+            pieces.append((rows, span.T))
+        elif at.any():
+            u, s, _ = np.linalg.svd(k[at], full_matrices=True)
+            pieces.append((rows[at], u[:, (s > RANK_CUT).sum() :].T))
+    return _place(keep.size, pieces)
 
 
 def _gauge(stratum: np.ndarray, rows: np.ndarray, cut: float) -> tuple[np.ndarray, list[int]]:
@@ -375,11 +408,13 @@ def _inside_caps(grade: Grade, big: Grade) -> np.ndarray:
     return keep
 
 
-def _capped(grade: Grade, big: Grade, basis: Coo) -> Coo:
+def _capped(grade: Grade, big: Grade, basis) -> Coo:
     """Orthonormal basis of the part of span(basis) that lies inside the caps
-    of ``grade``, in ``grade``'s coordinates, for the orthonormal ``basis``
-    at the grade ``big``."""
-    sliced = _slice(basis, _inside_caps(grade, big))
+    of ``grade``, in ``grade``'s coordinates, for ``basis`` at the grade
+    ``big``: an orthonormal :class:`Coo` (:func:`_slice`) or orbit blocks
+    (:func:`_orbit_slice`)."""
+    keep = _inside_caps(grade, big)
+    sliced = _slice(basis, keep) if isinstance(basis, Coo) else _orbit_slice(basis, keep)
     return sliced.take_rows(embedding_positions(grade, big))
 
 
@@ -447,37 +482,71 @@ def orbit_stability(
 def _probe_dim(s: SubspaceBasis) -> int:
     """Dimension of the capped slice of the orbit basis ``s``'s generators
     spanned at its margin + 1. It counts, block by block of the probe orbit
-    (:func:`_orbit`), the columns of the slice to the caps (:func:`_slice`):
-    a block's column count less the rank of its rows off the caps. It forms
-    no basis of the slice."""
+    (:func:`_orbit`), the columns of the slice to the caps
+    (:func:`_orbit_slice`): the block's rows inside the caps less the rank
+    of its complement K on them. It forms no basis of the slice."""
     grade, prov = s.grade, s.provenance
     gp = working_grade(grade, prov.margin + 1)
     inside = _inside_caps(grade, gp)
     orbit, _ = _orbit(gp, prov.generators, np.flatnonzero(inside))
     dim = 0
-    for rows, _, x in _pattern_blocks(orbit):
-        outside = np.linalg.svd(x[~inside[rows]], compute_uv=False)
-        dim += x.shape[1] - int((outside > RANK_CUT).sum())
+    for rows, _, k in orbit:
+        at = inside[rows]
+        rank = np.linalg.svd(k[at], compute_uv=False) > RANK_CUT
+        dim += int(at.sum() - rank.sum())
     return dim
 
 
-def _wandering(grade: Grade, basis: Coo) -> Coo:
-    """Orthonormal basis of span(basis) ⊖ z·span(basis) for the orthonormal
-    ``basis`` B: ``B·null((M_z B)ᴴ B)``, orthonormal as it stands.
+def _wandering(grade: Grade, blocks) -> Coo:
+    """Orthonormal basis of S ⊖ z·S for S the direct sum of the spans of
+    the orbit ``blocks`` (:func:`block_span`) at ``grade``, read off their
+    complements K.
 
-    Every column of B and of M_z·B lies in one pattern block of
-    [B | M_z·B], so the overlap is block-diagonal in that partition and its
-    null space is the direct sum of the blocks' null spaces: ``x·null(zxᴴx)``
-    for the columns x of B and zx of M_z·B in each block, with the absolute
-    cut ``RANK_CUT``. A block with no zx keeps x whole (the SVD of an
-    empty overlap gives the identity V)."""
-    own = basis.shape[1]
-    pieces = []
-    for rows, cols, block in _pattern_blocks(hstack([basis, shift(grade, 0, basis)])):
-        x, zx = block[:, cols < own], block[:, cols >= own]
-        _, s, vh = np.linalg.svd(zx.conj().T @ x)
-        pieces.append((rows, (x @ vh[(s > RANK_CUT).sum() :].conj().T).T))
-    return _place(basis.shape[0], pieces)
+    A pattern block of [B | M_z·B] holds the orbit blocks that the shift
+    of one source block reaches together, and W is the direct sum of their
+    parts: C·null(KᴴC) over their rows (:func:`_complement_wandering`), K
+    their complements side by side and C the orthonormal complement of z·S
+    there, [e_β : β_0 = 0, or β − e_0 in no block | M_z·K_q·null(K_q[X_q])
+    for each source block q], with X_q the rows of q that z truncates away
+    or carries into no block. Every column is an exact zero off its pattern
+    block. A block that no shift reaches is wandering whole: its span."""
+    dim, count = grade.dim, len(blocks)
+    # index dim stands for "past the caps" and for "in no block"
+    block_of = np.full(dim + 1, -1)
+    for b, (rows, _, _) in enumerate(blocks):
+        block_of[rows] = b
+    src, dst = grade.shift_map(0)
+    up, down = np.full(dim, dim), np.full(dim, dim)
+    up[src], down[dst] = dst, src
+    reach = [block_of[up[rows]] for rows, _, _ in blocks]
+    sources = np.repeat(np.arange(count), [r.size for r in reach])
+    targets = np.concatenate([np.zeros(0, dtype=int), *reach])
+    live = targets >= 0
+    labels = _components(targets[live], sources[live], count, count)[1]
+    # each source's M_z·K_q·null(K_q[X_q]), at the rows z carries it into
+    shifted: dict[int, list] = {}
+    for (rows, _, k), r, label in zip(blocks, reach, labels[count:].tolist()):
+        lands = r >= 0
+        if lands.any() and k.shape[1]:
+            _, s, vh = np.linalg.svd(k[~lands], full_matrices=True)
+            image = k[lands] @ vh[(s > RANK_CUT).sum() :].conj().T
+            shifted.setdefault(label, []).append((up[rows[lands]], image))
+    pieces, local = [], np.zeros(dim, dtype=int)
+    for label in np.unique(labels[:count]).tolist():
+        members = [blocks[b] for b in np.flatnonzero(labels[:count] == label)]
+        rows = np.concatenate([rows for rows, _, _ in members])
+        unit = np.flatnonzero(block_of[down[rows]] < 0)
+        if unit.size == rows.size:
+            [(_, span, _)] = members  # no shift reaches it
+            pieces.append((rows, span.T))
+            continue
+        local[rows] = np.arange(rows.size)
+        c = _place(rows.size, [(unit[:, None], np.ones((unit.size, 1)))] + [
+            (local[at], image.T) for at, image in shifted.get(label, [])
+        ])
+        k = _place(rows.size, [(local[at], comp.T) for at, _, comp in members])
+        pieces.append((rows, _complement_wandering(k.toarray(), c.toarray()).T))
+    return _place(dim, pieces)
 
 
 def wandering_subspace(s: SubspaceBasis) -> SubspaceBasis:
@@ -606,10 +675,11 @@ def _readable_columns(gb: Grade, a: Coo, band: np.ndarray) -> tuple[Coo, int]:
     return Coo(a.shape, a.rows[entries], a.cols[entries], a.vals[entries]), kept_rows
 
 
-def _orbit(big: Grade, generators: Sequence[HardyVector], reads: np.ndarray) -> tuple[Coo, int]:
-    """Orthonormal basis of the orbit of the generators at the grade ``big``,
-    spanned from all their monomial multiples that fit its caps, on only the
-    pattern components that a read of the rows ``reads`` depends on
+def _orbit(big: Grade, generators: Sequence[HardyVector], reads: np.ndarray) -> tuple[tuple, int]:
+    """The orbit of the generators at the grade ``big`` as the ``(rows,
+    span, K)`` blocks of :func:`block_span`, factored from all their
+    monomial multiples that fit its caps, on only the pattern components
+    that a read of the rows ``reads`` depends on
     (:func:`_readable_columns`); and the number of rows of those components.
     ``reads`` must be closed under lowering the outer degree: the caps box
     and the safe band are, so for them the pruned orbit is exact."""
@@ -625,9 +695,10 @@ def _orbit(big: Grade, generators: Sequence[HardyVector], reads: np.ndarray) -> 
 
 def _orbit_wold(grade: Grade, generators: Sequence[HardyVector]) -> tuple[float, int]:
     """The Wold residual on the safe band E computed at :func:`wold_grade`
-    on the orbit's pattern components that it reads (:func:`_orbit`), and
-    the number of Wold-grade positions it factored. It serves generators
-    without a grading; for homogeneous ones it is the tests' reference.
+    on the orbit's pattern components that it reads (:func:`_orbit`, with
+    W from their complements by :func:`_wandering`), and the number of
+    Wold-grade positions it factored. It serves generators without a
+    grading; for homogeneous ones it is the tests' reference.
 
     The residual is ‖B_E B_Eᴴ − K Kᴴ‖ with B_E = sb[E] and K = [(M_z^m
     wc)[E]]_m. E is closed under lowering the outer degree, so M_z^m is
@@ -638,7 +709,7 @@ def _orbit_wold(grade: Grade, generators: Sequence[HardyVector]) -> tuple[float,
     wb = _wandering(gb, sb)
     inside_caps = np.all(gb.exponents[:, :-1] < gb.degree_caps, axis=1)
     k = outer_powers(e, _slice(wb, inside_caps).take_rows(band).toarray())
-    b = sb.take_rows(band).toarray()
+    b = _spans(gb.dim, sb).take_rows(band).toarray()
     return spectral_norm(b @ b.conj().T - k @ k.conj().T), kept_dim
 
 
@@ -676,5 +747,5 @@ def max_principal_angle_sine(b1, b2) -> float:
 
 
 def subspace_from_columns(grade: Grade, columns: np.ndarray) -> SubspaceBasis:
-    organized, n_safe = split_basis(grade, block_span(columns))
+    organized, n_safe = split_basis(grade, _spans(grade.dim, block_span(columns)))
     return SubspaceBasis(grade, organized, Provenance("adhoc"), n_certified=n_safe)

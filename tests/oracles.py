@@ -1,20 +1,29 @@
-"""Independent brute-force references.
+"""Independent brute-force references, and the kernels each one pins.
 
-The orbit and wandering references deliberately avoid the package's shift
-matrices and SVD helpers: orbits are built by dict-level polynomial
-multiplication and intersected with the cap box via scipy nullspaces, and
-wandering spaces come from the adjoint nullspace of the restricted shift.
-Used to pin derived values.  The Wold reference is the dense formula the
-gather-based check replaces: every shift is a dense ``shift_matrix`` and the
-reconstruction is formed over the whole Wold grade.  Its spans, null spaces
-and slices are the dense SVD routines below, which are also the reference
-the block kernels (``subspace.block_span``, ``subspace._slice``) are tested
-against; ``subspace._wandering`` is tested against ``wandering_reference``.  The classify references form every matrix in full: the
-*-closed Sylvester stack as one dense array factored by one QR, and the
-doubly-commuting words, defect and commutators as dim S × dim S matrices
-whose safe block is read afterwards.  The inverse-system reference is an
-integer one: the Hilbert series of generic generators, and the forms that
-feed it have a random coefficient on every monomial of their degree.
+- ``orbit_reference`` builds an orbit by dict-level polynomial
+  multiplication and intersects it with the cap box via scipy null spaces;
+  it pins ``orbit_span``.
+- ``wandering_reference`` is the adjoint null space of the restricted
+  shift. At the working grade it pins the complement wandering step
+  ``subspace._wandering``; on a capped orbit, ``wandering_subspace``.
+- ``margin_reference`` is the margin path in full: the dense span of every
+  working-grade multiple, sliced to the caps, and W from the null space of
+  (M_z B)ᴴB, sliced likewise. It pins ``orbit_span`` and
+  ``wandering_subspace`` end to end, with no complement in it.
+- ``orthonormal_columns``, ``null_columns`` and ``coordinate_slice`` are
+  dense SVD routines. They pin the block kernels: the spans and
+  complements of ``subspace.block_span``, the complement slice
+  ``subspace._orbit_slice`` and the row-split slice ``subspace._slice``.
+- ``wold_residual_dense`` is the dense formula the gather-based Wold check
+  replaces: every shift is a dense ``shift_matrix`` and the reconstruction
+  is formed over the whole Wold grade, with the routines above.
+- The classify references form every matrix in full: the *-closed
+  Sylvester stack as one dense array factored by one QR, and the
+  doubly-commuting words, defect and commutators as dim S × dim S matrices
+  whose safe block is read afterwards.
+- The inverse-system reference is an integer one: the Hilbert series of
+  generic generators, and the forms that feed it have a random coefficient
+  on every monomial of their degree.
 """
 from __future__ import annotations
 
@@ -32,6 +41,7 @@ from polyhardy.subspace import (
     outer_degrees,
     lift_dense,
     wold_grade,
+    working_grade,
 )
 
 
@@ -131,6 +141,23 @@ def wandering_reference(s_columns: np.ndarray, outer_shift: np.ndarray) -> np.nd
     restricted = s_columns.conj().T @ outer_shift @ s_columns
     kernel = scipy.linalg.null_space(restricted.conj().T, rcond=1e-10)
     return s_columns @ kernel
+
+
+def margin_reference(
+    generators: list[HardyVector], grade: Grade, margin: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The capped orbit S and its wandering space W as the margin path
+    defines them, in the caps' coordinates: B spans every monomial multiple
+    of the generators at the working grade (both caps raised by
+    ``margin``), W_work = B·null((M_z B)ᴴB), and both are sliced to the
+    caps, all by the dense routines above."""
+    gw = working_grade(grade, margin)
+    b = orthonormal_columns(_dense_orbit_columns(gw, generators))
+    w = b @ null_columns((shift_matrix(gw, 0) @ b).conj().T @ b)
+    rows = embedding_positions(grade, gw)
+    inside = np.zeros(gw.dim, dtype=bool)
+    inside[rows] = True
+    return coordinate_slice(b, inside)[rows], coordinate_slice(w, inside)[rows]
 
 
 def _dense_orbit_columns(gw: Grade, generators: list[HardyVector]) -> np.ndarray:

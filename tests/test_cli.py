@@ -71,6 +71,19 @@ def test_run_exit_zero_and_report_shape(capsys, tmp_path):
     assert timing["peak_rss_mb"] > 0
 
 
+def test_peak_rss_counts_only_its_own_process(tmp_path):
+    # Linux keeps ru_maxrss across exec, so a run started by a process that
+    # holds 300 MB read at least that; the run's own VmHWM is a few tens
+    out_path = tmp_path / "report.json"
+    command = [sys.executable, "-m", "polyhardy.cli", "run", str(SCENARIOS / "z-minus-z1.json"),
+               "--quiet", "--output", str(out_path)]
+    parent = f"import subprocess\nballast = b'1' * (300 << 20)\nsubprocess.run({command!r}, check=True)"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-c", parent], env=env, check=True)
+    assert 0 < json.loads(out_path.read_text())["timing"]["peak_rss_mb"] < 150
+
+
 def test_run_report_carries_multiplier_coefficients(capsys, tmp_path):
     out_path = tmp_path / "report.json"
     code, _, _ = run_cli(

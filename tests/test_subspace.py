@@ -21,8 +21,10 @@ from polyhardy.operators import VERDICT_TOL, Coo
 from polyhardy.reporting import stable_part
 from polyhardy.subspace import (
     _components,
+    _orbit_slice,
     _pattern_blocks,
     _slice,
+    _spans,
     _wandering,
     block_span,
     outer_degrees,
@@ -30,6 +32,7 @@ from polyhardy.subspace import (
 from .oracles import (
     coordinate_slice,
     dense_order,
+    margin_reference,
     null_columns,
     orbit_reference,
     orthonormal_columns,
@@ -347,27 +350,44 @@ def test_block_kernels_span_what_dense_spans(seed):
     blocks = [(4, 3, 3, 1.0), (5, 6, 2, 10.0), (1, 1, 1, 0.5), (3, 5, 3, 1.0)]
     blocks.append((6, 2, 1, 1e-12))
     a = _scattered_blocks(rng, blocks, zero_rows=3, zero_cols=2)
-    basis = block_span(a)
+    factored = block_span(a)
+    basis = _spans(a.shape[0], factored)
+    # each block's span and complement K make one unitary; the tall blocks'
+    # K also holds every left vector past their column count, and the cut
+    # block is all K
+    for rows, span, k in factored:
+        q = np.hstack([span, k])
+        assert q.shape == (rows.size, rows.size)
+        assert np.linalg.norm(q.conj().T @ q - np.eye(rows.size)) < 1e-12
+    widths = sorted((rows.size, span.shape[1], k.shape[1]) for rows, span, k in factored)
+    assert widths == [(1, 1, 0), (3, 3, 0), (4, 3, 1), (5, 2, 3), (6, 0, 6)]
     # the slice keeps the smallest block whole, drops the largest whole and
     # cuts the two others
-    layout = [rows for rows, _, _ in _pattern_blocks(basis)]
+    layout = [rows for rows, span, _ in factored if span.shape[1]]
     assert len(layout) == 4
     keep = np.zeros(a.shape[0], dtype=bool)
     keep[layout[0]] = True
     for rows in layout[1:-1]:
         keep[rows[::2]] = True
-    sliced = _slice(basis, keep)
-    pairs = [(basis, orthonormal_columns(a)), (sliced, coordinate_slice(basis.toarray(), keep))]
+    # the complement slice of the orbit blocks and the row split of their
+    # spans, which the wandering basis still takes
+    sliced = _orbit_slice(factored, keep)
+    split = _slice(basis, keep)
+    dense_slice = coordinate_slice(basis.toarray(), keep)
+    pairs = [(basis, orthonormal_columns(a)), (sliced, dense_slice), (split, dense_slice)]
     for sparse, dense in pairs:
         block = sparse.toarray()
         assert block.shape == dense.shape
         assert ph.max_principal_angle_sine(block, dense) < 1e-12
         assert np.linalg.norm(block.conj().T @ block - np.eye(block.shape[1])) < 1e-12
-    assert sliced.shape[1] == 4
-    assert np.abs(sliced.toarray()[~keep]).max() < 1e-12
+    assert sliced.shape[1] == split.shape[1] == 4
+    assert not np.any(sliced.toarray()[~keep])
+    assert np.abs(split.toarray()[~keep]).max() < 1e-12
     # the Wold path hands the kernels triplets
-    assert np.array_equal(block_span(Coo.from_dense(a)).toarray(), basis.toarray())
-    assert np.array_equal(_slice(basis.toarray(), keep).toarray(), sliced.toarray())
+    for (rows, span, k), (rows_t, span_t, k_t) in zip(factored, block_span(Coo.from_dense(a))):
+        assert np.array_equal(rows, rows_t)
+        assert np.array_equal(span, span_t) and np.array_equal(k, k_t)
+    assert np.array_equal(_slice(basis.toarray(), keep).toarray(), split.toarray())
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -379,19 +399,91 @@ def test_wandering_kernel_equals_dense_wandering(seed):
     a = np.zeros((grade.dim, 7), dtype=complex)
     a[low, :5] = _scattered_blocks(rng, [(3, 3, 2, 1.0), (2, 2, 2, 1.0)], 1, 0)
     a[top, 5:] = _scattered_blocks(rng, [(2, 2, 2, 1.0)], 1, 0)
-    basis = block_span(a)
-    b, mz = basis.toarray(), operators.shift_matrix(grade, 0)
+    factored = block_span(a)
+    b, mz = _spans(grade.dim, factored).toarray(), operators.shift_matrix(grade, 0)
     # z truncates the top block's image away, so its block of [B | M_z·B]
     # has no columns of M_z·B and is wandering whole
     on_top = ~np.any(np.delete(b, top, axis=0), axis=0)
     assert on_top.sum() == 2 and not np.any(mz @ b[:, on_top])
-    w = _wandering(grade, basis).toarray()
+    w = _wandering(grade, factored).toarray()
     ref = wandering_reference(b, mz)
     assert w.shape == ref.shape
     assert ph.max_principal_angle_sine(w, ref) < 1e-12
     assert np.linalg.norm(w.conj().T @ w - np.eye(w.shape[1])) < 1e-12
     for column in b[:, on_top].T:
         assert any(np.array_equal(column, kept) for kept in w.T)
+
+
+@pytest.mark.parametrize(
+    "grade, texts",
+    [(ph.Grade(1, 5, 5, 1), ["2 + z1"]), (ph.Grade(2, 4, 4, 1), ["1 + z - z1", "z - z2"])],
+    ids=["two-plus-z1", "n2-inhomogeneous"],
+)
+def test_complement_kernels_equal_dense_on_inhomogeneous_orbits(grade, texts):
+    # inhomogeneous generators give orbit blocks that span several total
+    # degrees and that z shifts into themselves; the complement slice and
+    # wandering step read the working orbit's K, the references its span
+    s = ph.orbit_span([ph.parse_polynomial(t, grade) for t in texts], grade)
+    gw = subspace.working_grade(grade, s.provenance.margin)
+    blocks = s.provenance.working_basis
+    b = _spans(gw.dim, blocks).toarray()
+    keep = subspace._inside_caps(grade, gw)
+    rows = subspace.embedding_positions(grade, gw)
+    for got, want in [
+        (_orbit_slice(blocks, keep).toarray(), coordinate_slice(b, keep)),
+        (_wandering(gw, blocks).toarray(), wandering_reference(b, operators.shift_matrix(gw, 0))),
+        (subspace._capped(grade, gw, blocks).toarray(), coordinate_slice(b, keep)[rows]),
+    ]:
+        assert got.shape == want.shape
+        assert ph.max_principal_angle_sine(got, want) < 1e-10
+        assert np.linalg.norm(got.conj().T @ got - np.eye(got.shape[1])) < 1e-12
+
+
+MARGIN_MEMBERS = ["n1-d1-05", "n1-d2-00", "n2-lin-00"]
+
+
+def _projector(columns: np.ndarray) -> np.ndarray:
+    return columns @ columns.conj().T
+
+
+@pytest.mark.parametrize("label", [p.stem for p in NAMED] + MARGIN_MEMBERS)
+def test_orbit_and_wandering_equal_the_dense_margin_path(label, pool_member):
+    # the spans of the working-grade multiples, sliced to the caps, and W
+    # from the (M_z B)ᴴB null space, all dense and with no complement
+    if label in MARGIN_MEMBERS:
+        member = pool_member(label)
+        scenario, s, w = member["scenario"], member["s"], member["w"]
+    else:
+        scenario = ph.load_scenario(SCENARIOS / f"{label}.json")
+        s = _named_orbit(SCENARIOS / f"{label}.json")
+        w = ph.wandering_subspace(s)
+    grade = scenario.grade
+    generators = [ph.parse_polynomial(t, grade) for t in scenario.generators]
+    s_ref, w_ref = margin_reference(generators, grade, int(scenario.option("margin", 2)))
+    assert (s.dim, w.dim) == (s_ref.shape[1], w_ref.shape[1])
+    for got, want in ((s, s_ref), (w, w_ref)):
+        assert np.linalg.norm(_projector(got.columns) - _projector(want), 2) < 1e-10
+
+
+@pytest.mark.parametrize("label", ["n2-cmp-00", "n2-lin-00"])
+def test_wandering_step_factors_nothing_as_wide_as_an_orbit_block(label, pool_member, monkeypatch):
+    # The wandering step reads each orbit block's complement K: its SVDs
+    # are the overlaps KᴴC, the K_q[X_q] of the shifted sources and the
+    # slices and strata of W. Spanning the overlap (M_z B)ᴴB instead would
+    # factor a matrix with as many columns as the widest orbit block.
+    s = pool_member(label)["s"]
+    widest = max(span.shape[1] for _, span, _ in s.provenance.working_basis)
+    columns = []
+    svd = np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        columns.append(a.shape[-1])
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    w = ph.wandering_subspace(s)
+    assert w.dim > 0 and columns
+    assert max(columns) < widest
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -456,9 +548,12 @@ def test_components_equal_scipy_connected_components(seed):
 def test_block_kernels_edge_cases():
     # the relative cut is taken against the largest singular value of the
     # whole matrix, not of each block
-    assert block_span(np.diag([10.0, 5e-10])).shape == (2, 1)
+    cut = block_span(np.diag([10.0, 5e-10]))
+    assert _spans(2, cut).shape == (2, 1)
+    assert [k.shape for _, _, k in cut] == [(1, 0), (1, 1)]
     zero = np.zeros((5, 4))
-    assert block_span(zero).shape == (5, 0)
+    assert block_span(zero) == ()
+    assert _spans(5, block_span(zero)).shape == (5, 0)
     # a basis that is zero off the kept rows is its own slice, and one that
     # is zero on them slices to nothing
     basis = np.zeros((5, 2), dtype=complex)
@@ -466,12 +561,15 @@ def test_block_kernels_edge_cases():
     keep = np.isin(np.arange(5), [0, 2, 4])
     assert np.array_equal(_slice(Coo.from_dense(basis), keep).toarray(), basis)
     assert _slice(Coo.from_dense(basis), ~keep).shape == (5, 0)
+    factored = block_span(basis)
+    assert np.array_equal(_orbit_slice(factored, keep).toarray(), _spans(5, factored).toarray())
+    assert _orbit_slice(factored, ~keep).shape == (5, 0)
     no_columns = np.zeros((5, 0))
-    assert block_span(no_columns).shape == (5, 0)
+    assert block_span(no_columns) == ()
     assert _slice(Coo.from_dense(no_columns), keep).shape == (5, 0)
+    assert _orbit_slice((), keep).shape == (5, 0)
     grade = ph.Grade(1, 1, 1)
-    empty = Coo.from_dense(np.zeros((grade.dim, 0), dtype=complex))
-    assert _wandering(grade, empty).shape == (4, 0)
+    assert _wandering(grade, ()).shape == (4, 0)
 
 
 def test_block_kernels_equal_dense_on_connected_pattern():
@@ -481,7 +579,8 @@ def test_block_kernels_equal_dense_on_connected_pattern():
     for a in (full, full.T, low_rank, low_rank.T):
         # in the row-major layout of the block the kernel multiplies
         basis = np.ascontiguousarray(orthonormal_columns(a))
-        assert np.array_equal(block_span(a).toarray(), basis)
+        [(_, span, _)] = block_span(a)
+        assert np.array_equal(span, basis)
         keep = np.arange(a.shape[0]) > 0
         dense = basis @ null_columns(basis[~keep])
         assert np.array_equal(_slice(Coo.from_dense(basis), keep).toarray(), dense)
@@ -663,8 +762,7 @@ def _sliced(member: dict, key: str) -> Coo:
     basis = prov.working_basis
     if key == "w":
         basis = subspace._wandering(gw, basis)
-    sliced = subspace._slice(basis, subspace._inside_caps(grade, gw))
-    return sliced.take_rows(subspace.embedding_positions(grade, gw))
+    return subspace._capped(grade, gw, basis)
 
 
 @pytest.mark.parametrize("label", GRADED)

@@ -47,6 +47,21 @@ def test_bench_ladder_failing_rung_keeps_its_timing(tmp_path):
     assert "error" not in row
 
 
+def test_bench_ladder_lists_the_inhomogeneous_n2_rung():
+    # its Wold check factors one 1330-row block and takes seconds, so the
+    # rung is only listed here, not run
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import json, bench_ladder; print(json.dumps(bench_ladder.ladder()))"],
+        cwd=REPO / "tools", capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    [case] = [c for c in json.loads(proc.stdout) if c["label"] == "n2-D4-inhom"]
+    assert case["generators"] == ["1 + z - z1", "z - z2"]
+    assert case["grade"] == {"n": 2, "D": 4, "N": 4, "d_E": 1}
+    assert case["options"] == {"force": True, "margin": 2}
+
+
 def test_bench_ladder_compare_rung(tmp_path):
     # n2-D5 against its generators in reverse order: the same subspace
     proc = subprocess.run(

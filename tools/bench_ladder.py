@@ -20,7 +20,8 @@ without changing it.
 
 The ladder: every scenario file in ``scenarios/``, then generated cases
 (``z - z1, ..., z - zn`` at growing n and caps, one dense generic linear
-form at n=3 d_E=2 and the inhomogeneous ``2 + z1``), then one ``compare`` rung,
+form at n=3 d_E=2, the inhomogeneous ``2 + z1`` and the inhomogeneous pair
+``1 + z - z1, z - z2`` at n=2), then one ``compare`` rung,
 ``n2-D5-compare``: ``polyhardy compare`` of the ``n2-D5`` case against
 the same case with its generators in reverse order, three processes like
 every case. Its row holds the exit code, the certificate's verdict, the
@@ -67,8 +68,10 @@ GENERATED = [
         " + (-0.517+0.113i)*z2*e_1 + (-0.856-1.162i)*z1 + (1.061+0.915i)*z1*e_1"
         " + (0.021+0.969i)*z + (-0.933-0.468i)*z*e_1"
     ]),
-    # an inhomogeneous generator: it takes the margin path
+    # inhomogeneous generators: they take the margin path, and their Wold
+    # check factors the pattern blocks of the Wold grade
     ("two-plus-z1", 1, 5, 1, ["2 + z1"]),
+    ("n2-D4-inhom", 2, 4, 1, ["1 + z - z1", "z - z2"]),
 ]
 
 
