@@ -181,17 +181,17 @@ def extract_phi(
     grade = _entry_grade(s, w, axis, force)
     cert = w.columns[:, : w.n_certified]
     if cert.shape[1]:
-        image = shift(grade, 1 + axis, cert)
-        residual = spectral_norm(image - s.project(image))
+        residual = s.residual(shift(grade, 1 + axis, cert))
         if residual > VERDICT_TOL:
             raise NotInvariantError(
                 f"inner shift does not map certified wandering vectors into the "
                 f"subspace (residual {residual:.2e})"
             )
     cur = shift(grade, 1 + axis, w.columns)
+    wh = w.columns.conj().T
     coeffs = []
     for _ in range(grade.outer_cap + 1):
-        coeffs.append(w.columns.conj().T @ cur)
+        coeffs.append(wh @ cur)
         cur = s.project(shift_adjoint(grade, 0, cur))
     return MatrixPolynomial(tuple(coeffs))
 

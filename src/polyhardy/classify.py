@@ -213,7 +213,7 @@ def nested_factor(
                 f"nested factorization needs isometric symbols "
                 f"(residual {iso.max_residual:.2e})"
             )
-    containment = spectral_norm(s_inner.columns - s_outer.project(s_inner.columns))
+    containment = s_outer.residual(s_inner.columns)
     if containment >= tolerance:
         return FactorizationCertificate(
             "not nested", None, containment, np.inf, np.inf, tolerance

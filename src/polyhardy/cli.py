@@ -13,6 +13,7 @@ class's ``exit_code``; ``selftest`` exits 1 if any scenario was refused.
 from __future__ import annotations
 
 import argparse
+import functools
 import resource
 import sys
 import time
@@ -400,7 +401,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: parsing leaves it unchanged."""
     parser = _Parser(
         prog="polyhardy",
         description="capped invariant-subspace toolkit for vector Hardy spaces",
@@ -427,26 +430,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run a scenario pipeline")
     p_run.add_argument("scenario")
     flags(p_run, "--tolerance", "--margin", "--max-dim", "--quiet", "--output")
-    p_run.set_defaults(func=_cmd_run)
 
     p_cmp = sub.add_parser("compare", help="coincidence certificate for two scenarios")
     p_cmp.add_argument("scenario_a")
     p_cmp.add_argument("scenario_b")
     flags(p_cmp, "--margin", "--max-dim", "--quiet", "--output")
-    p_cmp.set_defaults(func=_cmd_compare)
 
     p_self = sub.add_parser("selftest", help="run the bundled corpus")
     p_self.add_argument("--random", type=count, default=2)
     flags(p_self, "--tolerance", "--max-dim", "--quiet")
-    p_self.set_defaults(func=_cmd_selftest)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up per call, not stored in the cached parser
+    command = {"run": _cmd_run, "compare": _cmd_compare, "selftest": _cmd_selftest}
     try:
-        return args.func(args)
+        return command[args.command](args)
     except ToolkitError as exc:
         print(f"{_PREFIX[exc.exit_code]}: {exc}", file=sys.stderr)
         return exc.exit_code

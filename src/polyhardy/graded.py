@@ -366,16 +366,19 @@ def _exact_dim(grade: Grade, system: Sequence[PieceBasis]) -> int:
     return grade.dim - rank
 
 
-def _complement_wandering(k: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """C·null(KᴴC), for K an orthonormal basis of S^⊥ and C one of (z·S)^⊥
-    over the same rows: the orthonormal basis of S ⊖ z·S = S ∩ (z·S)^⊥
-    there. The overlap's singular values are at most 1 and are cut at
-    ``RANK_CUT``; with no K, C is kept whole."""
+def _complement_wandering(
+    k: np.ndarray, c: np.ndarray, rows: np.ndarray | slice = slice(None)
+) -> np.ndarray:
+    """(C·null(KᴴC))[rows], for K an orthonormal basis of S^⊥ and C one of
+    (z·S)^⊥ over the same rows: C·null(KᴴC) is the orthonormal basis of
+    S ⊖ z·S = S ∩ (z·S)^⊥ there, and only its ``rows`` are formed. The
+    overlap's singular values are at most 1 and are cut at ``RANK_CUT``;
+    with no K, C is kept whole."""
     if not k.shape[1] or not c.shape[1]:
-        return c
+        return c[rows]
     overlap = k.conj().T @ c
     s, vh = np.linalg.svd(overlap, full_matrices=overlap.shape[0] < overlap.shape[1])[1:]
-    return c @ vh[(s > RANK_CUT).sum() :].conj().T
+    return c[rows] @ vh[(s > RANK_CUT).sum() :].conj().T
 
 
 def _graded_wold(band: Grade, system: Sequence[PieceBasis]) -> tuple[float, int]:
@@ -416,7 +419,7 @@ def _graded_wold(band: Grade, system: Sequence[PieceBasis]) -> tuple[float, int]
         c[units:, units:] = low
         ends = np.searchsorted(on_band, [at, at + size])
         here = on_band[ends[0] : ends[1]] - at
-        w = _complement_wandering(k, c)[here]
+        w = _complement_wandering(k, c, here)
         kb = k[here]
         s_t = w @ w.conj().T
         place = np.full(size, -1)

@@ -8,9 +8,13 @@ by one SVD per pattern block (:func:`block_span`), and each block is kept
 with its complement K, the rest of its left singular vectors. The orbit's
 slice to the caps (:func:`_orbit_slice`), its wandering space W =
 C·null(KᴴC) (:func:`_wandering`) and the probe count (:func:`_probe_dim`)
-read K block by block, not the span. Between steps a matrix is held as a
-:class:`~polyhardy.operators.Coo` triplet of numpy index arrays, and its
-blocks are found by :func:`~polyhardy.operators._components`.  A basis
+read K block by block, not the span. The slice also yields the orthogonal
+complement Q of S ∩ caps in the caps, which the orbit basis carries, so
+that P_S and every off-span residual read Q's few columns, not S's many
+(:meth:`SubspaceBasis.project`, :meth:`SubspaceBasis.residual`). Between
+steps a matrix is held as a :class:`~polyhardy.operators.Coo` triplet of
+numpy index arrays, and its blocks are found by
+:func:`~polyhardy.operators._components`.  A basis
 that leaves this module is orthonormal in the [safe-supported | rest]
 layout of :func:`split_basis`.  The symbols are
 read off the wandering basis alone, so only it is put in the canonical
@@ -77,20 +81,36 @@ class Provenance:
 
 @dataclass(frozen=True)
 class SubspaceBasis:
-    """Orthonormal basis of a capped slice of an invariant subspace."""
+    """Orthonormal basis S of a capped slice of an invariant subspace, and
+    optionally its orthogonal complement Q in the caps, ``grade.dim − dim``
+    columns with [S | Q] unitary. Only :func:`orbit_span` sets Q, when it is
+    narrower than S, as it is when S ∩ caps fills nearly all of the caps;
+    with Q, P_S and the off-span residual read Q, and without it S's
+    columns."""
 
     grade: Grade
     columns: np.ndarray
     provenance: Provenance
     n_certified: int = 0
+    complement: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         cols = np.asarray(self.columns, dtype=complex)
         if cols.shape[0] != self.grade.dim:
             raise GradeError("column length does not match the grade")
-        gram = cols.conj().T @ cols
         # the Frobenius norm bounds the 2-norm from above
-        if np.linalg.norm(gram - np.eye(cols.shape[1])) > ORTHONORMAL_TOL:
+        defect = np.linalg.norm(cols.conj().T @ cols - np.eye(cols.shape[1]))
+        if self.complement is not None:
+            comp = np.asarray(self.complement, dtype=complex)
+            if comp.shape != (self.grade.dim, self.grade.dim - cols.shape[1]):
+                raise GradeError("complement width does not match the grade")
+            # that of [S | Q]ᴴ[S | Q] − I, read off its blocks, so that
+            # [S | Q] is never copied: QᴴQ − I, and SᴴQ, which appears twice
+            own = np.linalg.norm(comp.conj().T @ comp - np.eye(comp.shape[1]))
+            defect = math.hypot(defect, own, math.sqrt(2) * np.linalg.norm(cols.conj().T @ comp))
+            comp.flags.writeable = False
+            object.__setattr__(self, "complement", comp)
+        if defect > ORTHONORMAL_TOL:
             raise GradeError("basis columns are not orthonormal")
         cols.flags.writeable = False
         object.__setattr__(self, "columns", cols)
@@ -103,9 +123,22 @@ class SubspaceBasis:
     def n_flagged(self) -> int:
         return self.dim - self.n_certified
 
+    @cached_property
+    def _complement_h(self) -> np.ndarray:
+        return self.complement.conj().T
+
     def project(self, x: np.ndarray) -> np.ndarray:
-        """``P_S·x = S(Sᴴx)``."""
-        return self.columns @ (self.columns.conj().T @ x)
+        """``P_S·x``: ``x − Q(Qᴴx)`` with a complement, else ``S(Sᴴx)``."""
+        if self.complement is None:
+            return self.columns @ (self.columns.conj().T @ x)
+        return x - self.complement @ (self._complement_h @ x)
+
+    def residual(self, x: np.ndarray) -> float:
+        """``‖(I − P_S)·x‖₂`` for ``x`` in the grade: ``‖Qᴴx‖₂`` with a
+        complement, else read off :meth:`project`."""
+        if self.complement is None:
+            return spectral_norm(x - self.project(x))
+        return spectral_norm(self._complement_h @ x)
 
     def compress(self, axis: int) -> np.ndarray:
         """``Sᴴ·T·S`` for ``T`` the shift along ``axis`` (0 is ``z``, ``i`` is
@@ -246,23 +279,33 @@ def _slice(basis, keep: np.ndarray) -> Coo:
     return _place(basis.shape[0], [(at, off.T) for at, off, _ in _row_split(basis, ~keep)])
 
 
-def _orbit_slice(blocks, keep: np.ndarray) -> Coo:
-    """Orthonormal basis of S ∩ {x : x vanishes off ``keep``} for S the
-    direct sum of the spans of the orbit ``blocks`` (:func:`block_span`):
-    on each block, the null space of K[kept rows]ᴴ inside its kept rows,
-    by one SVD cut at ``RANK_CUT``. A block with every row kept gives its
-    span. By the CS decomposition the nontrivial singular values of
-    K[kept rows] are those of span[other rows], so the cut decides as a
-    split of the span would (:func:`_slice`)."""
-    pieces = []
+def _orbit_slice(blocks, keep: np.ndarray) -> tuple[Coo, Coo]:
+    """Orthonormal bases of S ∩ {x : x vanishes off ``keep``} for S the
+    direct sum of the spans of the orbit ``blocks`` (:func:`block_span`),
+    and of its orthogonal complement Q among the vectors that vanish off
+    ``keep``. On each block the slice is the null space of K[kept rows]ᴴ
+    inside its kept rows, by one SVD cut at ``RANK_CUT``, and the left
+    vectors above the cut are Q's part there. A block with every row kept
+    gives its span, and its K to Q. Q also holds a unit vector for each
+    kept row that lies in no block. By the CS decomposition the nontrivial
+    singular values of K[kept rows] are those of span[other rows], so the
+    cut decides as a split of the span would (:func:`_slice`)."""
+    pieces, complement = [], []
+    free = keep.copy()
     for rows, span, k in blocks:
         at = keep[rows]
+        free[rows] = False
         if at.all():
             pieces.append((rows, span.T))
+            complement.append((rows, k.T))
         elif at.any():
             u, s, _ = np.linalg.svd(k[at], full_matrices=True)
-            pieces.append((rows[at], u[:, (s > RANK_CUT).sum() :].T))
-    return _place(keep.size, pieces)
+            rank = (s > RANK_CUT).sum()
+            pieces.append((rows[at], u[:, rank:].T))
+            complement.append((rows[at], u[:, :rank].T))
+    units = np.flatnonzero(free)
+    complement.append((units[:, None], np.ones((units.size, 1))))
+    return _place(keep.size, pieces), _place(keep.size, complement)
 
 
 def _gauge(stratum: np.ndarray, rows: np.ndarray, cut: float) -> tuple[np.ndarray, list[int]]:
@@ -408,14 +451,11 @@ def _inside_caps(grade: Grade, big: Grade) -> np.ndarray:
     return keep
 
 
-def _capped(grade: Grade, big: Grade, basis) -> Coo:
+def _capped(grade: Grade, big: Grade, basis: Coo) -> Coo:
     """Orthonormal basis of the part of span(basis) that lies inside the caps
-    of ``grade``, in ``grade``'s coordinates, for ``basis`` at the grade
-    ``big``: an orthonormal :class:`Coo` (:func:`_slice`) or orbit blocks
-    (:func:`_orbit_slice`)."""
-    keep = _inside_caps(grade, big)
-    sliced = _slice(basis, keep) if isinstance(basis, Coo) else _orbit_slice(basis, keep)
-    return sliced.take_rows(embedding_positions(grade, big))
+    of ``grade``, in ``grade``'s coordinates, for the orthonormal ``basis``
+    at the grade ``big`` (:func:`_slice`)."""
+    return _slice(basis, _inside_caps(grade, big)).take_rows(embedding_positions(grade, big))
 
 
 def orbit_span(
@@ -425,7 +465,9 @@ def orbit_span(
 ) -> SubspaceBasis:
     """Capped slice of the smallest joint invariant subspace containing the
     generators, spanned in an enlarged working grade (:func:`_orbit`, on the
-    components that reach the caps) and intersected with the target caps."""
+    components that reach the caps) and intersected with the target caps,
+    with its orthogonal complement in the caps (:func:`_orbit_slice`) when
+    that is the narrower of the two."""
     if not generators:
         raise DegenerateInputError("empty generator list")
     if working_margin < 0:
@@ -446,8 +488,10 @@ def orbit_span(
     if not cleaned:
         raise DegenerateInputError("generators span {0} after cleanup")
     gw = working_grade(grade, working_margin)
-    working, _ = _orbit(gw, cleaned, embedding_positions(grade, gw))
-    organized, n_safe = split_basis(grade, _capped(grade, gw, working))
+    inside = embedding_positions(grade, gw)
+    working, _ = _orbit(gw, cleaned, inside)
+    sliced, complement = _orbit_slice(working, _inside_caps(grade, gw))
+    organized, n_safe = split_basis(grade, sliced.take_rows(inside))
     if organized.shape[1] == 0:
         raise DegenerateInputError("generators produce an empty capped slice")
     prov = Provenance(
@@ -456,7 +500,14 @@ def orbit_span(
         margin=working_margin,
         working_basis=working,
     )
-    return SubspaceBasis(grade, organized, prov, n_certified=n_safe)
+    # P_S reads Q only where Q is the narrower side: S ∩ caps usually fills
+    # nearly all of the caps, but a thin orbit leaves Q wider than S
+    if complement.shape[1] >= organized.shape[1]:
+        return SubspaceBasis(grade, organized, prov, n_certified=n_safe)
+    return SubspaceBasis(
+        grade, organized, prov, n_certified=n_safe,
+        complement=complement.take_rows(inside).toarray(),
+    )
 
 
 def orbit_stability(
@@ -588,15 +639,13 @@ def check_invariant(
     axes: Iterable[int],
     tolerance: float = VERDICT_TOL,
 ) -> InvarianceReport:
-    """Per-shift residual ``‖(I − P_S)·T·B_safe‖`` over safe-supported columns,
+    """Per-shift residual ``‖(I − P_S)·T·B_safe‖`` (:meth:`SubspaceBasis.residual`)
+    over safe-supported columns,
     for ``T`` the shift along each of ``axes`` (0 is ``z``, ``i`` is ``z_i``).
     The safe-supported columns are the leading ``s.n_certified`` of the
     [safe | rest] layout."""
     b_safe = s.columns[:, : s.n_certified]
-    residuals = []
-    for axis in axes:
-        image = shift(s.grade, axis, b_safe)
-        residuals.append(spectral_norm(image - s.project(image)))
+    residuals = [s.residual(shift(s.grade, axis, b_safe)) for axis in axes]
     verdict = all(r < tolerance for r in residuals)
     return InvarianceReport(tuple(residuals), verdict, tolerance, s.n_certified)
 
@@ -739,11 +788,15 @@ def max_principal_angle_sine(b1, b2) -> float:
     """The largest principal angle sine, 0 if either basis is empty: the
     2-norm of the projection residual of the smaller basis against the
     larger span, whose singular values are the sines of the min(d1, d2)
-    principal angles; no SVD."""
+    principal angles; no SVD. A larger :class:`SubspaceBasis` reads it
+    with :meth:`SubspaceBasis.residual`."""
     c1 = np.asarray(getattr(b1, "columns", b1), dtype=complex)
     c2 = np.asarray(getattr(b2, "columns", b2), dtype=complex)
-    small, big = (c1, c2) if c1.shape[1] <= c2.shape[1] else (c2, c1)
-    return min(spectral_norm(small - big @ (big.conj().T @ small)), 1.0)
+    if c1.shape[1] > c2.shape[1]:
+        c1, c2, b2 = c2, c1, b1
+    if isinstance(b2, SubspaceBasis):
+        return min(b2.residual(c1), 1.0)
+    return min(spectral_norm(c1 - c2 @ (c2.conj().T @ c1)), 1.0)
 
 
 def subspace_from_columns(grade: Grade, columns: np.ndarray) -> SubspaceBasis:

@@ -14,6 +14,9 @@
   dense SVD routines. They pin the block kernels: the spans and
   complements of ``subspace.block_span``, the complement slice
   ``subspace._orbit_slice`` and the row-split slice ``subspace._slice``.
+- ``dense_projection`` is P_S = S·Sᴴ formed in full, with the off-span
+  residual's 2-norm by an SVD. It pins ``SubspaceBasis.project`` and
+  ``SubspaceBasis.residual``, which read an orbit basis's complement Q.
 - ``wold_residual_dense`` is the dense formula the gather-based Wold check
   replaces: every shift is a dense ``shift_matrix`` and the reconstruction
   is formed over the whole Wold grade, with the routines above.
@@ -79,6 +82,13 @@ def coordinate_slice(basis: np.ndarray, keep: np.ndarray) -> np.ndarray:
     if basis.shape[1] == 0 or outside.shape[0] == 0:
         return basis
     return orthonormal_columns(basis @ null_columns(outside))
+
+
+def dense_projection(columns: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, float]:
+    """P_S·x and ‖(I − P_S)·x‖₂ for the orthonormal ``columns`` of S, with
+    the projector S·Sᴴ formed in full and the 2-norm taken by an SVD."""
+    projected = (columns @ columns.conj().T) @ x
+    return projected, float(np.linalg.norm(x - projected, 2))
 
 
 def _product_support(coeffs: dict, mono: tuple[int, ...]) -> dict:

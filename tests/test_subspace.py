@@ -32,6 +32,7 @@ from polyhardy.subspace import (
 from .oracles import (
     coordinate_slice,
     dense_order,
+    dense_projection,
     margin_reference,
     null_columns,
     orbit_reference,
@@ -172,6 +173,70 @@ def test_subspace_basis_requires_orthonormal(g1):
     cols[0, 1] = 1.0
     with pytest.raises(GradeError):
         ph.SubspaceBasis(g1, cols, ph.Provenance("adhoc"))
+
+
+def test_subspace_basis_refuses_a_wrong_complement(g1):
+    # the complement must have grade.dim − dim columns, and [S | Q] must be
+    # unitary: a Q of the right width that meets S is refused
+    q = np.eye(g1.dim, dtype=complex)
+    s, rest = q[:, :30], q[:, 30:]
+    assert ph.SubspaceBasis(g1, s, ph.Provenance("adhoc"), complement=rest).dim == 30
+    with pytest.raises(GradeError, match="complement width"):
+        ph.SubspaceBasis(g1, s, ph.Provenance("adhoc"), complement=rest[:, 1:])
+    with pytest.raises(GradeError, match="complement width"):
+        ph.SubspaceBasis(g1, s, ph.Provenance("adhoc"), complement=q[:5, 30:])
+    meets = rest.copy()
+    meets[:, 0] = (q[:, 0] + q[:, 30]) / np.sqrt(2)
+    with pytest.raises(GradeError, match="not orthonormal"):
+        ph.SubspaceBasis(g1, s, ph.Provenance("adhoc"), complement=meets)
+
+
+PROJECTION_POOL = ["n1-d1-05", "n1-d2-00", "n2-lin-00", "n2-cmp-00"]
+GENERATED = {
+    "two-plus-z1": (ph.Grade(1, 5, 5, 1), ["2 + z1"]),
+    "n2-inhomogeneous": (ph.Grade(2, 4, 4, 1), ["1 + z - z1", "z - z2"]),
+    # S has 36 columns in a 98-dim grade: Q would be the wider side
+    "wide-complement": (ph.Grade(1, 6, 6, 2), ["z - z1"]),
+}
+
+
+@pytest.mark.parametrize(
+    "label", [p.stem for p in NAMED] + PROJECTION_POOL + list(GENERATED)
+)
+def test_projection_through_the_complement_equals_the_dense_projector(label, pool_member):
+    # an orbit basis carries its complement Q in the caps when Q is the
+    # narrower side, and projects through it, x − Q(Qᴴx); the rebuilt basis
+    # carries none and projects through its columns. Both equal the dense
+    # S·Sᴴ, on the shifts and backward shifts of both bases and on seeded
+    # random vectors.
+    if label in PROJECTION_POOL:
+        s = pool_member(label)["s"]
+    elif label in GENERATED:
+        grade, texts = GENERATED[label]
+        s = ph.orbit_span([ph.parse_polynomial(t, grade) for t in texts], grade)
+    else:
+        s = _named_orbit(SCENARIOS / f"{label}.json")
+    grade = s.grade
+    q = s.complement
+    if label == "wide-complement":
+        assert (s.dim, q) == (36, None)
+    else:
+        assert q.shape == (grade.dim, grade.dim - s.dim) and q.shape[1] < s.dim
+        whole = np.hstack([s.columns, q])
+        assert np.linalg.norm(whole.conj().T @ whole - np.eye(grade.dim)) < 1e-12
+    w = ph.wandering_subspace(s)
+    rebuilt = ph.build_from_theta(ph.extract_theta(s, w, force=True), grade)
+    assert rebuilt.complement is None
+    rng = np.random.default_rng(33)
+    for basis in (s, rebuilt):
+        probes = [rng.normal(size=(grade.dim, 3)) + 1j * rng.normal(size=(grade.dim, 3))]
+        for axis in range(grade.n + 1):
+            probes.append(operators.shift(grade, axis, basis.columns))
+            probes.append(operators.shift_adjoint(grade, axis, basis.columns))
+        for x in probes:
+            projected, residual = dense_projection(basis.columns, x)
+            assert np.abs(basis.project(x) - projected).max() < 1e-12
+            assert abs(basis.residual(x) - residual) < 1e-12
 
 
 def test_build_from_theta_round_trip(corpus_artifacts):
@@ -370,8 +435,14 @@ def test_block_kernels_span_what_dense_spans(seed):
     for rows in layout[1:-1]:
         keep[rows[::2]] = True
     # the complement slice of the orbit blocks and the row split of their
-    # spans, which the wandering basis still takes
-    sliced = _orbit_slice(factored, keep)
+    # spans, which the wandering basis still takes; with the slice comes its
+    # complement among the kept rows, so that [slice | complement] is the
+    # identity's span there
+    sliced, complement = _orbit_slice(factored, keep)
+    whole = np.hstack([sliced.toarray(), complement.toarray()])[keep]
+    assert whole.shape == (keep.sum(), keep.sum())
+    assert np.linalg.norm(whole.conj().T @ whole - np.eye(keep.sum())) < 1e-12
+    assert not np.any(complement.toarray()[~keep])
     split = _slice(basis, keep)
     dense_slice = coordinate_slice(basis.toarray(), keep)
     pairs = [(basis, orthonormal_columns(a)), (sliced, dense_slice), (split, dense_slice)]
@@ -429,10 +500,14 @@ def test_complement_kernels_equal_dense_on_inhomogeneous_orbits(grade, texts):
     b = _spans(gw.dim, blocks).toarray()
     keep = subspace._inside_caps(grade, gw)
     rows = subspace.embedding_positions(grade, gw)
+    sliced, complement = _orbit_slice(blocks, keep)
+    capped = coordinate_slice(b, keep)[rows]
     for got, want in [
-        (_orbit_slice(blocks, keep).toarray(), coordinate_slice(b, keep)),
+        (sliced.toarray(), coordinate_slice(b, keep)),
         (_wandering(gw, blocks).toarray(), wandering_reference(b, operators.shift_matrix(gw, 0))),
-        (subspace._capped(grade, gw, blocks).toarray(), coordinate_slice(b, keep)[rows]),
+        (sliced.take_rows(rows).toarray(), capped),
+        (complement.take_rows(rows).toarray(), null_columns(capped.conj().T)),
+        (s.complement, null_columns(capped.conj().T)),
     ]:
         assert got.shape == want.shape
         assert ph.max_principal_angle_sine(got, want) < 1e-10
@@ -562,12 +637,17 @@ def test_block_kernels_edge_cases():
     assert np.array_equal(_slice(Coo.from_dense(basis), keep).toarray(), basis)
     assert _slice(Coo.from_dense(basis), ~keep).shape == (5, 0)
     factored = block_span(basis)
-    assert np.array_equal(_orbit_slice(factored, keep).toarray(), _spans(5, factored).toarray())
-    assert _orbit_slice(factored, ~keep).shape == (5, 0)
+    sliced, complement = _orbit_slice(factored, keep)
+    assert np.array_equal(sliced.toarray(), _spans(5, factored).toarray())
+    assert complement.shape == (5, 1)
+    assert _orbit_slice(factored, ~keep)[0].shape == (5, 0)
+    # the two rows off the orbit's block are the complement's unit vectors
+    assert np.array_equal(_orbit_slice(factored, ~keep)[1].toarray(), np.eye(5)[:, [1, 3]])
     no_columns = np.zeros((5, 0))
     assert block_span(no_columns) == ()
     assert _slice(Coo.from_dense(no_columns), keep).shape == (5, 0)
-    assert _orbit_slice((), keep).shape == (5, 0)
+    assert _orbit_slice((), keep)[0].shape == (5, 0)
+    assert np.array_equal(_orbit_slice((), keep)[1].toarray(), np.eye(5)[:, [0, 2, 4]])
     grade = ph.Grade(1, 1, 1)
     assert _wandering(grade, ()).shape == (4, 0)
 
@@ -760,9 +840,10 @@ def _sliced(member: dict, key: str) -> Coo:
     grade, prov = member["grade"], member["s"].provenance
     gw = subspace.working_grade(grade, prov.margin)
     basis = prov.working_basis
-    if key == "w":
-        basis = subspace._wandering(gw, basis)
-    return subspace._capped(grade, gw, basis)
+    if key == "s":
+        sliced, _ = _orbit_slice(basis, subspace._inside_caps(grade, gw))
+        return sliced.take_rows(subspace.embedding_positions(grade, gw))
+    return subspace._capped(grade, gw, subspace._wandering(gw, basis))
 
 
 @pytest.mark.parametrize("label", GRADED)
